@@ -8,13 +8,15 @@ all: build vet test
 
 # Full verification gate: vet, race-enabled tests over the whole tree (the
 # training hot loops and the sweep runner are concurrent now, so the race
-# detector must see the long numeric runs too, not just -short),
+# detector must see the long numeric runs too, not just -short), vet + tests
+# of the benchmark module (its own go.mod, so ./... does not reach it),
 # short native fuzz runs over the CXL packet decoder and the checkpoint
 # snapshot decoder, and — when the tools are installed — staticcheck and
 # govulncheck (CI always runs them; locally they are skipped if absent).
 check:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 40m ./...
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) test -count=1 -run 'TestFabricChaos' ./internal/realtrain
 	$(GO) test -fuzz='FuzzDecode$$' -fuzztime=10s ./internal/cxl
 	$(GO) test -fuzz='FuzzDecodeFramed$$' -fuzztime=10s ./internal/cxl

@@ -303,10 +303,10 @@ func decodeSamples(b []byte) ([]Sample, error) {
 	return out, nil
 }
 
-// Checksum returns the CRC-16 of a tensor's raw FP32 bit patterns — the
-// per-tensor integrity mark the trainer validates after each DBA merge and
-// the store validates on load (via the section CRCs, which cover the same
-// bytes).
+// Checksum returns the CRC-16 of a tensor's raw FP32 bit patterns in wire
+// (little-endian) order — the same bytes and polynomial the snapshot
+// section CRCs cover, so it is portable across hosts. The trainer's
+// in-memory SDC guard uses the faster, process-local GuardSum instead.
 func Checksum(v []float32) uint16 {
 	crc := uint16(0xFFFF)
 	var buf [1024]byte

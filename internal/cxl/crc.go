@@ -55,8 +55,8 @@ var crcSlice = func() (t [4][256]uint16) {
 
 // UpdateCRC16 continues a CRC-16/CCITT-FALSE computation over p from a
 // previous state (start from 0xFFFF), so large tensors can be checksummed
-// in chunks without concatenating their bytes. The SDC guards CRC several
-// parameter-sized tensors per training step, so the loop is sliced: four
+// in chunks without concatenating their bytes. Snapshot sections and the
+// disk cache CRC parameter-sized payloads, so the loop is sliced: four
 // bytes per iteration with independent table lookups (the tail falls back
 // to byte-at-a-time), bit-identical to the serial definition.
 func UpdateCRC16(crc uint16, p []byte) uint16 {

@@ -211,8 +211,8 @@ func Fig11TableIVWith(opt Options) *Table {
 // perplexity-style metric).
 func TableV(seed int64) *Table { return TableVWith(Options{Seed: seed}) }
 
-// TableVWith is TableV with every proxy pair (and the GNN run) as a
-// concurrent grid point against the shared run cache.
+// TableVWith is TableV with every proxy pair and each of the two GNN
+// trainings as a concurrent grid point against the shared run cache.
 func TableVWith(opt Options) *Table {
 	t := &Table{
 		ID:     "table5",
@@ -220,28 +220,39 @@ func TableVWith(opt Options) *Table {
 		Header: []string{"Proxy run", "Metric", "Original", "TECO-Reduction"},
 	}
 	// One proxy run per evaluated model (different seeds play the role of
-	// the different fine-tuning tasks); the GNN rides as the last point.
+	// the different fine-tuning tasks); the GNN rides as the last two
+	// points — its base and TECO-Reduction trainings are independent, so
+	// each is its own pool task rather than one back-to-back chain.
 	names := []string{"GPT2", "Albert-xxlarge-v1", "Bert-large-cased", "T5-large"}
-	for _, rows := range grid(opt, len(names)+1, func(i int) [][]string {
-		if i == len(names) {
+	type cell struct {
+		rows   [][]string // a proxy pair's table rows
+		gnnAcc string     // a GNN training's test accuracy
+	}
+	n := len(names)
+	cells := grid(opt, n+2, func(i int) cell {
+		if i >= n {
 			// GCNII: real full-graph GNN training (paper reports 54.90
 			// original, N/A for TECO-Reduction — we run both anyway).
-			gBase := gnn.Train(gnn.TrainConfig{Epochs: 200, Seed: opt.Seed})
-			gRed := gnn.Train(gnn.TrainConfig{Epochs: 200, Seed: opt.Seed, DBA: true, ActAfterSteps: 100})
-			return [][]string{{"GCNII", "Accuracy", pct(gBase.TestAcc), pct(gRed.TestAcc)}}
+			cfg := gnn.TrainConfig{Epochs: 200, Seed: opt.Seed}
+			if i == n+1 {
+				cfg.DBA, cfg.ActAfterSteps = true, 100
+			}
+			return cell{gnnAcc: pct(gnn.Train(cfg).TestAcc)}
 		}
 		s := opt.Seed + int64(i)*100
 		base := runTrain(opt, realtrain.Config{Steps: RealTrainSteps, Seed: s})
 		red := runTrain(opt, realtrain.Config{Steps: RealTrainSteps, Seed: s, DBA: true, ActAfterSteps: RealTrainSteps / 2})
-		return [][]string{
+		return cell{rows: [][]string{
 			{names[i], "Accuracy", pct(base.FinalAcc), pct(red.FinalAcc)},
 			{names[i], "Perplexity", f2(base.Perplexity), f2(red.Perplexity)},
-		}
-	}) {
-		for _, row := range rows {
+		}}
+	})
+	for _, c := range cells[:n] {
+		for _, row := range c.rows {
 			t.AddRow(row...)
 		}
 	}
+	t.AddRow("GCNII", "Accuracy", cells[n].gnnAcc, cells[n+1].gnnAcc)
 	t.Note("paper Table V reports task-specific metrics (e.g. Bert 93.13 -> 91.99 accuracy, GCNII 54.90); the proxy reproduces the property that DBA costs at most a small quality delta")
 	return t
 }

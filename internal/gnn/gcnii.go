@@ -3,6 +3,8 @@ package gnn
 import (
 	"math"
 	"math/rand"
+
+	"teco/internal/kernels"
 )
 
 // GCNII is the deep graph convolutional network of Chen et al. (2020),
@@ -14,10 +16,16 @@ import (
 // log(lambda/l + 1)), preceded by a linear input encoder and followed by a
 // linear classifier. Parameters live in one flat FP32 vector so the model
 // can ride the dirty-byte machinery exactly like the MLP in realtrain.
+//
+// The dense products run on internal/kernels under its accumulation-order
+// contract, and every per-epoch intermediate is carved from a reused arena,
+// so a GCNII is not safe for concurrent use.
 type GCNII struct {
 	Feat, Hidden, Classes, Layers int
 	Alpha, Lambda                 float64
 	Params                        []float32
+
+	arena kernels.Arena
 }
 
 // NewGCNII builds the model with Glorot-style initialization.
@@ -75,7 +83,9 @@ func (m *GCNII) beta(l int) float32 {
 	return float32(math.Log(m.Lambda/float64(l) + 1))
 }
 
-// forwardState holds the activations needed by backward.
+// forwardState holds the activations needed by backward. Every matrix is
+// carved from the model's arena, so the state is valid until the next
+// forward call on the same model.
 type forwardState struct {
 	h0     [][]float32   // encoder output (post-ReLU)
 	encPre [][]float32   // encoder pre-activation
@@ -86,63 +96,55 @@ type forwardState struct {
 	probs  [][]float32
 }
 
-func alloc(n, d int) [][]float32 {
-	m := make([][]float32, n)
-	for i := range m {
-		m[i] = make([]float32, d)
+func reluInto(dst, src []float32) {
+	for j, v := range src {
+		if v > 0 {
+			dst[j] = v
+		} else {
+			dst[j] = 0
+		}
 	}
-	return m
 }
 
-// forward runs the full-graph forward pass with the given parameters.
+// forward runs the full-graph forward pass with the given parameters. The
+// three dense products (encoder, layer, classifier) are per-node
+// vector-matrix products in kernels.AddMatVec's shape: each output
+// accumulates its terms in ascending input index, one addition per term.
 func (m *GCNII) forward(params []float32, g *Graph) *forwardState {
 	win, bin, wl, wout, bout := m.views(params)
+	H := m.Hidden
+	ar := &m.arena
+	ar.Reset()
 	st := &forwardState{}
 	// Encoder: H0 = ReLU(X Win + bIn).
-	st.encPre = alloc(g.N, m.Hidden)
-	st.h0 = alloc(g.N, m.Hidden)
+	st.encPre = ar.Rows(g.N, H)
+	st.h0 = ar.Rows(g.N, H)
 	for i := 0; i < g.N; i++ {
-		x := g.Features[i]
-		for j := 0; j < m.Hidden; j++ {
-			s := bin[j]
-			for d := 0; d < m.Feat; d++ {
-				s += x[d] * win[d*m.Hidden+j]
-			}
-			st.encPre[i][j] = s
-			if s > 0 {
-				st.h0[i][j] = s
-			}
-		}
+		kernels.MatVecInto(st.encPre[i], bin, g.Features[i], win, m.Feat, H)
+		reluInto(st.h0[i], st.encPre[i])
 	}
 	// GCNII layers.
 	a := float32(m.Alpha)
 	cur := st.h0
-	prop := alloc(g.N, m.Hidden)
+	prop := ar.Rows(g.N, H)
+	bz := ar.Alloc(H)
 	for l := 0; l < m.Layers; l++ {
 		b := m.beta(l + 1)
 		g.Propagate(cur, prop)
-		z := alloc(g.N, m.Hidden)
+		z := ar.Rows(g.N, H)
+		pre := ar.Rows(g.N, H)
+		out := ar.Rows(g.N, H)
 		for i := 0; i < g.N; i++ {
-			for j := 0; j < m.Hidden; j++ {
-				z[i][j] = (1-a)*prop[i][j] + a*st.h0[i][j]
+			zi, pi := z[i], pre[i]
+			// M = Z((1-b)I + bW): m_j = (1-b) z_j + Σ_k (b z_k) W[k,j].
+			for j := range zi {
+				v := (1-a)*prop[i][j] + a*st.h0[i][j]
+				zi[j] = v
+				pi[j] = (1 - b) * v
+				bz[j] = b * v
 			}
-		}
-		pre := alloc(g.N, m.Hidden)
-		out := alloc(g.N, m.Hidden)
-		w := wl[l]
-		for i := 0; i < g.N; i++ {
-			zi := z[i]
-			for j := 0; j < m.Hidden; j++ {
-				// M = Z((1-b)I + bW): (1-b) z_j + b (z . W[:,j]).
-				s := (1 - b) * zi[j]
-				for k := 0; k < m.Hidden; k++ {
-					s += b * zi[k] * w[k*m.Hidden+j]
-				}
-				pre[i][j] = s
-				if s > 0 {
-					out[i][j] = s
-				}
-			}
+			kernels.AddMatVec(pi, bz, wl[l], H, H)
+			reluInto(out[i], pi)
 		}
 		st.z = append(st.z, z)
 		st.pre = append(st.pre, pre)
@@ -150,17 +152,10 @@ func (m *GCNII) forward(params []float32, g *Graph) *forwardState {
 		cur = out
 	}
 	// Classifier.
-	st.logits = alloc(g.N, m.Classes)
-	st.probs = alloc(g.N, m.Classes)
+	st.logits = ar.Rows(g.N, m.Classes)
+	st.probs = ar.Rows(g.N, m.Classes)
 	for i := 0; i < g.N; i++ {
-		hi := cur[i]
-		for c := 0; c < m.Classes; c++ {
-			s := bout[c]
-			for j := 0; j < m.Hidden; j++ {
-				s += hi[j] * wout[j*m.Classes+c]
-			}
-			st.logits[i][c] = s
-		}
+		kernels.MatVecInto(st.logits[i], bout, cur[i], wout, H, m.Classes)
 		softmaxInto(st.logits[i], st.probs[i])
 	}
 	return st
@@ -193,12 +188,15 @@ func (m *GCNII) LossAndGrad(params []float32, g *Graph, grads []float32) float64
 	st := m.forward(params, g)
 	_, _, wl, wout, _ := m.views(params)
 	gwin, gbin, gwl, gwout, gbout := m.views(grads)
+	H := m.Hidden
+	ar := &m.arena // forward Reset it; the backward scratch follows the activations
 
 	var loss float64
 	inv := float32(1.0 / float64(len(g.Train)))
 	// dLogits only on training nodes.
-	dH := alloc(g.N, m.Hidden)  // gradient w.r.t. current layer output
-	dH0 := alloc(g.N, m.Hidden) // accumulated gradient into H0
+	dH := ar.Rows(g.N, H)  // gradient w.r.t. current layer output
+	dH0 := ar.Rows(g.N, H) // accumulated gradient into H0
+	dz := ar.Alloc(m.Classes)
 	last := st.h0
 	if m.Layers > 0 {
 		last = st.h[m.Layers-1]
@@ -210,83 +208,70 @@ func (m *GCNII) LossAndGrad(params []float32, g *Graph, grads []float32) float64
 			p = 1e-12
 		}
 		loss += -math.Log(p)
-		for c := 0; c < m.Classes; c++ {
-			dz := st.probs[i][c] * inv
+		for c := range dz {
+			dz[c] = st.probs[i][c] * inv
 			if c == y {
-				dz -= inv
+				dz[c] -= inv
 			}
-			gbout[c] += dz
-			for j := 0; j < m.Hidden; j++ {
-				gwout[j*m.Classes+c] += last[i][j] * dz
-				dH[i][j] += wout[j*m.Classes+c] * dz
-			}
+			gbout[c] += dz[c]
 		}
+		kernels.BackProjAdd(gwout, dH[i], last[i], dz, wout, H, m.Classes)
 	}
 
 	// Backward through GCNII layers.
 	a := float32(m.Alpha)
-	dZ := alloc(g.N, m.Hidden)
-	dProp := alloc(g.N, m.Hidden)
+	dZ := ar.Rows(g.N, H)
+	dProp := ar.Rows(g.N, H)
+	bz := ar.Alloc(H)
+	bw := ar.Alloc(H * H)
 	for l := m.Layers - 1; l >= 0; l-- {
 		b := m.beta(l + 1)
-		w := wl[l]
-		gw := gwl[l]
 		z := st.z[l]
 		pre := st.pre[l]
-		// dM = dH ∘ relu'(pre); dW += b Z^T dM; dZ = (1-b) dM + b dM W^T.
-		for i := 0; i < g.N; i++ {
-			for j := 0; j < m.Hidden; j++ {
-				if pre[i][j] <= 0 {
-					dH[i][j] = 0
-				}
-			}
+		for k, v := range wl[l] {
+			bw[k] = b * v
 		}
+		// dM = dH ∘ relu'(pre); dW += (b Z)^T dM; dZ = (1-b) dM + dM (b W)^T.
+		// Scaling z and W by b first keeps the (b·z)·dm and (b·w)·dm operand
+		// order while the pair runs as one fused backward projection.
 		for i := 0; i < g.N; i++ {
-			dm := dH[i]
-			zi := z[i]
-			dzi := dZ[i]
-			for j := 0; j < m.Hidden; j++ {
-				dzi[j] = (1 - b) * dm[j]
-			}
-			for k := 0; k < m.Hidden; k++ {
-				zk := zi[k]
-				dzk := float32(0)
-				for j := 0; j < m.Hidden; j++ {
-					gw[k*m.Hidden+j] += b * zk * dm[j]
-					dzk += b * w[k*m.Hidden+j] * dm[j]
+			dm, dzi := dH[i], dZ[i]
+			for j, p := range pre[i] {
+				if p <= 0 {
+					dm[j] = 0
 				}
-				dzi[k] += dzk
 			}
+			for j, d := range dm {
+				dzi[j] = (1 - b) * d
+				bz[j] = b * z[i][j]
+			}
+			kernels.BackProjAdd(gwl[l], dzi, bz, dm, bw, H, H)
 		}
 		// dProp = (1-a) Â^T dZ = (1-a) Â dZ (Â symmetric); dH0 += a dZ.
 		g.Propagate(dZ, dProp)
 		for i := 0; i < g.N; i++ {
-			for j := 0; j < m.Hidden; j++ {
+			for j := 0; j < H; j++ {
 				dH[i][j] = (1 - a) * dProp[i][j]
 				dH0[i][j] += a * dZ[i][j]
 			}
 		}
 	}
 	// The encoder output feeds layer 0's propagation path (now in dH) and
-	// every layer's residual (in dH0).
+	// every layer's residual (in dH0). Units the encoder ReLU switched off
+	// get a zero gradient: adding the resulting ±0 terms is a bitwise no-op,
+	// because an accumulator that starts at +0 is never -0.
 	for i := 0; i < g.N; i++ {
-		for j := 0; j < m.Hidden; j++ {
-			dH0[i][j] += dH[i][j]
-		}
-	}
-	// Encoder backward.
-	for i := 0; i < g.N; i++ {
-		x := g.Features[i]
-		for j := 0; j < m.Hidden; j++ {
-			if st.encPre[i][j] <= 0 {
-				continue
-			}
-			d := dH0[i][j]
-			gbin[j] += d
-			for dd := 0; dd < m.Feat; dd++ {
-				gwin[dd*m.Hidden+j] += x[dd] * d
+		d := dH0[i]
+		for j, p := range st.encPre[i] {
+			d[j] += dH[i][j]
+			if p <= 0 {
+				d[j] = 0
 			}
 		}
+		for j, v := range d {
+			gbin[j] += v
+		}
+		kernels.OuterAdd(gwin, g.Features[i], d, m.Feat, H)
 	}
 	return loss / float64(len(g.Train))
 }

@@ -134,12 +134,3 @@ func TestDBAOnGNN(t *testing.T) {
 		t.Fatalf("DBA cost %.3f accuracy on the GNN (%.3f -> %.3f)", diff, base.TestAcc, red.TestAcc)
 	}
 }
-
-func TestMergeWordsFullCopy(t *testing.T) {
-	c := []float32{1}
-	m := []float32{2}
-	mergeWords(c, m, 4)
-	if c[0] != 2 {
-		t.Fatal("n=4 must copy")
-	}
-}

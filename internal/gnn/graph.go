@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"teco/internal/kernels"
 )
 
 // Graph is an undirected graph with node features and labels, plus the
@@ -145,18 +147,11 @@ func (g *Graph) Propagate(in [][]float32, out [][]float32) {
 	if len(in) != g.N || len(out) != g.N {
 		panic(fmt.Sprintf("gnn: propagate over %d/%d rows, graph has %d", len(in), len(out), g.N))
 	}
-	d := len(in[0])
 	for i := 0; i < g.N; i++ {
 		row := out[i]
-		for k := range row {
-			row[k] = 0
-		}
+		clear(row)
 		for nIdx, j := range g.adjIdx[i] {
-			w := g.adjW[i][nIdx]
-			src := in[j]
-			for k := 0; k < d; k++ {
-				row[k] += w * src[k]
-			}
+			kernels.Axpy(row, g.adjW[i][nIdx], in[j])
 		}
 	}
 }

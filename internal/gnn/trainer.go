@@ -1,8 +1,6 @@
 package gnn
 
 import (
-	"math"
-
 	"teco/internal/dba"
 	"teco/internal/optim"
 )
@@ -74,7 +72,7 @@ func Train(cfg TrainConfig) TrainResult {
 			panic(err) // lengths are static over the whole run
 		}
 		if cfg.DBA && ctrl.CheckActivation(e) {
-			mergeWords(compute, master, cfg.DirtyBytes)
+			dba.MergeWords(compute, master, cfg.DirtyBytes, 1)
 		} else {
 			copy(compute, master)
 		}
@@ -82,19 +80,4 @@ func Train(cfg TrainConfig) TrainResult {
 	res.TestAcc = m.Accuracy(compute, g, g.Test)
 	res.MasterAcc = m.Accuracy(master, g, g.Test)
 	return res
-}
-
-// mergeWords is the word-level Disaggregator merge (shared semantics with
-// realtrain and internal/dba — verified equivalent in tests).
-func mergeWords(compute, master []float32, n int) {
-	if n >= 4 {
-		copy(compute, master)
-		return
-	}
-	mask := uint32(1)<<(uint(n)*8) - 1
-	for i := range compute {
-		cb := math.Float32bits(compute[i])
-		mb := math.Float32bits(master[i])
-		compute[i] = math.Float32frombits((cb &^ mask) | (mb & mask))
-	}
 }

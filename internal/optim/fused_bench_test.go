@@ -24,8 +24,8 @@ func benchVectors(n int) (params, grads []float32) {
 
 // BenchmarkFusedAdamScan measures the fused clip+ADAM+scan pass against
 // the unfused sequence it replaced (clip walk, update walk, NaN-scan walk,
-// CRC walk — four traversals versus one fused traversal plus the CRC the
-// epilogue computes chunk-by-chunk). Both variants do the same logical
+// guard-sum walk — four traversals versus one fused traversal plus the
+// per-chunk guard sums the epilogue computes). Both variants do the same logical
 // work on the same data.
 func BenchmarkFusedAdamScan(b *testing.B) {
 	const n = 1 << 17
@@ -34,7 +34,7 @@ func BenchmarkFusedAdamScan(b *testing.B) {
 		a := MustAdam(n, AdamConfig{LR: 1e-5})
 		nc := parallel.Chunks(n)
 		nf := make([]int, nc)
-		crc := make([]uint16, nc)
+		crc := make([]uint32, nc)
 		epi := func(c, lo, hi int) {
 			nf[c] = -1
 			for i := lo; i < hi; i++ {
@@ -44,7 +44,7 @@ func BenchmarkFusedAdamScan(b *testing.B) {
 					break
 				}
 			}
-			crc[c] = checkpoint.ChecksumChunk(params[lo:hi])
+			crc[c] = checkpoint.GuardSum(params[lo:hi])
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -62,7 +62,7 @@ func BenchmarkFusedAdamScan(b *testing.B) {
 				if i := FirstNonFinite(params); i >= 0 {
 					b.Fatalf("non-finite at %d", i)
 				}
-				_ = checkpoint.Checksum(params)
+				parallel.ForChunksIndexed(1, n, func(c, lo, hi int) { crc[c] = checkpoint.GuardSum(params[lo:hi]) })
 			}
 		}
 	}
@@ -79,8 +79,8 @@ func TestStepFusedZeroAlloc(t *testing.T) {
 	params, grads := benchVectors(n)
 	a := MustAdam(n, AdamConfig{LR: 1e-5})
 	nc := parallel.Chunks(n)
-	crc := make([]uint16, nc)
-	epi := func(c, lo, hi int) { crc[c] = checkpoint.ChecksumChunk(params[lo:hi]) }
+	crc := make([]uint32, nc)
+	epi := func(c, lo, hi int) { crc[c] = checkpoint.GuardSum(params[lo:hi]) }
 	if err := a.StepFused(params, grads, 1, epi); err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,7 @@ func chunkBounds(c, n int) (lo, hi int) {
 
 // ChunkBounds returns chunk c's half-open element range over [0, n). It is
 // the exported form of the fixed-quantum partition: callers that combine
-// per-chunk results (CRC chaining, distribution merges) index their scratch
+// per-chunk results (guard sums, distribution merges) index their scratch
 // by c and reduce in ascending c, which depends only on n — never on the
 // worker count.
 func ChunkBounds(c, n int) (lo, hi int) { return chunkBounds(c, n) }
@@ -370,8 +370,8 @@ func MapChunks[T any](workers, n int, fn func(lo, hi int) T) []T {
 }
 
 // Do runs the given closures on at most `workers` goroutines and waits for
-// all of them — the tensor-granular fan-out the SDC guards use to checksum
-// independent buffers concurrently.
+// all of them — the task-granular fan-out the data-parallel group uses to
+// stage its replicas' shards concurrently.
 func Do(workers int, fns ...func()) {
 	workers = HotResolve(workers)
 	if workers > len(fns) {

@@ -260,7 +260,7 @@ type RecoveryStats struct {
 	// encoded volume.
 	CkptWrites int64
 	CkptBytes  int64
-	// SDCDetected counts silent-data-corruption detections (per-tensor
+	// SDCDetected counts silent-data-corruption detections (resident-tensor
 	// checksum mismatches and post-ADAM NaN/Inf scans).
 	SDCDetected int64
 	// Rollbacks counts restores of the last good checkpoint after a

@@ -9,18 +9,16 @@ import (
 )
 
 // fusedScratch holds the per-chunk slots the fused ADAM epilogue writes:
-// the post-update NaN/Inf first hits, the zero-initialized tensor CRC
-// chunks, and the sampled byte-change distributions. One slot per
-// fixed-quantum parallel chunk, indexed by the chunk index the epilogue
-// receives; everything is preallocated once per trainer, so the steady-state
-// step makes no allocations. The slots are combined in ascending chunk
-// order after the pass — min for first-hit indices, CRC chaining via
-// checkpoint.CombineChecksum, integer adds for distributions — all exact,
-// so results are bit-identical to the standalone passes at every worker
-// count.
+// the post-update NaN/Inf first hits and the sampled byte-change
+// distributions (the guard sums go straight into the trainer's sdcGuard).
+// One slot per fixed-quantum parallel chunk, indexed by the chunk index the
+// epilogue receives; everything is preallocated once per trainer, so the
+// steady-state step makes no allocations. The slots are combined in
+// ascending chunk order after the pass — min for first-hit indices, integer
+// adds for distributions — all exact, so results are bit-identical to the
+// standalone passes at every worker count.
 type fusedScratch struct {
-	n  int // tensor length the chunk layout was sized for
-	nc int
+	n int // tensor length the chunk layout was sized for
 
 	// Per-step inputs the epilogue reads, set by Step before the fused
 	// pass. They live here (rather than in a fresh closure each step) so
@@ -30,9 +28,8 @@ type fusedScratch struct {
 	am, av      []float32
 	epi         func(c, lo, hi int)
 
-	nfMaster              []int
-	crcMaster, crcM, crcV []uint16
-	pDist, gDist          []tensor.Distribution
+	nfMaster     []int
+	pDist, gDist []tensor.Distribution
 }
 
 // fused returns the trainer's fused-epilogue scratch, sized for n words.
@@ -40,14 +37,10 @@ func (t *Trainer) fused(n int) *fusedScratch {
 	if t.fs == nil || t.fs.n != n {
 		nc := parallel.Chunks(n)
 		fs := &fusedScratch{
-			n:         n,
-			nc:        nc,
-			nfMaster:  make([]int, nc),
-			crcMaster: make([]uint16, nc),
-			crcM:      make([]uint16, nc),
-			crcV:      make([]uint16, nc),
-			pDist:     make([]tensor.Distribution, nc),
-			gDist:     make([]tensor.Distribution, nc),
+			n:        n,
+			nfMaster: make([]int, nc),
+			pDist:    make([]tensor.Distribution, nc),
+			gDist:    make([]tensor.Distribution, nc),
 		}
 		fs.epi = func(c, lo, hi int) { t.fusedEpilogue(fs, c, lo, hi) }
 		t.fs = fs
@@ -56,16 +49,16 @@ func (t *Trainer) fused(n int) *fusedScratch {
 }
 
 // fusedEpilogue is the per-chunk tail of the fused ADAM pass: the
-// post-update NaN/Inf guard, the zero-initialized tensor CRC chunks, the
-// sampled byte-change distributions (observed before the baselines are
+// post-update NaN/Inf guard, the chunk's guard sums, the sampled
+// byte-change distributions (observed before the baselines are
 // clobbered), and the previous-value copies — each of which used to be a
 // standalone whole-tensor walk.
 func (t *Trainer) fusedEpilogue(fs *fusedScratch, c, lo, hi int) {
 	if fs.sdc {
 		fs.nfMaster[c] = scanNonFinite(t.master, lo, hi)
-		fs.crcMaster[c] = checkpoint.ChecksumChunk(t.master[lo:hi])
-		fs.crcM[c] = checkpoint.ChecksumChunk(fs.am[lo:hi])
-		fs.crcV[c] = checkpoint.ChecksumChunk(fs.av[lo:hi])
+		t.guard.sums[gMaster][c] = checkpoint.GuardSum(t.master[lo:hi])
+		t.guard.sums[gAdamM][c] = checkpoint.GuardSum(fs.am[lo:hi])
+		t.guard.sums[gAdamV][c] = checkpoint.GuardSum(fs.av[lo:hi])
 	}
 	if fs.sample {
 		var pd, gd tensor.Distribution
@@ -92,17 +85,6 @@ func (fs *fusedScratch) firstNonFinite() int {
 		}
 	}
 	return -1
-}
-
-// foldCRC chains zero-initialized chunk CRCs into the full-tensor
-// checksum, bit-identical to checkpoint.Checksum over the whole vector.
-func (fs *fusedScratch) foldCRC(parts []uint16) uint16 {
-	crc := uint16(0xFFFF)
-	for c, part := range parts {
-		lo, hi := parallel.ChunkBounds(c, fs.n)
-		crc = checkpoint.CombineChecksum(crc, part, 4*(hi-lo))
-	}
-	return crc
 }
 
 // foldDist sums per-chunk distributions in chunk order (integer adds) —

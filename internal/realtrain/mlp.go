@@ -240,35 +240,3 @@ func (m *MLP) LossAndGrad(params []float32, ds *Dataset, batch []int, grads []fl
 	}
 	return loss / float64(len(batch))
 }
-
-// Accuracy evaluates top-1 accuracy on the test split using params.
-func (m *MLP) Accuracy(params []float32, ds *Dataset) float64 {
-	correct := 0
-	for i, tok := range ds.TestTok {
-		probs := m.Forward(params, tok)
-		best := 0
-		for c := range probs {
-			if probs[c] > probs[best] {
-				best = c
-			}
-		}
-		if best == ds.TestY[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(ds.TestTok))
-}
-
-// MeanLoss evaluates mean cross-entropy on the test split.
-func (m *MLP) MeanLoss(params []float32, ds *Dataset) float64 {
-	var loss float64
-	for i, tok := range ds.TestTok {
-		probs := m.Forward(params, tok)
-		p := float64(probs[ds.TestY[i]])
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss += -math.Log(p)
-	}
-	return loss / float64(len(ds.TestTok))
-}
