@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench benchflow perfgate check experiments golden cover soak loc
+.PHONY: all build vet test test-short bench check experiments golden cover soak loc
 
 all: build vet test
 
@@ -41,25 +41,11 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Micro-benchmarks for everything, then the parallel-subsystem report
-# (serial-vs-parallel hot paths and the memoized/pooled experiment-suite
-# wall clock, BENCH_parallel.json) plus the numeric-core train-step report
-# (blocked kernels + fused ADAM + arenas, before/after, BENCH_numeric.json).
+# The repository's one benchmark (bench/, a module of its own): every
+# workload once, results appended to bench/out/results.jsonl. Compare two
+# sets of runs with `go run -C bench . -compare A.jsonl B.jsonl`.
 bench:
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-	$(GO) run ./cmd/benchpar -out BENCH_parallel.json -numeric-out BENCH_numeric.json
-
-# Flow-coalescing report: the stream microbenchmark (per-line vs coalesced)
-# and the end-to-end suite seconds, written to BENCH_flow.json.
-benchflow:
-	$(GO) run ./cmd/benchflow -out BENCH_flow.json
-
-# Perf-regression gate: re-measure the stream microbenchmark and the
-# tecosimd warm-cache p99 lookup, and fail on a regression against
-# perf_baseline.json (run with `go run ./cmd/perfgate -update` after an
-# intentional perf change).
-perfgate:
-	$(GO) run ./cmd/perfgate
+	$(GO) run -C bench .
 
 # Chaos soak: SIGKILL the real tecosimd daemon in a loop under cache fault
 # injection (bit flips, truncations, short writes, transient errors) and

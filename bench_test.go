@@ -49,14 +49,14 @@ func printTables(b *testing.B, id string, tabs []*experiments.Table) {
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	tabs, err := experiments.ByID(id, 42)
+	tabs, err := experiments.ByID(id, experiments.Options{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
 	printTables(b, id, tabs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ByID(id, 42); err != nil {
+		if _, err := experiments.ByID(id, experiments.Options{Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
 // BenchmarkFig2 regenerates Figure 2 (value-changed-byte distributions)
 // from a real fine-tuning run.
 func BenchmarkFig2(b *testing.B) {
-	tabs, err := experiments.ByID("fig2", 42)
+	tabs, err := experiments.ByID("fig2", experiments.Options{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,12 +98,12 @@ func BenchmarkFig11Table4(b *testing.B) { benchExperiment(b, "fig11") }
 
 // BenchmarkTable5Fig10 regenerates the accuracy table and loss curves.
 func BenchmarkTable5Fig10(b *testing.B) {
-	t5, err := experiments.ByID("table5", 42)
+	t5, err := experiments.ByID("table5", experiments.Options{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
 	printTables(b, "table5", t5)
-	f10, err := experiments.ByID("fig10", 42)
+	f10, err := experiments.ByID("fig10", experiments.Options{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func BenchmarkTable6(b *testing.B) { benchExperiment(b, "table6") }
 
 // BenchmarkFig13 regenerates the act_aft_steps sweep.
 func BenchmarkFig13(b *testing.B) {
-	tabs, err := experiments.ByID("fig13", 42)
+	tabs, err := experiments.ByID("fig13", experiments.Options{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func BenchmarkTable8(b *testing.B) { benchExperiment(b, "table8") }
 
 // BenchmarkLAMMPS regenerates the §VII generality study.
 func BenchmarkLAMMPS(b *testing.B) {
-	tabs, err := experiments.ByID("lammps", 42)
+	tabs, err := experiments.ByID("lammps", experiments.Options{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}

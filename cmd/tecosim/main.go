@@ -6,108 +6,74 @@
 //	tecosim -list
 //
 // where <experiment> is one of the ids printed by -list (e.g. table1,
-// fig11, lammps) or "all".
+// fig11, lammps) or "all". Every other flag is an experiment knob,
+// registered from the knob table in internal/experiments (tecosim -h).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"teco/internal/core"
 	"teco/internal/experiments"
 	"teco/internal/profileflags"
 )
 
-func main() {
-	seed := flag.Int64("seed", 42, "random seed for the real-training experiments")
-	markdown := flag.Bool("markdown", false, "emit GitHub-flavoured markdown instead of aligned text")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	ber := flag.Float64("ber", 0, "link bit-error rate for the fault sweep (0: default grid)")
-	retryBudget := flag.Int("retry-budget", 0, "link-layer retransmit budget before poisoning (0: default 8)")
-	degrade := flag.Bool("degrade", false, "enable graceful degradation from DBA to full-line transfers under faults")
-	ckptInterval := flag.Int("ckpt-interval", 0, "checkpoint interval in steps for the recovery sweep (0: default grid)")
-	ckptDir := flag.String("ckpt-dir", "", "root directory for recovery-sweep checkpoints (default: system temp)")
-	crashAt := flag.Int("crash-at", 0, "kill and restore each recovery-sweep run at this step (0: no crash)")
-	replicas := flag.Int("replicas", 0, "data-parallel width for the fabric sweep (0: default grid)")
-	hostPorts := flag.Int("host-ports", 0, "fabric spine uplink count (0: oversubscription grid)")
-	killPort := flag.Int("kill-port", 0, "1-based fabric port to kill in the fault sweep (0: default)")
-	killStep := flag.Int("kill-step", 0, "fine-tuning step at which the fabric chaos kill fires (0: default)")
-	layers := flag.Int("layers", 0, "layer count for the layers sweeps (0: default grid)")
-	cachePct := flag.Int("cache-pct", 0, "fast-tier size for the layers sweeps, percent of model parameter bytes (0: defaults)")
-	prefetch := flag.Int("prefetch", 0, "prefetch look-ahead depth in layers for the layers sweeps (0: defaults)")
-	layerPolicy := flag.String("layer-policy", "", "eviction policy for the layers-policy sweep: lru, fifo, pin (empty: full set)")
-	layerSeqLen := flag.Int("layer-seq-len", 0, "long-context sequence length for the layers-policy sweep (0: default 1024)")
-	tierPolicy := flag.String("tier-policy", "", "placement policy for the tiering sweeps: heat, lru, static (empty: defaults)")
-	tierDRAMPct := flag.Int("tier-dram-pct", 0, "fast-tier size for the tiering sweeps, percent of tiered slot bytes (0: defaults)")
-	tierMigrateBudget := flag.Int("tier-migrate-budget", 0, "per-step migration budget in MiB for the tiering sweeps (0: defaults)")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0: GOMAXPROCS, 1: serial); tables are identical at every setting")
-	noMemo := flag.Bool("no-memo", false, "disable shared-run memoization across experiments (slower, identical output)")
-	coalesce := flag.Bool("coalesce", true, "flow-coalescing fast path for the stream simulator; false runs the bit-identical per-line reference path (slow)")
-	prof := profileflags.Register(nil)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tecosim [-seed N] [-markdown] [-workers N] [-no-memo] [-coalesce=false] [-ber R] [-retry-budget N] [-degrade] [-ckpt-interval N] [-ckpt-dir D] [-crash-at N] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", experiments.IDs())
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	// The process-wide default catches engines built outside the experiment
-	// generators (zz tools, future callers); Options.PerLine below covers
-	// the generators themselves.
-	core.SetPerLineDefault(!*coalesce)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its inputs and outputs as parameters; it returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tecosim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	markdown := fs.Bool("markdown", false, "emit GitHub-flavoured markdown instead of aligned text")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	opt := experiments.Options{Seed: 42}
+	experiments.RegisterFlags(fs, &opt)
+	prof := profileflags.Register(fs)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: tecosim [-seed N] [-markdown] [-workers N] [knob flags] <experiment>\n")
+		fmt.Fprintf(stderr, "experiments: %v\n", experiments.IDs())
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	tabs, err := experiments.ByIDWith(flag.Arg(0), experiments.Options{
-		Seed:              *seed,
-		BER:               *ber,
-		RetryBudget:       *retryBudget,
-		Degrade:           *degrade,
-		CkptInterval:      *ckptInterval,
-		CkptDir:           *ckptDir,
-		CrashAt:           *crashAt,
-		Replicas:          *replicas,
-		HostPorts:         *hostPorts,
-		KillPort:          *killPort,
-		KillStep:          *killStep,
-		Layers:            *layers,
-		CachePct:          *cachePct,
-		PrefetchDepth:     *prefetch,
-		LayerPolicy:       *layerPolicy,
-		LayerSeqLen:       *layerSeqLen,
-		TierPolicy:        *tierPolicy,
-		TierDRAMPct:       *tierDRAMPct,
-		TierMigrateBudget: *tierMigrateBudget,
-		Workers:           *workers,
-		NoMemo:            *noMemo,
-		PerLine:           !*coalesce,
-	})
+	tabs, err := experiments.ByID(fs.Arg(0), opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	for _, t := range tabs {
 		if *markdown {
-			t.Markdown(os.Stdout)
+			t.Markdown(stdout)
 		} else {
-			t.Render(os.Stdout)
+			t.Render(stdout)
 		}
 	}
 	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }

@@ -47,7 +47,7 @@ func GoldenIDs() []string {
 
 // Generate runs one experiment generator at the canonical seed.
 func Generate(id string) ([]*experiments.Table, error) {
-	return experiments.ByIDWith(id, experiments.Options{Seed: GoldenSeed})
+	return experiments.ByID(id, experiments.Options{Seed: GoldenSeed})
 }
 
 // Marshal serializes tables to the canonical golden encoding: indented JSON

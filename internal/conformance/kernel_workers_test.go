@@ -38,7 +38,7 @@ func TestKernelTrainingWorkersBitIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			t.Parallel()
 			check.Enable(t)
-			tables, err := experiments.ByIDWith("fig2", experiments.Options{
+			tables, err := experiments.ByID("fig2", experiments.Options{
 				Seed: GoldenSeed, Workers: w, NoMemo: true,
 			})
 			if err != nil {

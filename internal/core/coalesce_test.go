@@ -135,20 +135,3 @@ func TestCoalesceBitIdenticalPaperConfigs(t *testing.T) {
 		})
 	}
 }
-
-// TestPerLineDefaultOverride checks the process-wide default the tecosim
-// -coalesce flag uses: engines built while the override is set run
-// per-line, explicit configs still win, and results stay bit-identical.
-func TestPerLineDefaultOverride(t *testing.T) {
-	m := tinyModel()
-	base := MustEngine(Config{DBA: true}).Step(m, 4)
-	SetPerLineDefault(true)
-	defer SetPerLineDefault(false)
-	e := MustEngine(Config{DBA: true})
-	if !e.Config.PerLine {
-		t.Fatal("SetPerLineDefault(true) did not reach a newly built engine")
-	}
-	if got := e.Step(m, 4); got != base {
-		t.Errorf("per-line default produced %+v, coalesced produced %+v", got, base)
-	}
-}

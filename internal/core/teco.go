@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"teco/internal/conformance/check"
 	"teco/internal/cpusim"
@@ -47,21 +46,11 @@ type Config struct {
 	// becomes its own event on the stream simulator instead of a
 	// closed-form run segment. Results are bit-identical in both modes
 	// (asserted by coalesce_test.go); per-line exists as the reference
-	// path and costs orders of magnitude more wall clock. The zero value
-	// (coalesced) can be overridden process-wide with SetPerLineDefault,
-	// which is how the tecosim -coalesce=false flag reaches the engines
-	// the experiment generators build internally.
+	// path and costs orders of magnitude more wall clock. tecosim
+	// -coalesce=false reaches the generators' engines through
+	// experiments.Options.PerLine.
 	PerLine bool
 }
-
-// perLineDefault is the process-wide PerLine override (see SetPerLineDefault).
-var perLineDefault atomic.Bool
-
-// SetPerLineDefault makes every subsequently built Engine default to the
-// per-line reference path when v is true. An explicit Config.PerLine still
-// wins; the default only lifts the zero value. cmd/tecosim sets it from
-// -coalesce=false before any experiment runs.
-func SetPerLineDefault(v bool) { perLineDefault.Store(v) }
 
 // Variant returns the phases.Variant this config corresponds to.
 func (c Config) Variant() phases.Variant {
@@ -99,7 +88,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.PerLine = cfg.PerLine || perLineDefault.Load()
 	return &Engine{
 		GPU:           gpusim.V100(),
 		CPU:           cpusim.Xeon6120(),

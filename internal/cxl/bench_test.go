@@ -6,8 +6,7 @@ import (
 	"teco/internal/sim"
 )
 
-// benchLines matches streambench.RunLines: one homogeneous 1024-line run
-// (a 64KiB layer chunk) per op. cmd/perfgate gates the same workload.
+// benchLines is one homogeneous 1024-line run (a 64KiB layer chunk) per op.
 const benchLines = 1024
 
 func benchStream(b *testing.B, perLine bool) {

@@ -315,13 +315,3 @@ func TestForeignAndMisnamedFilesIgnored(t *testing.T) {
 		t.Fatalf("CorruptDropped = %d, want 1", st.CorruptDropped)
 	}
 }
-
-func TestMeasureWarmLookupP99(t *testing.T) {
-	p99, err := MeasureWarmLookupP99(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p99 <= 0 {
-		t.Fatalf("p99 = %d ns", p99)
-	}
-}

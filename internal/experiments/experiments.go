@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"teco/internal/compressbl"
 	"teco/internal/core"
@@ -31,20 +32,16 @@ func tecoEngine(opt Options, cfg core.Config) *core.Engine {
 	return core.MustEngine(cfg)
 }
 
-// Every generator has two forms: the original seed-only signature (kept for
-// callers and tests) and a With variant taking the full Options, which is
-// where the sweep pool and the run cache are wired in. Grid points always
-// get fresh engines — the timing engines carry internal state — and rows
-// land in grid order regardless of completion order, so a table is
-// byte-identical at every worker count (asserted by parallel_test.go).
+// Every generator takes the full Options: its grid runs on the option's
+// sweep pool and its fine-tuning runs come from the shared run cache. Grid
+// points always get fresh engines — the timing engines carry internal state
+// — and rows land in grid order regardless of completion order, so a table
+// is byte-identical at every worker count (asserted by parallel_test.go).
 
 // TableI reproduces Table I: percentage of training time spent in
 // communication exposed to the critical path (ZeRO-Offload,
 // Bert-large-cased).
-func TableI() *Table { return TableIWith(Options{}) }
-
-// TableIWith is TableI on the option's sweep pool.
-func TableIWith(opt Options) *Table {
+func TableI(opt Options) *Table {
 	t := &Table{
 		ID:     "table1",
 		Title:  "Exposed communication share of training time (ZeRO-Offload, Bert-large-cased)",
@@ -67,17 +64,14 @@ func TableIWith(opt Options) *Table {
 // Fig2 reproduces Figure 2: the distribution of value-changed bytes in
 // parameters (a) and gradients (b) across two consecutive training steps,
 // sampled over a real fine-tuning run.
-func Fig2(seed int64) (params, grads *Table) { return Fig2With(Options{Seed: seed}) }
-
-// Fig2With is Fig2 against the shared run cache.
-func Fig2With(opt Options) (params, grads *Table) {
+func Fig2(opt Options) []*Table {
 	r := runTrain(opt, realtrain.Config{Steps: RealTrainSteps, Seed: opt.Seed})
-	params = &Table{
+	params := &Table{
 		ID:     "fig2a",
 		Title:  "Value-changed bytes in parameters across consecutive steps",
 		Header: []string{"Step", "Last byte", "Last two bytes", "Other", "Unchanged(all)"},
 	}
-	grads = &Table{
+	grads := &Table{
 		ID:     "fig2b",
 		Title:  "Value-changed bytes in gradients across consecutive steps",
 		Header: []string{"Step", "Last byte", "Last two bytes", "Other", "Unchanged(all)"},
@@ -102,16 +96,13 @@ func Fig2With(opt Options) (params, grads *Table) {
 		100*(pd.FracOfChanged(tensor.LastByte)+pd.FracOfChanged(tensor.LastTwoBytes)), 100*pd.FracUnchanged())
 	grads.Note("aggregate: %.1f%% of changed gradients touch higher bytes (paper: all bytes change frequently)",
 		100*gd.FracOfChanged(tensor.Other))
-	return params, grads
+	return []*Table{params, grads}
 }
 
 // AblationInvalidation reproduces the §IV-A2 measurement: stock
 // invalidation-based CXL versus the update extension (paper: on-demand
 // transfers cost +56.6% training time on average, up to 99.7% on T5).
-func AblationInvalidation() *Table { return AblationInvalidationWith(Options{}) }
-
-// AblationInvalidationWith is AblationInvalidation on the sweep pool.
-func AblationInvalidationWith(opt Options) *Table {
+func AblationInvalidation(opt Options) *Table {
 	t := &Table{
 		ID:     "ablation-inval",
 		Title:  "Update protocol vs stock invalidation MESI (batch 4)",
@@ -151,11 +142,8 @@ func batchFor(m modelzoo.Model, b int) int {
 
 // Fig11TableIV reproduces Figure 11 and Table IV: training-time speedup of
 // TECO-CXL and TECO-Reduction over ZeRO-Offload per model and batch size.
-func Fig11TableIV() *Table { return Fig11TableIVWith(Options{}) }
-
-// Fig11TableIVWith is Fig11TableIV on the sweep pool: the model x batch
-// grid runs concurrently, one fresh engine trio per point.
-func Fig11TableIVWith(opt Options) *Table {
+// The model x batch grid runs concurrently, one fresh engine trio per point.
+func Fig11TableIV(opt Options) *Table {
 	t := &Table{
 		ID:     "fig11",
 		Title:  "Speedup over ZeRO-Offload (Fig 11 / Table IV)",
@@ -209,11 +197,9 @@ func Fig11TableIVWith(opt Options) *Table {
 // TableV reproduces Table V: final model quality with and without
 // TECO-Reduction, on the real fine-tuning proxy (accuracy and a
 // perplexity-style metric).
-func TableV(seed int64) *Table { return TableVWith(Options{Seed: seed}) }
-
-// TableVWith is TableV with every proxy pair and each of the two GNN
-// trainings as a concurrent grid point against the shared run cache.
-func TableVWith(opt Options) *Table {
+// Every proxy pair and each of the two GNN trainings is a concurrent grid
+// point against the shared run cache.
+func TableV(opt Options) *Table {
 	t := &Table{
 		ID:     "table5",
 		Title:  "Final model quality, original vs TECO-Reduction (real fine-tuning proxy)",
@@ -259,11 +245,8 @@ func TableVWith(opt Options) *Table {
 
 // Fig10 reproduces Figure 10: training loss curves with and without
 // TECO-Reduction.
-func Fig10(seed int64) *Table { return Fig10With(Options{Seed: seed}) }
-
-// Fig10With is Fig10 with both runs as concurrent grid points against the
-// shared run cache.
-func Fig10With(opt Options) *Table {
+// Both runs are concurrent grid points against the shared run cache.
+func Fig10(opt Options) *Table {
 	cfgs := []realtrain.Config{
 		{Steps: RealTrainSteps, Seed: opt.Seed},
 		{Steps: RealTrainSteps, Seed: opt.Seed, DBA: true, ActAfterSteps: RealTrainSteps / 4},
@@ -289,10 +272,7 @@ func Fig10With(opt Options) *Table {
 
 // Fig12 reproduces Figure 12: the time breakdown for T5-large across batch
 // sizes and systems.
-func Fig12() *Table { return Fig12With(Options{}) }
-
-// Fig12With is Fig12 on the sweep pool (batch x system grid).
-func Fig12With(opt Options) *Table {
+func Fig12(opt Options) *Table {
 	t := &Table{
 		ID:    "fig12",
 		Title: "Time breakdown, T5-large (Fig 12)",
@@ -331,10 +311,7 @@ func Fig12With(opt Options) *Table {
 
 // CommVolume reproduces §VIII-C: per-direction communication volume and
 // the exposed-communication reduction.
-func CommVolume() *Table { return CommVolumeWith(Options{}) }
-
-// CommVolumeWith is CommVolume on the sweep pool.
-func CommVolumeWith(opt Options) *Table {
+func CommVolume(opt Options) *Table {
 	t := &Table{
 		ID:    "volume",
 		Title: "Communication volume and exposed-time reduction (batch 4)",
@@ -368,10 +345,7 @@ func CommVolumeWith(opt Options) *Table {
 }
 
 // TableVI reproduces Table VI: TECO effectiveness across GPT-2 scales.
-func TableVI() *Table { return TableVIWith(Options{}) }
-
-// TableVIWith is TableVI on the sweep pool.
-func TableVIWith(opt Options) *Table {
+func TableVI(opt Options) *Table {
 	t := &Table{
 		ID:     "table6",
 		Title:  "Impact of model size (GPT-2 scales, batch 4)",
@@ -398,11 +372,9 @@ func TableVIWith(opt Options) *Table {
 
 // Fig13 reproduces Figure 13: model quality and speedup versus
 // `act_aft_steps`.
-func Fig13(seed int64) *Table { return Fig13With(Options{Seed: seed}) }
-
-// Fig13With is Fig13 with the activation-step sweep on the pool, runs
-// against the shared cache.
-func Fig13With(opt Options) *Table {
+// The activation-step sweep runs on the pool, its runs against the shared
+// cache.
+func Fig13(opt Options) *Table {
 	t := &Table{
 		ID:     "fig13",
 		Title:  "DBA activation step sweep (quality vs speedup, GPT-2 proxy)",
@@ -432,10 +404,7 @@ func Fig13With(opt Options) *Table {
 // parameter update, and TECO-Reduction against both — the §II-A argument
 // that DPU only helps at large batches (where there is little left to hide)
 // while TECO wins exactly where memory pressure forces small batches.
-func AblationDPU() *Table { return AblationDPUWith(Options{}) }
-
-// AblationDPUWith is AblationDPU on the sweep pool.
-func AblationDPUWith(opt Options) *Table {
+func AblationDPU(opt Options) *Table {
 	t := &Table{
 		ID:     "ablation-dpu",
 		Title:  "DPU ablation (Bert-large-cased)",
@@ -463,7 +432,7 @@ func AblationDPUWith(opt Options) *Table {
 
 // TableVII reproduces Table VII: ZeroQuant-style lossy compression vs
 // TECO-Reduction on Bert-base / GLUE-MNLI.
-func TableVII() *Table {
+func TableVII(Options) *Table {
 	t := &Table{
 		ID:     "table7",
 		Title:  "Lossy compression (ZeroQuant-style) vs TECO-Reduction",
@@ -477,11 +446,8 @@ func TableVII() *Table {
 }
 
 // TableVIII reproduces Table VIII: the lossless LZ4 transfer pipeline.
-func TableVIII(seed int64) *Table { return TableVIIIWith(Options{Seed: seed}) }
-
-// TableVIIIWith is TableVIII on the sweep pool (one compression pipeline
-// per model).
-func TableVIIIWith(opt Options) *Table {
+// One compression pipeline per model runs on the sweep pool.
+func TableVIII(opt Options) *Table {
 	t := &Table{
 		ID:     "table8",
 		Title:  "Lossless compression (LZ4) pipeline, normalized to TECO-Reduction",
@@ -502,7 +468,7 @@ func TableVIIIWith(opt Options) *Table {
 }
 
 // LAMMPS reproduces the §VII generality study on the Lennard-Jones melt.
-func LAMMPS() *Table {
+func LAMMPS(Options) *Table {
 	t := &Table{
 		ID:     "lammps",
 		Title:  "Generality: LAMMPS-style LJ melt with offloaded force kernel (4M atoms)",
@@ -524,141 +490,116 @@ func LAMMPS() *Table {
 	return t
 }
 
-// All runs every experiment and returns the tables in paper order.
-func All(seed int64) []*Table { return AllWith(Options{Seed: seed}) }
+// experiment is one registry row: a runnable id, the alternative ids that
+// resolve to it, its generator, and whether "all" includes it.
+type experiment struct {
+	id      string
+	aliases []string
+	run     func(Options) []*Table
+	inAll   bool
+}
 
-// AllWith runs every experiment on the sweep pool: the generators
+// one adapts a single-table generator to the registry's signature.
+func one(gen func(Options) *Table) func(Options) []*Table {
+	return func(opt Options) []*Table { return []*Table{gen(opt)} }
+}
+
+// registry is the one declaration of every experiment, in paper order: IDs,
+// Canonical, ByID and All all read it.
+var registry = []experiment{
+	{id: "table1", run: one(TableI), inAll: true},
+	{id: "fig2", aliases: []string{"fig2a", "fig2b"}, run: Fig2, inAll: true},
+	{id: "ablation-inval", run: one(AblationInvalidation), inAll: true},
+	{id: "fig11", aliases: []string{"table4"}, run: one(Fig11TableIV), inAll: true},
+	{id: "table5", run: one(TableV), inAll: true},
+	{id: "fig10", run: one(Fig10), inAll: true},
+	{id: "fig12", run: one(Fig12), inAll: true},
+	{id: "volume", run: one(CommVolume), inAll: true},
+	{id: "table6", run: one(TableVI), inAll: true},
+	{id: "fig13", run: one(Fig13), inAll: true},
+	{id: "table7", run: one(TableVII), inAll: true},
+	{id: "table8", run: one(TableVIII), inAll: true},
+	{id: "lammps", run: one(LAMMPS), inAll: true},
+	{id: "tune-act", run: one(TuneActAfterSteps)},
+	{id: "ablation-dpu", run: one(AblationDPU)},
+	{id: "time-to-loss", run: one(TimeToLoss)},
+	{id: "linkspeed", run: one(LinkSpeedSweep)},
+	{id: "faults", run: one(FaultSweep), inAll: true},
+	{id: "recovery", run: one(RecoverySweep), inAll: true},
+	{id: "fabric", run: one(FabricSweep), inAll: true},
+	{id: "fabric-faults", run: one(FabricFaultSweep), inAll: true},
+	{id: "layers", run: one(LayersSweep), inAll: true},
+	{id: "layers-policy", run: one(LayersPolicySweep), inAll: true},
+	{id: "tiering", run: one(TieringSweep), inAll: true},
+	{id: "tiering-policy", run: one(TieringPolicySweep), inAll: true},
+}
+
+// allID is the pseudo-experiment that runs every inAll registry row.
+const allID = "all"
+
+// All runs every inAll experiment on the sweep pool: the generators
 // themselves are the outer grid (inner grids share the same pool budget via
 // goroutine scheduling), and the shared run cache collapses the duplicate
 // fine-tuning runs across Fig 2, Fig 10, Table V and the fault/recovery
 // sweeps. Table order is always paper order.
-func AllWith(opt Options) []*Table {
-	gens := []func() []*Table{
-		func() []*Table { return []*Table{TableIWith(opt)} },
-		func() []*Table { a, b := Fig2With(opt); return []*Table{a, b} },
-		func() []*Table { return []*Table{AblationInvalidationWith(opt)} },
-		func() []*Table { return []*Table{Fig11TableIVWith(opt)} },
-		func() []*Table { return []*Table{TableVWith(opt)} },
-		func() []*Table { return []*Table{Fig10With(opt)} },
-		func() []*Table { return []*Table{Fig12With(opt)} },
-		func() []*Table { return []*Table{CommVolumeWith(opt)} },
-		func() []*Table { return []*Table{TableVIWith(opt)} },
-		func() []*Table { return []*Table{Fig13With(opt)} },
-		func() []*Table { return []*Table{TableVII()} },
-		func() []*Table { return []*Table{TableVIIIWith(opt)} },
-		func() []*Table { return []*Table{LAMMPS()} },
-		func() []*Table { return []*Table{FaultSweep(opt)} },
-		func() []*Table { return []*Table{RecoverySweep(opt)} },
-		func() []*Table { return []*Table{FabricSweep(opt)} },
-		func() []*Table { return []*Table{FabricFaultSweep(opt)} },
-		func() []*Table { return []*Table{LayersSweep(opt)} },
-		func() []*Table { return []*Table{LayersPolicySweep(opt)} },
-		func() []*Table { return []*Table{TieringSweep(opt)} },
-		func() []*Table { return []*Table{TieringPolicySweep(opt)} },
+func All(opt Options) []*Table {
+	var gens []func(Options) []*Table
+	for _, e := range registry {
+		if e.inAll {
+			gens = append(gens, e.run)
+		}
 	}
 	var out []*Table
-	for _, tabs := range grid(opt, len(gens), func(i int) []*Table { return gens[i]() }) {
+	for _, tabs := range grid(opt, len(gens), func(i int) []*Table { return gens[i](opt) }) {
 		out = append(out, tabs...)
 	}
 	return out
 }
 
-// ByID runs a single experiment by its id; Fig2 returns two tables.
-func ByID(id string, seed int64) ([]*Table, error) {
-	return ByIDWith(id, Options{Seed: seed})
+// lookup finds the registry row an id or alias names (nil: none).
+func lookup(id string) *experiment {
+	for i := range registry {
+		if e := &registry[i]; e.id == id || slices.Contains(e.aliases, id) {
+			return e
+		}
+	}
+	return nil
 }
 
-// ByIDWith runs a single experiment with the full option set (fault
-// injection and scheduling knobs included).
-func ByIDWith(id string, opt Options) ([]*Table, error) {
-	switch id {
-	case "faults":
-		if err := opt.validateFaults(); err != nil {
-			return nil, err
-		}
-		return []*Table{FaultSweep(opt)}, nil
-	case "recovery":
-		if err := opt.validateRecovery(); err != nil {
-			return nil, err
-		}
-		return []*Table{RecoverySweep(opt)}, nil
-	case "fabric":
-		if err := opt.validateFabric(); err != nil {
-			return nil, err
-		}
-		return []*Table{FabricSweep(opt)}, nil
-	case "fabric-faults":
-		if err := opt.validateFabric(); err != nil {
-			return nil, err
-		}
-		return []*Table{FabricFaultSweep(opt)}, nil
-	case "layers":
-		if err := opt.validateLayers(); err != nil {
-			return nil, err
-		}
-		return []*Table{LayersSweep(opt)}, nil
-	case "layers-policy":
-		if err := opt.validateLayers(); err != nil {
-			return nil, err
-		}
-		return []*Table{LayersPolicySweep(opt)}, nil
-	case "tiering":
-		if err := opt.validateTiering(); err != nil {
-			return nil, err
-		}
-		return []*Table{TieringSweep(opt)}, nil
-	case "tiering-policy":
-		if err := opt.validateTiering(); err != nil {
-			return nil, err
-		}
-		return []*Table{TieringPolicySweep(opt)}, nil
-	case "table1":
-		return []*Table{TableIWith(opt)}, nil
-	case "fig2", "fig2a", "fig2b":
-		a, b := Fig2With(opt)
-		return []*Table{a, b}, nil
-	case "ablation-inval":
-		return []*Table{AblationInvalidationWith(opt)}, nil
-	case "fig11", "table4":
-		return []*Table{Fig11TableIVWith(opt)}, nil
-	case "table5":
-		return []*Table{TableVWith(opt)}, nil
-	case "fig10":
-		return []*Table{Fig10With(opt)}, nil
-	case "fig12":
-		return []*Table{Fig12With(opt)}, nil
-	case "volume":
-		return []*Table{CommVolumeWith(opt)}, nil
-	case "table6":
-		return []*Table{TableVIWith(opt)}, nil
-	case "fig13":
-		return []*Table{Fig13With(opt)}, nil
-	case "table7":
-		return []*Table{TableVII()}, nil
-	case "table8":
-		return []*Table{TableVIIIWith(opt)}, nil
-	case "lammps":
-		return []*Table{LAMMPS()}, nil
-	case "tune-act":
-		return []*Table{TuneActAfterStepsWith(opt)}, nil
-	case "ablation-dpu":
-		return []*Table{AblationDPUWith(opt)}, nil
-	case "time-to-loss":
-		return []*Table{TimeToLossWith(opt)}, nil
-	case "linkspeed":
-		return []*Table{LinkSpeedSweepWith(opt)}, nil
-	case "all":
-		return AllWith(opt), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown id %q", id)
+// Canonical resolves an experiment id or alias (table4, fig2a, fig2b) to
+// the id it runs and is cached under; ok is false for an unknown id.
+func Canonical(id string) (canonical string, ok bool) {
+	if id == allID {
+		return allID, true
 	}
+	if e := lookup(id); e != nil {
+		return e.id, true
+	}
+	return "", false
+}
+
+// ByID validates the options and runs a single experiment (or "all") by id
+// or alias; Fig2 returns two tables.
+func ByID(id string, opt Options) ([]*Table, error) {
+	run := All
+	if id != allID {
+		e := lookup(id)
+		if e == nil {
+			return nil, fmt.Errorf("experiments: unknown id %q", id)
+		}
+		run = e.run
+	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	return run(opt), nil
 }
 
 // IDs lists the runnable experiment ids.
 func IDs() []string {
-	return []string{"table1", "fig2", "ablation-inval", "fig11", "table5", "fig10",
-		"fig12", "volume", "table6", "fig13", "table7", "table8", "lammps",
-		"tune-act", "ablation-dpu", "time-to-loss", "linkspeed", "faults",
-		"recovery", "fabric", "fabric-faults", "layers", "layers-policy",
-		"tiering", "tiering-policy", "all"}
+	ids := make([]string, 0, len(registry)+1)
+	for _, e := range registry {
+		ids = append(ids, e.id)
+	}
+	return append(ids, allID)
 }

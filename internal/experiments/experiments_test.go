@@ -27,7 +27,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestTableI(t *testing.T) {
-	tab := TableI()
+	tab := TableI(Options{})
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -46,7 +46,7 @@ func TestTableI(t *testing.T) {
 }
 
 func TestFig11Speedups(t *testing.T) {
-	tab := Fig11TableIV()
+	tab := Fig11TableIV(Options{})
 	if len(tab.Rows) < 13 { // 4 models x 3 batches + GCNII
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -72,7 +72,7 @@ func TestFig11Speedups(t *testing.T) {
 }
 
 func TestAblationInvalidation(t *testing.T) {
-	tab := AblationInvalidation()
+	tab := AblationInvalidation(Options{})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -88,17 +88,17 @@ func TestAblationInvalidation(t *testing.T) {
 }
 
 func TestFig12Breakdown(t *testing.T) {
-	tab := Fig12()
+	tab := Fig12(Options{})
 	if len(tab.Rows) != 6 { // 2 batches x 3 systems
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
 
 func TestTableVIAndVolume(t *testing.T) {
-	if len(TableVI().Rows) != 4 {
+	if len(TableVI(Options{}).Rows) != 4 {
 		t.Fatal("table6 rows")
 	}
-	vol := CommVolume()
+	vol := CommVolume(Options{})
 	if len(vol.Rows) != 5 {
 		t.Fatal("volume rows")
 	}
@@ -113,11 +113,11 @@ func TestTableVIAndVolume(t *testing.T) {
 }
 
 func TestTableVIIAndVIII(t *testing.T) {
-	t7 := TableVII()
+	t7 := TableVII(Options{})
 	if len(t7.Rows) != 2 {
 		t.Fatal("table7 rows")
 	}
-	t8 := TableVIII(1)
+	t8 := TableVIII(Options{Seed: 1})
 	if len(t8.Rows) != 4 {
 		t.Fatal("table8 rows")
 	}
@@ -133,7 +133,7 @@ func TestTableVIIAndVIII(t *testing.T) {
 }
 
 func TestLAMMPSTable(t *testing.T) {
-	tab := LAMMPS()
+	tab := LAMMPS(Options{})
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -141,12 +141,12 @@ func TestLAMMPSTable(t *testing.T) {
 
 func TestByID(t *testing.T) {
 	for _, id := range []string{"table1", "fig12", "volume", "table6", "table7", "lammps"} {
-		tabs, err := ByID(id, 1)
+		tabs, err := ByID(id, Options{Seed: 1})
 		if err != nil || len(tabs) == 0 {
 			t.Fatalf("ByID(%s): %v", id, err)
 		}
 	}
-	if _, err := ByID("nonsense", 1); err == nil {
+	if _, err := ByID("nonsense", Options{Seed: 1}); err == nil {
 		t.Fatal("unknown id must error")
 	}
 	if len(IDs()) < 13 {
@@ -159,15 +159,15 @@ func TestRealTrainExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training in -short mode")
 	}
-	a, b := Fig2(3)
-	if len(a.Rows) == 0 || len(b.Rows) == 0 {
+	f2 := Fig2(Options{Seed: 3})
+	if len(f2) != 2 || len(f2[0].Rows) == 0 || len(f2[1].Rows) == 0 {
 		t.Fatal("fig2 rows")
 	}
-	f10 := Fig10(3)
+	f10 := Fig10(Options{Seed: 3})
 	if len(f10.Rows) < 10 {
 		t.Fatal("fig10 rows")
 	}
-	f13 := Fig13(3)
+	f13 := Fig13(Options{Seed: 3})
 	if len(f13.Rows) != 6 {
 		t.Fatalf("fig13 rows = %d", len(f13.Rows))
 	}
@@ -178,7 +178,7 @@ func TestRealTrainExperiments(t *testing.T) {
 	if first <= last {
 		t.Fatalf("speedup should fall with later activation: %v vs %v", first, last)
 	}
-	t5 := TableV(3)
+	t5 := TableV(Options{Seed: 3})
 	if len(t5.Rows) != 9 {
 		t.Fatalf("table5 rows = %d", len(t5.Rows))
 	}
@@ -201,23 +201,23 @@ func TestRecoverySweepTable(t *testing.T) {
 	if tab.Rows[0][6] == "0" {
 		t.Fatalf("crash-restore row reports no replayed steps: %v", tab.Rows[0])
 	}
-	if _, err := ByIDWith("recovery", Options{CrashAt: -1}); err == nil {
+	if _, err := ByID("recovery", Options{CrashAt: -1}); err == nil {
 		t.Fatal("negative crash step accepted")
 	}
-	if _, err := ByIDWith("recovery", Options{CkptInterval: -2}); err == nil {
+	if _, err := ByID("recovery", Options{CkptInterval: -2}); err == nil {
 		t.Fatal("negative checkpoint interval accepted")
 	}
 }
 
 func TestAblationDPUTable(t *testing.T) {
-	tab := AblationDPU()
+	tab := AblationDPU(Options{})
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
 
 func TestLinkSpeedSweep(t *testing.T) {
-	tab := LinkSpeedSweep()
+	tab := LinkSpeedSweep(Options{})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -234,7 +234,7 @@ func TestTimeToLossTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training in -short mode")
 	}
-	tab := TimeToLoss(3)
+	tab := TimeToLoss(Options{Seed: 3})
 	if len(tab.Rows) < 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -250,7 +250,7 @@ func TestTuneActTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Bayesian optimization runs many trainings")
 	}
-	tab := TuneActAfterSteps(5)
+	tab := TuneActAfterSteps(Options{Seed: 5})
 	if len(tab.Rows) < 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

@@ -106,16 +106,22 @@ func fabricFaultBERs(opt Options) []float64 {
 	return []float64{0, 1e-7, 1e-5}
 }
 
+// fabricFaultWidth is the fault sweep's data-parallel width (default 4);
+// Options.Validate bounds KillPort by it.
+func fabricFaultWidth(opt Options) int {
+	if opt.Replicas > 0 {
+		return opt.Replicas
+	}
+	return 4
+}
+
 // FabricFaultSweep is the per-port fault grid for the switched fabric:
 // per-port BER x failure scenario (healthy, port killed with a spare
 // available, port killed with no spare). Per cell: failovers, lost
 // replicas, redistributed shards, the fault-exposed time and the step-time
 // inflation over the healthy fabric.
 func FabricFaultSweep(opt Options) *Table {
-	replicas := 4
-	if opt.Replicas > 0 {
-		replicas = opt.Replicas
-	}
+	replicas := fabricFaultWidth(opt)
 	t := &Table{
 		ID: "fabric-faults",
 		Title: fmt.Sprintf("Switched-fabric fault sweep: per-port BER x port failure "+
@@ -187,25 +193,4 @@ func fmtBER(ber float64) string {
 		return "0"
 	}
 	return fmt.Sprintf("%.0e", ber)
-}
-
-// validateFabric rejects fabric options the switch cannot model.
-func (opt Options) validateFabric() error {
-	if opt.Replicas < 0 {
-		return fmt.Errorf("experiments: negative replica count %d", opt.Replicas)
-	}
-	if opt.HostPorts < 0 {
-		return fmt.Errorf("experiments: negative host-port count %d", opt.HostPorts)
-	}
-	replicas := 4 // the fault sweep's default width
-	if opt.Replicas > 0 {
-		replicas = opt.Replicas
-	}
-	if opt.KillPort > replicas {
-		return fmt.Errorf("experiments: kill port %d outside 1..%d", opt.KillPort, replicas)
-	}
-	if opt.KillPort < 0 || opt.KillStep < 0 {
-		return fmt.Errorf("experiments: negative chaos knob (kill_port %d, kill_step %d)", opt.KillPort, opt.KillStep)
-	}
-	return cxl.FaultConfig{Seed: opt.Seed, BER: opt.BER, RetryBudget: opt.RetryBudget}.Validate()
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -10,121 +9,6 @@ import (
 	"teco/internal/modelzoo"
 	"teco/internal/phases"
 )
-
-// Options parameterizes experiment generation beyond the seed. The zero
-// value of the fault knobs reproduces the paper's lossless-link evaluation.
-type Options struct {
-	// Seed drives the randomized experiments (real training, fault draws).
-	Seed int64
-	// BER centres the fault sweep on a specific bit-error rate; 0 uses the
-	// default grid.
-	BER float64
-	// RetryBudget overrides the link-layer retransmit budget (0: default).
-	RetryBudget int
-	// Degrade enables the graceful-degradation policy in the fault sweep.
-	Degrade bool
-	// CkptInterval collapses the recovery sweep's interval axis to one
-	// value (0: default grid).
-	CkptInterval int
-	// CkptDir roots the recovery sweep's (temporary, removed afterwards)
-	// checkpoint directories; empty uses the system temp directory.
-	CkptDir string
-	// CrashAt > 0 additionally kills every recovery-sweep run at that step
-	// and restores it from disk (core.CrashRun).
-	CrashAt int
-	// Workers sizes the sweep worker pool (grid points run concurrently)
-	// and rides into the trainers' intra-step hot loops. <= 0 uses
-	// GOMAXPROCS for the pool; 1 runs everything serially. Purely a
-	// scheduling knob — every table is identical at every worker count.
-	Workers int
-	// Replicas collapses the fabric sweep's data-parallel-width axis to
-	// one value (0: default grid).
-	Replicas int
-	// HostPorts pins the fabric switch's spine uplink count instead of the
-	// default oversubscription grid (0: grid).
-	HostPorts int
-	// KillPort selects the fabric chaos target port, 1-based (0: the
-	// sweep default).
-	KillPort int
-	// KillStep schedules the fabric chaos kill at that fine-tuning step in
-	// data-parallel training runs (tecosimd's group endpoint).
-	KillStep int
-	// Layers collapses the layers sweep's layer-count axis to one value
-	// (0: default grid) and overrides the layer count in the policy sweep.
-	Layers int
-	// CachePct collapses the layers sweep's fast-tier-size axis to one
-	// percentage of the model's parameter bytes (0: default grid; also the
-	// policy sweep's cache size, default 40).
-	CachePct int
-	// PrefetchDepth overrides the scheduled column's look-ahead depth in
-	// the layers sweep and every prefetching row of the policy sweep
-	// (0: defaults).
-	PrefetchDepth int
-	// LayerPolicy collapses the policy sweep's eviction-policy axis to one
-	// of "lru", "fifo", "pin" ("": full set).
-	LayerPolicy string
-	// LayerSeqLen overrides the policy sweep's long-context sequence
-	// length (0: default 1024).
-	LayerSeqLen int
-	// TierPolicy collapses the tiering-policy ablation's policy axis to one
-	// of "heat", "lru", "static" ("": full set) and sets the capacity
-	// sweep's migrating runs' policy ("": heat).
-	TierPolicy string
-	// TierDRAMPct collapses the tiering sweep's fast-tier-size axis to one
-	// percentage of the tiered slot bytes (0: default grid; also the policy
-	// ablation's capacity, default 25).
-	TierDRAMPct int
-	// TierMigrateBudget collapses the tiering sweep's per-step migration
-	// byte-budget axis to one MiB value (0: default grid; also the policy
-	// ablation's budget, default 512).
-	TierMigrateBudget int
-	// NoMemo disables the shared-run memoization (runcache.go), forcing
-	// every requested fine-tuning run to execute from scratch. The tables
-	// do not change; only wall-clock does. The benchmark harness uses it
-	// to measure the memoization win.
-	NoMemo bool
-	// PerLine runs every timing engine on the per-line reference path
-	// instead of the flow-coalescing fast path (tecosim -coalesce=false).
-	// Tables are bit-identical in both modes; only wall-clock differs.
-	PerLine bool
-	// Ctx, when non-nil, bounds the whole generation: the sweep pool stops
-	// dispatching grid points and returns as soon as it is cancelled (the
-	// sweep service threads per-request deadlines through here). A
-	// cancelled generation yields tables with zero-value cells for the
-	// unreached points — callers that observe Ctx.Err() != nil after
-	// generating must discard the result. Like Workers/NoMemo/PerLine it
-	// is pure scheduling: it never appears in a fingerprint.
-	Ctx context.Context
-}
-
-// context returns the generation-bounding context (Background when unset).
-func (opt Options) context() context.Context {
-	if opt.Ctx != nil {
-		return opt.Ctx
-	}
-	return context.Background()
-}
-
-// validateRecovery rejects recovery-sweep options before any cell runs.
-func (opt Options) validateRecovery() error {
-	if opt.CkptInterval < 0 {
-		return fmt.Errorf("experiments: negative checkpoint interval %d", opt.CkptInterval)
-	}
-	if opt.CrashAt < 0 {
-		return fmt.Errorf("experiments: negative crash step %d", opt.CrashAt)
-	}
-	return nil
-}
-
-// validateFaults rejects fault-sweep options the link layer cannot model,
-// so the CLI fails fast instead of emitting a truncated grid.
-func (opt Options) validateFaults() error {
-	return cxl.FaultConfig{
-		Seed:        opt.Seed,
-		BER:         opt.BER,
-		RetryBudget: opt.RetryBudget,
-	}.Validate()
-}
 
 // faultSweepBERs returns the swept error rates: the default grid spans the
 // retry-dominated regime up to past the DBA degradation crossover; an

@@ -5,7 +5,6 @@ import (
 
 	"teco/internal/core"
 	"teco/internal/modelzoo"
-	"teco/internal/staging"
 )
 
 // The layers sweeps chart the tentpole of per-layer offload scheduling
@@ -194,20 +193,4 @@ func LayersPolicySweep(opt Options) *Table {
 	}
 	t.Note("the model is link-bound at this cache size, so depth 1 wins and deeper windows thrash; pinning the hot layers trades their refetches for a smaller working set")
 	return t
-}
-
-// validateLayers rejects layer-sweep options the scheduler cannot model, so
-// the CLI fails fast instead of emitting a grid of error cells.
-func (opt Options) validateLayers() error {
-	if opt.Layers < 0 || opt.PrefetchDepth < 0 || opt.LayerSeqLen < 0 {
-		return fmt.Errorf("experiments: negative layers knob (layers %d, prefetch %d, seq_len %d)",
-			opt.Layers, opt.PrefetchDepth, opt.LayerSeqLen)
-	}
-	if opt.CachePct < 0 || opt.CachePct > 100 {
-		return fmt.Errorf("experiments: cache percentage %d outside 0..100", opt.CachePct)
-	}
-	if _, err := staging.ParsePolicy(opt.LayerPolicy); err != nil {
-		return err
-	}
-	return nil
 }

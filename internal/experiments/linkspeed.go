@@ -11,12 +11,9 @@ import (
 // 3.0 (or PCIe 5.0) interconnect". It sweeps the interconnect generation
 // and reports how TECO's advantage evolves — faster links shrink the
 // absolute transfer times but the coarse-grained exposure problem (and
-// TECO's fix) persists.
-func LinkSpeedSweep() *Table { return LinkSpeedSweepWith(Options{}) }
-
-// LinkSpeedSweepWith is LinkSpeedSweep on the sweep pool (one link
-// generation per point, fresh engines per point).
-func LinkSpeedSweepWith(opt Options) *Table {
+// TECO's fix) persists. One link generation per grid point, fresh engines
+// per point.
+func LinkSpeedSweep(opt Options) *Table {
 	t := &Table{
 		ID:     "linkspeed",
 		Title:  "Interconnect-generation sweep (Bert-large-cased, batch 4)",

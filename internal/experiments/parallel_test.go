@@ -12,15 +12,15 @@ import (
 // engines, no real training): cheap enough to regenerate at several worker
 // counts and deep-compare.
 var fastGenerators = map[string]func(Options) *Table{
-	"table1":         TableIWith,
-	"ablation-inval": AblationInvalidationWith,
-	"fig11":          Fig11TableIVWith,
-	"fig12":          Fig12With,
-	"volume":         CommVolumeWith,
-	"table6":         TableVIWith,
-	"table8":         TableVIIIWith,
-	"ablation-dpu":   AblationDPUWith,
-	"linkspeed":      LinkSpeedSweepWith,
+	"table1":         TableI,
+	"ablation-inval": AblationInvalidation,
+	"fig11":          Fig11TableIV,
+	"fig12":          Fig12,
+	"volume":         CommVolume,
+	"table6":         TableVI,
+	"table8":         TableVIII,
+	"ablation-dpu":   AblationDPU,
+	"linkspeed":      LinkSpeedSweep,
 	"faults":         FaultSweep,
 }
 

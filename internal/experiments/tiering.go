@@ -207,18 +207,3 @@ func TieringPolicySweep(opt Options) *Table {
 	t.Note("cost is the recorded trace priced by the DDR4/CXL-expander cost model under each policy's final placement; the oracle is the greedy benefit-density fill of the same trace — the gap column is what online placement leaves on the table")
 	return t
 }
-
-// validateTiering rejects tiering-sweep options the controller cannot
-// model, so the CLI fails fast instead of emitting a grid of error cells.
-func (opt Options) validateTiering() error {
-	if opt.TierDRAMPct < 0 || opt.TierDRAMPct > 100 {
-		return fmt.Errorf("experiments: tier DRAM percentage %d outside 0..100", opt.TierDRAMPct)
-	}
-	if opt.TierMigrateBudget < 0 {
-		return fmt.Errorf("experiments: negative tier migration budget %d", opt.TierMigrateBudget)
-	}
-	if _, err := tiering.ParsePolicy(opt.TierPolicy); err != nil {
-		return err
-	}
-	return nil
-}

@@ -15,13 +15,10 @@ import (
 // realtrain) with the *timing* effect (per-step times from the engines).
 // It answers the question the paper's separate convergence and speedup
 // results imply: how much sooner does TECO-Reduction reach a given training
-// loss in wall-clock time?
-func TimeToLoss(seed int64) *Table { return TimeToLossWith(Options{Seed: seed}) }
-
-// TimeToLossWith is TimeToLoss with both training runs as concurrent grid
-// points against the shared run cache (they are the same configs Fig 10
-// uses, so under "all" they cost nothing extra).
-func TimeToLossWith(opt Options) *Table {
+// loss in wall-clock time? Both training runs are concurrent grid points
+// against the shared run cache (they are the same configs Fig 10 uses, so
+// under "all" they cost nothing extra).
+func TimeToLoss(opt Options) *Table {
 	t := &Table{
 		ID:     "time-to-loss",
 		Title:  "Wall-clock time to reach a training-loss level (GPT-2 proxy, batch 4)",

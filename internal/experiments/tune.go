@@ -17,14 +17,11 @@ const tuneSteps = 300
 // TuneActAfterSteps runs the paper's §V-A prescription — "act_aft_steps can
 // be tuned using the Bayesian optimization" — with the from-scratch GP
 // optimizer over the activation step, maximizing a quality+speed score.
-func TuneActAfterSteps(seed int64) *Table { return TuneActAfterStepsWith(Options{Seed: seed}) }
-
-// TuneActAfterStepsWith is TuneActAfterSteps with the objective served by
-// the shared run cache. Bayesian optimization is inherently sequential
-// (each acquisition depends on all previous observations), so the
-// optimizer loop stays serial; the cache still collapses re-evaluations of
-// activation steps the GP revisits.
-func TuneActAfterStepsWith(opt Options) *Table {
+// The objective is served by the shared run cache. Bayesian optimization is
+// inherently sequential (each acquisition depends on all previous
+// observations), so the optimizer loop stays serial; the cache still
+// collapses re-evaluations of activation steps the GP revisits.
+func TuneActAfterSteps(opt Options) *Table {
 	seed := opt.Seed
 	t := &Table{
 		ID:     "tune-act",

@@ -85,7 +85,7 @@ func TestChaosKillRestartCycles(t *testing.T) {
 		if tables, ok := seedWant[k]; ok {
 			return tables
 		}
-		tables, err := experiments.ByIDWith(id, experiments.Options{Seed: seed})
+		tables, err := experiments.ByID(id, experiments.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

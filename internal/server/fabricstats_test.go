@@ -1,13 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	"teco/internal/experiments"
 	"teco/internal/fabric"
 	"teco/internal/realtrain"
 )
@@ -80,24 +78,5 @@ func TestStatzExposesFabricCounters(t *testing.T) {
 		if _, ok := fb[name]; !ok {
 			t.Fatalf("fabric counter %q missing from /statz", name)
 		}
-	}
-}
-
-// TestRunFabricKnobsReachOptions: the /run fabric knobs parse from both the
-// query string and the JSON body and land in experiments.Options.
-func TestRunFabricKnobsReachOptions(t *testing.T) {
-	var got experiments.Options
-	s := newTestServer(t, func(c *Config) {
-		c.Run = func(_ context.Context, id string, opt experiments.Options) ([]*experiments.Table, error) {
-			got = opt
-			return []*experiments.Table{{ID: id, Title: "stub", Header: []string{"a"}}}, nil
-		}
-	})
-	_, code := getRun(t, s.Handler(), "id=fabric&seed=1&replicas=2&host_ports=1&kill_port=2&kill_step=9")
-	if code != http.StatusOK {
-		t.Fatalf("HTTP %d", code)
-	}
-	if got.Replicas != 2 || got.HostPorts != 1 || got.KillPort != 2 || got.KillStep != 9 {
-		t.Fatalf("fabric knobs lost in transit: %+v", got)
 	}
 }

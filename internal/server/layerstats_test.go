@@ -1,12 +1,9 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"net/http"
 	"testing"
 
-	"teco/internal/experiments"
 	"teco/internal/realtrain"
 	"teco/internal/staging"
 )
@@ -65,26 +62,5 @@ func TestStatzExposesLayerCounters(t *testing.T) {
 		if _, ok := lb[name]; !ok {
 			t.Fatalf("layer counter %q missing from /statz", name)
 		}
-	}
-}
-
-// TestRunLayerKnobsReachOptions: the /run layer knobs parse from the query
-// string and land in experiments.Options.
-func TestRunLayerKnobsReachOptions(t *testing.T) {
-	var got experiments.Options
-	s := newTestServer(t, func(c *Config) {
-		c.Run = func(_ context.Context, id string, opt experiments.Options) ([]*experiments.Table, error) {
-			got = opt
-			return []*experiments.Table{{ID: id, Title: "stub", Header: []string{"a"}}}, nil
-		}
-	})
-	_, code := getRun(t, s.Handler(),
-		"id=layers&seed=1&layers=4&cache_pct=25&prefetch=2&layer_policy=fifo&layer_seq_len=2048")
-	if code != http.StatusOK {
-		t.Fatalf("HTTP %d", code)
-	}
-	if got.Layers != 4 || got.CachePct != 25 || got.PrefetchDepth != 2 ||
-		got.LayerPolicy != "fifo" || got.LayerSeqLen != 2048 {
-		t.Fatalf("layer knobs lost in transit: %+v", got)
 	}
 }

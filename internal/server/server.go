@@ -79,7 +79,7 @@ type Config struct {
 	// CacheRetrySeed seeds the cache's backoff jitter.
 	CacheRetrySeed int64
 	// Run overrides the experiment runner (tests). Nil runs
-	// experiments.ByIDWith.
+	// experiments.ByID.
 	Run func(ctx context.Context, id string, opt experiments.Options) ([]*experiments.Table, error)
 }
 
@@ -129,8 +129,7 @@ type Server struct {
 	draining   atomic.Bool
 	reqWG      sync.WaitGroup
 
-	validIDs map[string]bool
-	mux      *http.ServeMux
+	mux *http.ServeMux
 
 	requests, hits, computes, coalesced atomic.Int64
 	shed, timeouts, rejected, putErrors atomic.Int64
@@ -169,20 +168,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cache,
-		gate:     parallel.NewGate(cfg.Slots, cfg.QueueDepth),
-		flights:  newFlightGroup(),
-		run:      cfg.Run,
-		validIDs: make(map[string]bool),
+		cfg:     cfg,
+		cache:   cache,
+		gate:    parallel.NewGate(cfg.Slots, cfg.QueueDepth),
+		flights: newFlightGroup(),
+		run:     cfg.Run,
 	}
 	if s.run == nil {
 		s.run = func(_ context.Context, id string, opt experiments.Options) ([]*experiments.Table, error) {
-			return experiments.ByIDWith(id, opt)
+			return experiments.ByID(id, opt)
 		}
-	}
-	for _, id := range experiments.IDs() {
-		s.validIDs[id] = true
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -253,67 +248,6 @@ func (s *Server) Kill() {
 	s.baseCancel()
 }
 
-// Request is the /run request body (POST) or query string (GET).
-type Request struct {
-	// ID is the experiment id (tecosim -list).
-	ID string `json:"id"`
-	// Seed drives the randomized experiments; 0 is a valid seed.
-	Seed int64 `json:"seed"`
-	// Fault-model and recovery knobs, mirroring tecosim's flags.
-	BER          float64 `json:"ber,omitempty"`
-	RetryBudget  int     `json:"retry_budget,omitempty"`
-	Degrade      bool    `json:"degrade,omitempty"`
-	CkptInterval int     `json:"ckpt_interval,omitempty"`
-	CrashAt      int     `json:"crash_at,omitempty"`
-	// Switched-fabric knobs, mirroring tecosim's -replicas/-host-ports/
-	// -kill-port/-kill-step flags.
-	Replicas  int `json:"replicas,omitempty"`
-	HostPorts int `json:"host_ports,omitempty"`
-	KillPort  int `json:"kill_port,omitempty"`
-	KillStep  int `json:"kill_step,omitempty"`
-	// Per-layer offload knobs, mirroring tecosim's -layers/-cache-pct/
-	// -prefetch/-layer-policy/-layer-seq-len flags.
-	Layers        int    `json:"layers,omitempty"`
-	CachePct      int    `json:"cache_pct,omitempty"`
-	PrefetchDepth int    `json:"prefetch,omitempty"`
-	LayerPolicy   string `json:"layer_policy,omitempty"`
-	LayerSeqLen   int    `json:"layer_seq_len,omitempty"`
-	// Heterogeneous-tiering knobs, mirroring tecosim's -tier-policy/
-	// -tier-dram-pct/-tier-migrate-budget flags.
-	TierPolicy        string `json:"tier_policy,omitempty"`
-	TierDRAMPct       int    `json:"tier_dram_pct,omitempty"`
-	TierMigrateBudget int    `json:"tier_migrate_budget,omitempty"`
-	// TimeoutMs overrides the server's default per-request deadline,
-	// capped at Config.MaxTimeout.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// options maps a request onto the experiment option set. Scheduling knobs
-// (Workers, Ctx) are the server's own and never reach the fingerprint.
-func (s *Server) options(req Request) experiments.Options {
-	return experiments.Options{
-		Seed:              req.Seed,
-		BER:               req.BER,
-		RetryBudget:       req.RetryBudget,
-		Degrade:           req.Degrade,
-		CkptInterval:      req.CkptInterval,
-		CrashAt:           req.CrashAt,
-		Replicas:          req.Replicas,
-		HostPorts:         req.HostPorts,
-		KillPort:          req.KillPort,
-		KillStep:          req.KillStep,
-		Layers:            req.Layers,
-		CachePct:          req.CachePct,
-		PrefetchDepth:     req.PrefetchDepth,
-		LayerPolicy:       req.LayerPolicy,
-		LayerSeqLen:       req.LayerSeqLen,
-		TierPolicy:        req.TierPolicy,
-		TierDRAMPct:       req.TierDRAMPct,
-		TierMigrateBudget: req.TierMigrateBudget,
-		Workers:           s.cfg.Workers,
-	}
-}
-
 // cacheKey derives the content address for a request: the canonical config
 // fingerprint (experiments.Options.Fingerprint) mixed with the payload
 // schema version.
@@ -372,50 +306,53 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(s.Stats())
 }
 
-// parseRequest accepts a JSON body (POST) or query parameters (GET).
-func parseRequest(r *http.Request) (Request, error) {
-	var req Request
+// parseRequest decodes a /run call — a JSON object (POST) or query
+// parameters (GET) — into the experiment id, the client's timeout_ms and the
+// option set. Those two names are request-level; every other one goes
+// through experiments.Options.Set, so unknown names, scheduling knobs and
+// unparsable values are errors rather than silently dropped.
+func parseRequest(r *http.Request) (id string, timeoutMs int64, opt experiments.Options, err error) {
+	set := func(name, value string) {
+		switch {
+		case err != nil:
+		case name == "id":
+			id = value
+		case name == "timeout_ms":
+			if value != "" {
+				timeoutMs, err = strconv.ParseInt(value, 10, 64)
+			}
+		default:
+			err = opt.Set(name, value)
+		}
+	}
 	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, fmt.Errorf("bad JSON body: %v", err)
+		var body map[string]any
+		dec := json.NewDecoder(r.Body)
+		dec.UseNumber()
+		if err := dec.Decode(&body); err != nil {
+			return "", 0, opt, fmt.Errorf("bad JSON body: %v", err)
 		}
-		return req, nil
-	}
-	q := r.URL.Query()
-	req.ID = q.Get("id")
-	req.LayerPolicy = q.Get("layer_policy")
-	req.TierPolicy = q.Get("tier_policy")
-	var err error
-	num := func(name string, dst *int64) {
-		if v := q.Get(name); v != "" && err == nil {
-			*dst, err = strconv.ParseInt(v, 10, 64)
+		for name, v := range body {
+			switch v := v.(type) {
+			case string:
+				set(name, v)
+			case json.Number:
+				set(name, v.String())
+			case bool:
+				set(name, strconv.FormatBool(v))
+			default:
+				return "", 0, opt, fmt.Errorf("bad JSON value for %q", name)
+			}
 		}
-	}
-	num("seed", &req.Seed)
-	num("timeout_ms", &req.TimeoutMs)
-	var i64 int64
-	for name, dst := range map[string]*int{
-		"retry_budget": &req.RetryBudget, "ckpt_interval": &req.CkptInterval, "crash_at": &req.CrashAt,
-		"replicas": &req.Replicas, "host_ports": &req.HostPorts,
-		"kill_port": &req.KillPort, "kill_step": &req.KillStep,
-		"layers": &req.Layers, "cache_pct": &req.CachePct,
-		"prefetch": &req.PrefetchDepth, "layer_seq_len": &req.LayerSeqLen,
-		"tier_dram_pct": &req.TierDRAMPct, "tier_migrate_budget": &req.TierMigrateBudget,
-	} {
-		i64 = 0
-		num(name, &i64)
-		*dst = int(i64)
-	}
-	if v := q.Get("ber"); v != "" && err == nil {
-		req.BER, err = strconv.ParseFloat(v, 64)
-	}
-	if v := q.Get("degrade"); v != "" && err == nil {
-		req.Degrade, err = strconv.ParseBool(v)
+	} else {
+		for name, values := range r.URL.Query() {
+			set(name, values[0])
+		}
 	}
 	if err != nil {
-		return req, fmt.Errorf("bad query parameter: %v", err)
+		err = fmt.Errorf("bad request parameter: %v", err)
 	}
-	return req, nil
+	return id, timeoutMs, opt, err
 }
 
 // encodeTables is the canonical payload serialization: compact JSON of the
@@ -444,18 +381,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	req, err := parseRequest(r)
+	// Everything a client can get wrong is a 400 here, before the cache
+	// lookup, the coalescer and the admission gate ever see the request.
+	id, timeoutMs, opt, err := parseRequest(r)
+	if err == nil {
+		err = opt.Validate()
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.validIDs[req.ID] {
-		s.writeError(w, http.StatusBadRequest, "unknown experiment id %q (GET /experiments lists them)", req.ID)
+	canonical, ok := experiments.Canonical(id) // aliases share one entry
+	if !ok {
+		s.writeError(w, http.StatusBadRequest, "unknown experiment id %q (GET /experiments lists them)", id)
 		return
 	}
 	s.requests.Add(1)
-	opt := s.options(req)
-	key := cacheKey(req.ID, opt)
+	opt.Workers = s.cfg.Workers // scheduling is the server's own, never the key's
+	key := cacheKey(canonical, opt)
 	keyHex := fmt.Sprintf("%016x", key)
 
 	// Warm path: serve straight from the CRC-verified cache.
@@ -471,8 +414,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Cold path: coalesce with identical in-flight requests, then compute
 	// behind the bounded admission gate.
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+	if timeoutMs > 0 {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
 		if timeout > s.cfg.MaxTimeout {
 			timeout = s.cfg.MaxTimeout
 		}
@@ -492,7 +435,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.computes.Add(1)
 		o := opt
 		o.Ctx = runCtx
-		tables, err := s.run(runCtx, req.ID, o)
+		tables, err := s.run(runCtx, canonical, o)
 		if err != nil {
 			return nil, err
 		}

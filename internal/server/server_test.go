@@ -267,19 +267,45 @@ func TestCancelledGenerationIsNeverCached(t *testing.T) {
 	}
 }
 
-// TestBadRequests: unknown ids and malformed parameters are 400s, never
-// computations.
+// TestBadRequests: unknown ids, unknown or scheduling-only parameter names,
+// and unparsable or out-of-range values are 400s before the cache, the
+// coalescer and the admission gate — never computations, never 500s.
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, nil)
-	for _, query := range []string{"id=nope", "id=table1&seed=abc", ""} {
+	bad := func(method, target, body string) {
+		t.Helper()
 		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/run?"+query, nil))
+		s.Handler().ServeHTTP(w, httptest.NewRequest(method, target, strings.NewReader(body)))
 		if w.Code != http.StatusBadRequest {
-			t.Fatalf("query %q: HTTP %d, want 400", query, w.Code)
+			t.Errorf("%s %s %s: HTTP %d, want 400", method, target, body, w.Code)
 		}
 	}
-	if st := s.Stats(); st.Computes != 0 {
-		t.Fatalf("bad requests triggered %d computations", st.Computes)
+	for _, query := range []string{"id=nope", "id=table1&seed=abc", "",
+		"id=layers&cache_pct=101", "id=tiering&tier_dram_pct=-5", "id=fabric&replicas=-1",
+		"id=faults&ber=2", "id=table1&sede=7", "id=table1&workers=9", "id=table1&coalesce=false",
+		"id=fabric-faults&kill_port=5", "id=layers-policy&layer_policy=mru", "id=table1&timeout_ms=soon"} {
+		bad(http.MethodGet, "/run?"+query, "")
+	}
+	for _, body := range []string{`{"id":"table1","sede":7}`, `{"id":"table1","workers":9}`,
+		`{"id":"table1","seed":[1]}`, `{"id":"layers","cache_pct":101}`, `{"id":`} {
+		bad(http.MethodPost, "/run", body)
+	}
+	if st := s.Stats(); st.Computes != 0 || st.Requests != 0 || st.InFlight != 0 {
+		t.Fatalf("bad requests reached admission: %+v", st)
+	}
+}
+
+// TestAliasSharesCacheEntry: the daemon accepts the aliases the CLI accepts
+// and serves them from the canonical id's entry.
+func TestAliasSharesCacheEntry(t *testing.T) {
+	s := newTestServer(t, nil)
+	canon, code := getRun(t, s.Handler(), "id=fig11")
+	if code != http.StatusOK {
+		t.Fatalf("id=fig11: HTTP %d", code)
+	}
+	alias, code := getRun(t, s.Handler(), "id=table4")
+	if code != http.StatusOK || alias.Key != canon.Key || !alias.Cached {
+		t.Fatalf("id=table4: HTTP %d key %s cached %v, want a hit on %s", code, alias.Key, alias.Cached, canon.Key)
 	}
 }
 
@@ -288,7 +314,7 @@ func TestBadRequests(t *testing.T) {
 func TestPostJSONBody(t *testing.T) {
 	s := newTestServer(t, nil)
 	viaGet, _ := getRun(t, s.Handler(), "id=table1&seed=5")
-	body, _ := json.Marshal(Request{ID: "table1", Seed: 5})
+	body, _ := json.Marshal(map[string]any{"id": "table1", "seed": 5})
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
 	if w.Code != http.StatusOK {

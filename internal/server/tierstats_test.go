@@ -1,12 +1,9 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"net/http"
 	"testing"
 
-	"teco/internal/experiments"
 	"teco/internal/realtrain"
 	"teco/internal/tiering"
 )
@@ -69,25 +66,5 @@ func TestStatzExposesTierCounters(t *testing.T) {
 		if _, ok := tb[name]; !ok {
 			t.Fatalf("tiering counter %q missing from /statz", name)
 		}
-	}
-}
-
-// TestRunTierKnobsReachOptions: the /run tiering knobs parse from the query
-// string and land in experiments.Options.
-func TestRunTierKnobsReachOptions(t *testing.T) {
-	var got experiments.Options
-	s := newTestServer(t, func(c *Config) {
-		c.Run = func(_ context.Context, id string, opt experiments.Options) ([]*experiments.Table, error) {
-			got = opt
-			return []*experiments.Table{{ID: id, Title: "stub", Header: []string{"a"}}}, nil
-		}
-	})
-	_, code := getRun(t, s.Handler(),
-		"id=tiering&seed=1&tier_policy=lru&tier_dram_pct=30&tier_migrate_budget=128")
-	if code != http.StatusOK {
-		t.Fatalf("HTTP %d", code)
-	}
-	if got.TierPolicy != "lru" || got.TierDRAMPct != 30 || got.TierMigrateBudget != 128 {
-		t.Fatalf("tier knobs lost in transit: %+v", got)
 	}
 }

@@ -174,7 +174,7 @@ func ExperimentIDs() []string { return experiments.IDs() }
 // RunExperiment regenerates one table/figure (or "all") and writes the
 // result as aligned text to w.
 func RunExperiment(id string, seed int64, w io.Writer) error {
-	tabs, err := experiments.ByID(id, seed)
+	tabs, err := experiments.ByID(id, experiments.Options{Seed: seed})
 	if err != nil {
 		return err
 	}
