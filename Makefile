@@ -97,5 +97,12 @@ cover:
 		if (t+0 < f+0) { printf "total coverage %.1f%% is below the %.1f%% floor\n", t, f; exit 1 } \
 		printf "total coverage %.1f%% (floor %.1f%%)\n", t, f }'
 
+# Go line counts per package, non-test and test lines apart, then the
+# totals. The bench/ module is its own program and is left out.
 loc:
-	find . -name '*.go' | xargs wc -l | tail -1
+	@find . -path ./bench -prune -o -name '*.go' -print | xargs wc -l | grep -v ' total$$' | \
+	awk '{ d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "teco"; \
+		pkgs[d] = 1; if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { s[d] += $$1; st += $$1 } } \
+	END { printf "%-34s %9s %6s\n", "package", "non-test", "test"; \
+		for (d in pkgs) printf "%-34s %9d %6d\n", d, s[d], t[d] | "sort"; close("sort"); \
+		printf "%-34s %9d %6d\n", "total", st, tt }'

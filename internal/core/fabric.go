@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"teco/internal/conformance/check"
-	"teco/internal/dba"
 	"teco/internal/cxl"
+	"teco/internal/dba"
 	"teco/internal/fabric"
 	"teco/internal/mem"
 	"teco/internal/modelzoo"
@@ -36,13 +36,19 @@ type FabricConfig struct {
 	KillPort int
 }
 
+// pointToPoint reports whether the config degenerates to one bare link per
+// direction: one replica, no spares, no kill, zero hop, no extra uplinks.
+func (fc FabricConfig) pointToPoint() bool {
+	return fc.Replicas <= 1 && fc.SparePorts == 0 && fc.KillPort == 0 &&
+		fc.HopLatency == 0 && fc.HostPorts <= 1
+}
+
 // StepFabric simulates one data-parallel training step over the switched
 // fabric: every replica runs forward/backward on its batch shard and
 // streams gradients up its own fabric port; the host clips and runs ADAM
-// once; parameter writebacks stream down every live replica's port. With
-// one replica, no spares and zero hop latency the result is bit-identical
-// to Step (asserted by TestStepFabricSingleReplicaMatchesStep) — the
-// switch layer degenerates to the bare link.
+// once; parameter writebacks stream down every live replica's port. It is
+// Step's dataflow at width R, so one replica with no spares, no kill and
+// zero hop latency is bit-identical to Step except for the Fabric block.
 func (e *Engine) StepFabric(m modelzoo.Model, batch int, fc FabricConfig) (phases.StepResult, error) {
 	R := fc.Replicas
 	if R < 1 {
@@ -57,31 +63,41 @@ func (e *Engine) StepFabric(m modelzoo.Model, batch int, fc FabricConfig) (phase
 	if e.Config.Invalidation {
 		return phases.StepResult{}, fmt.Errorf("core: fabric mode runs the update protocol only")
 	}
-	useDBA := e.Config.DBA
-	degradedDBA := false
-	if useDBA && e.Config.Degrade &&
-		AggregatedUneconomical(e.Config.Faults, e.Config.DirtyBytes, e.LinkBandwidth) {
-		useDBA = false
-		degradedDBA = true
-	}
-	res, err := e.stepFabric(m, batch, fc, useDBA)
-	if err != nil {
-		return phases.StepResult{}, err
-	}
-	res.Fault.Degraded = degradedDBA
-	if check.Enabled() {
-		check.Check(res.Check)
-	}
-	return res, nil
+	return e.dataflow(m, batch, fc)
 }
 
-// fabricSwitch builds one direction's switch with per-port derived fault
-// seeds (port 0 keeps the direction's base seed, matching stepUpdate).
-func (e *Engine) fabricSwitch(fc FabricConfig, seedOffset int64) (*fabric.Switch, error) {
-	faults := e.Config.Faults
-	if faults.Enabled() {
-		faults.Seed = 2*faults.Seed + seedOffset
+// transport carries one direction of the dataflow: a bare stream over one
+// link (point-to-point) or a fabric.Switch. Only a switch can fail a send.
+type transport struct {
+	sw *fabric.Switch
+	s  *cxl.Stream
+}
+
+// directionFaults derives one link direction's fault config: seed
+// 2·seed+offset keeps the directions on independent but reproducible
+// streams (a switch's port 0 keeps it, see fabric.PortFaultConfig).
+func (e *Engine) directionFaults(offset int64) cxl.FaultConfig {
+	fc := e.Config.Faults
+	if fc.Enabled() {
+		fc.Seed = 2*fc.Seed + offset
 	}
+	return fc
+}
+
+// pointToPoint builds a bare link and stream for one direction from a
+// config NewEngine has already validated.
+func (e *Engine) pointToPoint(eng *sim.Engine, seedOffset int64) transport {
+	l := cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap)
+	if fc := e.directionFaults(seedOffset); fc.Enabled() {
+		if _, err := l.InjectFaults(fc); err != nil {
+			panic(err)
+		}
+	}
+	return transport{s: cxl.NewStream(l, e.Config.PerLine)}
+}
+
+// fabricSwitch builds one direction's switch.
+func (e *Engine) fabricSwitch(fc FabricConfig, seedOffset int64) (*fabric.Switch, error) {
 	return fabric.NewSwitch(fabric.SwitchConfig{
 		Ports:      fc.Replicas,
 		SparePorts: fc.SparePorts,
@@ -90,74 +106,157 @@ func (e *Engine) fabricSwitch(fc FabricConfig, seedOffset int64) (*fabric.Switch
 		QueueCap:   e.QueueCap,
 		PerLine:    e.Config.PerLine,
 		HopLatency: fc.HopLatency,
-		Faults:     faults,
+		Faults:     e.directionFaults(seedOffset),
 	})
 }
 
-func (e *Engine) stepFabric(m modelzoo.Model, batch int, fc FabricConfig, useDBA bool) (phases.StepResult, error) {
-	R := fc.Replicas
-	up, err := e.fabricSwitch(fc, 1)
-	if err != nil {
-		return phases.StepResult{}, err
+// transports builds the gradient (up) and parameter (down) directions.
+func (e *Engine) transports(fc FabricConfig) (up, down transport, err error) {
+	if fc.pointToPoint() {
+		eng := sim.New()
+		return e.pointToPoint(eng, 1), e.pointToPoint(eng, 2), nil
 	}
-	down, err := e.fabricSwitch(fc, 2)
-	if err != nil {
-		return phases.StepResult{}, err
+	if up.sw, err = e.fabricSwitch(fc, 1); err == nil {
+		down.sw, err = e.fabricSwitch(fc, 2)
 	}
+	return up, down, err
+}
 
-	// Contiguous batch shards, remainder to the low replica ids.
-	shard := make([]int, R)
-	base, rem := batch/R, batch%R
-	for r := range shard {
-		shard[r] = base
-		if r < rem {
-			shard[r]++
+func (t *transport) send(lp int, ready sim.Time, n int, lines int64, extra sim.Time, pktBytes int, aggregated bool) error {
+	if t.sw != nil {
+		_, err := t.sw.Send(lp, ready, n, lines, extra, pktBytes, aggregated)
+		return err
+	}
+	t.s.PushRun(ready, n, lines, extra, pktBytes, aggregated)
+	return nil
+}
+
+// fence is CXLFENCE over logical port lp's path, against both the actual
+// and the fault-free drain.
+func (t *transport) fence(lp int, ready sim.Time) (done, clean sim.Time) {
+	if t.sw != nil {
+		return t.sw.FencePort(lp, ready), t.sw.FenceCleanPort(lp, ready)
+	}
+	l := t.s.Link()
+	return l.Fence(ready), l.FenceClean(ready)
+}
+
+// links counts the physical links (spares included); link returns one.
+func (t *transport) links() int {
+	if t.sw != nil {
+		return t.sw.PhysPorts()
+	}
+	return 1
+}
+
+func (t *transport) link(i int) *cxl.Link {
+	if t.sw != nil {
+		return t.sw.Link(i)
+	}
+	return t.s.Link()
+}
+
+// stats is the switch accounting; a bare link is the degenerate one-port,
+// zero-hop switch whose spine carried every payload byte unqueued.
+func (t *transport) stats() fabric.SwitchStats {
+	if t.sw != nil {
+		return t.sw.Stats()
+	}
+	bytes, _, _, _ := t.s.Link().Stats()
+	return fabric.SwitchStats{SpineBytes: bytes}
+}
+
+// check verifies the transport's invariants (a bare link checks its own on
+// every flow).
+func (t *transport) check() error {
+	if t.sw != nil {
+		return t.sw.CheckInvariants()
+	}
+	return t.s.CheckInvariants()
+}
+
+// split is shard i of b items over n holders: contiguous, remainder to the
+// low ids.
+func split(b, n, i int) int {
+	if i < b%n {
+		return b/n + 1
+	}
+	return b / n
+}
+
+// dataflow is the TECO dataflow of Fig 6 over R data-parallel replicas:
+// each replica's gradients stream up its port as backward writes them back
+// ((3)); after one CXLFENCE over every live port the host clips and runs
+// ADAM once, and the updated parameter lines stream down every live port as
+// the vectorized pass writes them back ((1)/(2)), closed by one more
+// CXLFENCE — no double buffer, no explicit transfer calls. A zero
+// FabricConfig is Step: one replica on the point-to-point transport and a
+// zero Fabric block.
+func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.StepResult, error) {
+	// Graceful degradation: when aggregated payloads cost more expected
+	// link time than full lines at this error rate, run the step with DBA
+	// switched off. The variant label stays TECO-Reduction: degradation is
+	// a per-step policy decision, not a reconfig.
+	useDBA := e.Config.DBA
+	degraded := useDBA && e.Config.Degrade &&
+		AggregatedUneconomical(e.Config.Faults, e.Config.DirtyBytes, e.LinkBandwidth)
+	if degraded {
+		useDBA = false
+	}
+	up, down, err := e.transports(fc)
+	if err != nil {
+		return phases.StepResult{}, err
+	}
+	R := max(fc.Replicas, 1)
+
+	// Gradients: cache-line-granular update pushes track backward layer by
+	// layer (no buffer-fill delay — the fine-grained win). Gradients never
+	// aggregate, so the wire packet is a full line.
+	fullWire := cxl.WirePacketBytes(0)
+	var gradBytes int64
+	backward := func(r, b int, start sim.Time) (fwd, end sim.Time, err error) {
+		fwd = e.GPU.ForwardTime(m, b)
+		for _, ch := range e.GPU.GradientSchedule(m, b) {
+			if err = up.send(r, start+fwd+ch.ReadyAt, int(ch.Bytes), mem.LinesIn(ch.Bytes), 0, fullWire, false); err != nil {
+				return fwd, 0, err
+			}
+			gradBytes += ch.Bytes
 		}
+		return fwd, start + fwd + e.GPU.BackwardTime(m, b), nil
 	}
 
 	// Scheduled chaos: the replica's ports die after its backward pass,
 	// before the gradient writeback.
-	kill := fc.KillPort - 1
-	if kill >= 0 {
-		if err := up.KillPort(kill); err != nil {
+	if kill := fc.KillPort - 1; kill >= 0 {
+		if err := up.sw.KillPort(kill); err != nil {
 			return phases.StepResult{}, err
 		}
-		if err := down.KillPort(kill); err != nil {
+		if err := down.sw.KillPort(kill); err != nil {
 			return phases.StepResult{}, err
 		}
 	}
-
-	fullWire := cxl.WirePacketBytes(0)
-	alive := make([]bool, R)
-	bwdEnd := make([]sim.Time, R)
-	var fwdMaxLive, detectAt sim.Time
-	var gradBytes int64
+	type replica struct {
+		shard       int
+		alive       bool
+		fwd, bwdEnd sim.Time
+	}
+	reps := make([]replica, R)
 	lost := -1
-	for r := 0; r < R; r++ {
-		alive[r] = true
-		fwd := e.GPU.ForwardTime(m, shard[r])
-		bwd := e.GPU.BackwardTime(m, shard[r])
-		bwdEnd[r] = fwd + bwd
-		for _, ch := range e.GPU.GradientSchedule(m, shard[r]) {
-			_, serr := up.Send(r, fwd+ch.ReadyAt, int(ch.Bytes), mem.LinesIn(ch.Bytes), 0, fullWire, false)
-			if serr != nil {
-				var pde *fabric.PortDownError
-				if !errors.As(serr, &pde) {
-					return phases.StepResult{}, serr
-				}
-				// Link-down detection: the failed writeback surfaces at
-				// pde.At, after the timeout and failover probes.
-				alive[r] = false
-				lost = r
-				if pde.At > detectAt {
-					detectAt = pde.At
-				}
-				break
+	var detectAt sim.Time
+	for r := range reps {
+		rp := &reps[r]
+		rp.shard = split(batch, R, r)
+		fwd, end, err := backward(r, rp.shard, 0)
+		rp.fwd, rp.bwdEnd, rp.alive = fwd, end, err == nil
+		if err != nil {
+			var pde *fabric.PortDownError
+			if !errors.As(err, &pde) {
+				return phases.StepResult{}, err
 			}
-			gradBytes += ch.Bytes
-		}
-		if alive[r] && fwd > fwdMaxLive {
-			fwdMaxLive = fwd
+			// Link-down detection: the failed writeback surfaces at pde.At,
+			// after the timeout and failover probes.
+			lost = r
+			detectAt = max(detectAt, pde.At)
 		}
 	}
 	redistributed := int64(0)
@@ -166,108 +265,83 @@ func (e *Engine) stepFabric(m modelzoo.Model, batch int, fc FabricConfig, useDBA
 		// detection, splitting it evenly, and stream the recomputed
 		// gradients up their own (live) ports.
 		var survivors []int
-		for r := 0; r < R; r++ {
-			if alive[r] {
+		for r := range reps {
+			if reps[r].alive {
 				survivors = append(survivors, r)
 			}
 		}
 		if len(survivors) == 0 {
 			return phases.StepResult{}, fmt.Errorf("core: all replicas lost (no spare port)")
 		}
-		b2, rem2 := shard[lost]/len(survivors), shard[lost]%len(survivors)
 		for i, r := range survivors {
-			extra := b2
-			if i < rem2 {
-				extra++
-			}
-			if extra == 0 {
+			b := split(reps[lost].shard, len(survivors), i)
+			if b == 0 {
 				continue
 			}
 			redistributed++
-			start := bwdEnd[r]
-			if detectAt > start {
-				start = detectAt
+			_, end, err := backward(r, b, max(reps[r].bwdEnd, detectAt))
+			if err != nil {
+				return phases.StepResult{}, err
 			}
-			fwd2 := e.GPU.ForwardTime(m, extra)
-			bwd2 := e.GPU.BackwardTime(m, extra)
-			for _, ch := range e.GPU.GradientSchedule(m, extra) {
-				if _, serr := up.Send(r, start+fwd2+ch.ReadyAt, int(ch.Bytes), mem.LinesIn(ch.Bytes), 0, fullWire, false); serr != nil {
-					return phases.StepResult{}, serr
-				}
-				gradBytes += ch.Bytes
-			}
-			bwdEnd[r] = start + fwd2 + bwd2
+			reps[r].bwdEnd = end
 		}
 	}
 
-	// Global gradient barrier: CXLFENCE over every live port's path.
-	var maxBwdEnd, gradDone, gradClean sim.Time
-	for r := 0; r < R; r++ {
-		if !alive[r] {
-			continue
-		}
-		if bwdEnd[r] > maxBwdEnd {
-			maxBwdEnd = bwdEnd[r]
-		}
-		if t := up.FencePort(r, bwdEnd[r]); t > gradDone {
-			gradDone = t
-		}
-		if t := up.FenceCleanPort(r, bwdEnd[r]); t > gradClean {
-			gradClean = t
+	// Global gradient barrier: CXLFENCE after the last gradient writeback
+	// over every live port (Fig 6: "after the buffer is full, CXLFENCE()
+	// must be called").
+	var fwdMax, bwdMax, gradDone, gradClean sim.Time
+	for r, rp := range reps {
+		if rp.alive {
+			fwdMax = max(fwdMax, rp.fwd)
+			bwdMax = max(bwdMax, rp.bwdEnd)
+			done, clean := up.fence(r, rp.bwdEnd)
+			gradDone, gradClean = max(gradDone, done), max(gradClean, clean)
 		}
 	}
-
 	clip := e.CPU.ClipTime(m.Params)
 	clipEnd := gradDone + clip
 	adam := e.CPU.AdamTime(m.Params)
 	adamEnd := clipEnd + adam
 
+	// Parameters: ADAM's cache-line writebacks stream over the update
+	// protocol while the pass runs; one CXLFENCE per port after all
+	// parameters are updated (Listing 1: inside optimizer.step()).
 	perLine := e.perLinePayload(useDBA)
 	paramWire := fullWire
 	var extra sim.Time
 	if useDBA {
+		// Aggregator logic delay, amortized by pipelining: the paper
+		// charges 1 ns end-to-end per in-flight group (§VIII-D).
 		extra = dba.ModelledLatency
 		paramWire = cxl.WirePacketBytes(e.Config.DirtyBytes)
 	}
+	sched := e.CPU.UpdateSchedule(m)
 	var paramBytes int64
-	liveDown := 0
-	for r := 0; r < R; r++ {
-		if !alive[r] {
+	live := 0
+	paramDone, prmClean := adamEnd, adamEnd
+	for r, rp := range reps {
+		if !rp.alive {
 			continue
 		}
-		for _, ch := range e.CPU.UpdateSchedule(m) {
+		for _, ch := range sched {
 			payload := ch.Bytes * int64(perLine) / mem.LineSize
-			if _, serr := down.Send(r, clipEnd+ch.ReadyAt, int(payload), mem.LinesIn(ch.Bytes), extra, paramWire, useDBA); serr != nil {
-				var pde *fabric.PortDownError
-				if !errors.As(serr, &pde) {
-					return phases.StepResult{}, serr
-				}
-				return phases.StepResult{}, fmt.Errorf("core: replica %d unreachable for parameter writeback: %w", r, serr)
+			if err := down.send(r, clipEnd+ch.ReadyAt, int(payload), mem.LinesIn(ch.Bytes), extra, paramWire, useDBA); err != nil {
+				return phases.StepResult{}, fmt.Errorf("core: replica %d unreachable for parameter writeback: %w", r, err)
 			}
 		}
 		paramBytes += e.paramLinkBytes(m, useDBA)
-		liveDown++
-	}
-	var paramDone, prmClean sim.Time
-	paramDone, prmClean = adamEnd, adamEnd
-	for r := 0; r < R; r++ {
-		if !alive[r] {
-			continue
-		}
-		if t := down.FencePort(r, adamEnd); t > paramDone {
-			paramDone = t
-		}
-		if t := down.FenceCleanPort(r, adamEnd); t > prmClean {
-			prmClean = t
-		}
+		live++
+		done, clean := down.fence(r, adamEnd)
+		paramDone, prmClean = max(paramDone, done), max(prmClean, clean)
 	}
 
 	res := phases.StepResult{
 		Variant: e.Config.Variant(),
 		Breakdown: phases.Breakdown{
-			Fwd:  fwdMaxLive,
-			Bwd:  maxBwdEnd - fwdMaxLive,
-			Grad: gradDone - maxBwdEnd,
+			Fwd:  fwdMax,
+			Bwd:  bwdMax - fwdMax,
+			Grad: gradDone - bwdMax,
 			Clip: clip,
 			Adam: adam,
 			Prm:  paramDone - adamEnd,
@@ -275,51 +349,28 @@ func (e *Engine) stepFabric(m modelzoo.Model, batch int, fc FabricConfig, useDBA
 		ParamLinkBytes: paramBytes,
 		GradLinkBytes:  gradBytes,
 	}
-	upStats, downStats := up.Stats(), down.Stats()
-	res.Fabric = phases.FabricStats{
-		Replicas:        int64(R),
-		HostPorts:       int64(fc.HostPorts),
-		PortsDown:       upStats.PortsDown + downStats.PortsDown,
-		Failovers:       upStats.Failovers + downStats.Failovers,
-		FailoverRetries: upStats.FailoverRetries + downStats.FailoverRetries,
-		SpineBytes:      upStats.SpineBytes + downStats.SpineBytes,
-		SpineQueued:     upStats.SpineQueued + downStats.SpineQueued,
-		LostReplicas:    int64(R - liveDown),
-		Redistributed:   redistributed,
-		Degraded:        lost >= 0,
-	}
-	if res.Fabric.HostPorts == 0 {
-		res.Fabric.HostPorts = int64(R)
-	}
-	if e.Config.Faults.Enabled() {
-		var gradRecovery, prmRecovery sim.Time
-		var gradRecBytes, prmRecBytes int64
-		for i := 0; i < up.PhysPorts(); i++ {
-			gradRecovery += poisonRecoveryTime(up.Link(i))
-			gradRecBytes += poisonRecoveryBytes(up.Link(i))
+	if fc.Replicas > 0 {
+		us, ds := up.stats(), down.stats()
+		res.Fabric = phases.FabricStats{
+			Replicas:        int64(R),
+			HostPorts:       int64(fc.HostPorts),
+			PortsDown:       us.PortsDown + ds.PortsDown,
+			Failovers:       us.Failovers + ds.Failovers,
+			FailoverRetries: us.FailoverRetries + ds.FailoverRetries,
+			SpineBytes:      us.SpineBytes + ds.SpineBytes,
+			SpineQueued:     us.SpineQueued + ds.SpineQueued,
+			LostReplicas:    int64(R - live),
+			Redistributed:   redistributed,
+			Degraded:        lost >= 0,
 		}
-		for i := 0; i < down.PhysPorts(); i++ {
-			prmRecovery += poisonRecoveryTime(down.Link(i))
-			prmRecBytes += poisonRecoveryBytes(down.Link(i))
-		}
-		res.Grad += gradRecovery
-		res.Prm += prmRecovery
-		res.GradLinkBytes += gradRecBytes
-		res.ParamLinkBytes += prmRecBytes
-		fs := up.FaultStats().Add(down.FaultStats())
-		res.Fault = phases.FaultStats{
-			Retries:       fs.Retries,
-			ReplayedBytes: fs.ReplayedBytes,
-			Poisoned:      fs.Poisoned,
-			Recovered:     fs.Poisoned,
-			Stalls:        fs.Stalls,
-			StallTime:     fs.StallTime,
-			Exposed: (gradDone - gradClean) + (paramDone - prmClean) +
-				gradRecovery + prmRecovery,
+		if fc.HostPorts == 0 {
+			res.Fabric.HostPorts = int64(R)
 		}
 	}
+	e.foldFaults(&res, (gradDone-gradClean)+(paramDone-prmClean), &up, &down)
+	res.Fault.Degraded = degraded
 	if check.Enabled() {
-		check.Check(up.CheckInvariants, down.CheckInvariants)
+		check.Check(res.Check, up.check, down.check)
 	}
 	return res, nil
 }

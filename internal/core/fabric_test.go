@@ -1,53 +1,12 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"teco/internal/conformance/check"
-	"teco/internal/cxl"
 	"teco/internal/modelzoo"
-	"teco/internal/phases"
 	"teco/internal/sim"
 )
-
-func fabricFaultConfigs() map[string]Config {
-	return map[string]Config{
-		"clean":    {},
-		"dba":      {DBA: true},
-		"ber":      {DBA: true, Faults: cxl.FaultConfig{Seed: 3, BER: 1e-7}},
-		"stalls":   {Faults: cxl.FaultConfig{Seed: 3, StallProb: 0.01, StallTime: 2 * sim.Microsecond}},
-		"degrade":  {DBA: true, Faults: cxl.FaultConfig{Seed: 3, BandwidthDegrade: 0.8}},
-		"mixed":    {DBA: true, Faults: cxl.FaultConfig{Seed: 5, BER: 5e-8, StallProb: 0.005, StallTime: sim.Microsecond}},
-		"per-line": {DBA: true, PerLine: true},
-	}
-}
-
-// The conformance equality from the issue: a one-replica fabric with no
-// spares and zero hop latency is bit-identical to the existing single-link
-// engine — same breakdown, byte accounting and fault draws — across the
-// fault matrix. The only allowed difference is the Fabric stats block.
-func TestStepFabricSingleReplicaMatchesStep(t *testing.T) {
-	check.Enable(t)
-	m := modelzoo.BertLargeCased()
-	for name, cfg := range fabricFaultConfigs() {
-		t.Run(name, func(t *testing.T) {
-			e := MustEngine(cfg)
-			want := e.Step(m, 4)
-			got, err := e.StepFabric(m, 4, FabricConfig{Replicas: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Fabric.Replicas != 1 || got.Fabric.Degraded {
-				t.Fatalf("fabric stats implausible: %+v", got.Fabric)
-			}
-			got.Fabric = phases.FabricStats{}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("fabric step diverged from single-link step:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
-}
 
 // More replicas shard the batch: per-replica compute shrinks, so the
 // compute phases can only get faster while the fabric fences stay correct

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"teco/internal/conformance/check"
-	"teco/internal/cxl"
-	"teco/internal/mem"
 	"teco/internal/modelzoo"
 	"teco/internal/phases"
 	"teco/internal/sim"
@@ -18,20 +14,20 @@ import (
 // definition on both sides of the house equality).
 //
 // StepLayered runs the ordinary TECO step (compute + coherence planes,
-// untouched) and adds a STAGING plane on top: a fast tier of CacheBytes
-// holding a subset of the model's layers, fed from the far tier over its
-// own pair of timed links. The forward walk demand-fetches each layer it
-// reaches and prefetches the next Prefetch layers while layer k computes —
-// layer-k compute hides layer-k+1 transfer, the paper's Fig 6 overlap at
-// layer granularity. The backward walk mirrors this downward. Fetch
+// untouched) and adds the far-tier plane (fartier.go) on top: a fast tier
+// of CacheBytes holding a subset of the model's layers, fed from the far
+// tier over the plane's own pair of timed links. The forward walk
+// demand-fetches each layer it reaches and prefetches the next Prefetch
+// layers while layer k computes — layer-k compute hides layer-k+1
+// transfer, the paper's Fig 6 overlap at layer granularity. The backward walk mirrors this downward. Fetch
 // latency that compute could not hide lands in the breakdown (param stalls
 // in Prm, activation stalls and writeback exposure in Grad), so the layers
 // sweep can chart scheduled step time against cache size and policy.
 //
-// When every layer fits (CacheBytes >= model) the staging plane moves no
-// bytes and adds no time: StepLayered degrades to Step bit-identically,
-// with only the LayerStats hit counters recording that the walk happened
-// (asserted by layers_test.go, which zeroes Layer and compares DeepEqual).
+// When every layer fits (CacheBytes >= model) the plane moves no bytes and
+// adds no time: StepLayered degrades to Step bit-identically, with only the
+// LayerStats hit counters recording that the walk happened (asserted by the
+// degeneracy table in degenerate_test.go).
 
 // LayerConfig parameterizes one layered step.
 type LayerConfig struct {
@@ -58,142 +54,19 @@ type LayerConfig struct {
 	SeqLen int
 }
 
-// layerSlotBytes splits the model's parameter bytes into per-layer slots
-// (remainder on the last, mirroring cpusim.UpdateSchedule).
-func layerSlotBytes(m modelzoo.Model) []int64 {
-	n := m.Layers
-	per := m.ParamBytes() / int64(n)
-	rem := m.ParamBytes() - per*int64(n)
-	sizes := make([]int64, n)
-	for i := range sizes {
-		sizes[i] = per
-		if i == n-1 {
-			sizes[i] += rem
-		}
-	}
-	return sizes
-}
-
-// perLayerActBytes returns one layer's activation footprint for the batch.
-func perLayerActBytes(m modelzoo.Model, batch int) int64 {
-	return m.ActivationBytes(batch) / int64(m.Layers)
-}
-
-// layerPlane is the staging plane of one layered step: the residency model
-// plus the fetch/writeback links and the per-layer completion times.
-type layerPlane struct {
-	res       *staging.Residency
-	fetch     *cxl.Link
-	wb        *cxl.Link
-	fetchS    *cxl.Stream
-	wbS       *cxl.Stream
-	sizes     []int64
-	fetchDone []sim.Time // per-layer param fetch completion (0: none in flight)
-	actDone   []sim.Time // per-layer activation refetch completion
-	actBytes  int64
-	wire      int
-
-	stats phases.LayerStats
-}
-
-// use walks one demand access at cursor t and returns the stall compute
-// must absorb before layer k can execute.
-func (p *layerPlane) use(k int, t sim.Time) sim.Time {
-	miss, _ := p.res.Use(k, k)
-	if miss {
-		fr := p.fetchS.PushRun(t, int(p.sizes[k]), mem.LinesIn(p.sizes[k]), 0, p.wire, false)
-		p.stats.DemandMisses++
-		p.stats.FetchBytes += p.sizes[k]
-		stall := fr.Done - t
-		p.stats.DemandStall += stall
-		p.fetchDone[k] = 0
-		return stall
-	}
-	p.stats.Hits++
-	if done := p.fetchDone[k]; done > t {
-		// A prefetch raced ahead of use but compute outran the wire: only
-		// the residual is exposed.
-		p.stats.PrefetchHits++
-		p.fetchDone[k] = 0
-		stall := done - t
-		p.stats.PrefetchStall += stall
-		return stall
-	}
-	if p.fetchDone[k] != 0 {
-		p.stats.PrefetchHits++
-		p.fetchDone[k] = 0
-	}
-	return 0
-}
-
-// prefetch issues the eager fetch of layer j while layer k executes at t.
-func (p *layerPlane) prefetch(j, k int, t sim.Time) {
-	if !p.res.Prefetch(j, k) {
-		return
-	}
-	fr := p.fetchS.PushRun(t, int(p.sizes[j]), mem.LinesIn(p.sizes[j]), 0, p.wire, false)
-	p.stats.PrefetchIssued++
-	p.stats.FetchBytes += p.sizes[j]
-	p.fetchDone[j] = fr.Done
-}
-
-// spillAct writes layer k's activations to the far tier at t (off the
-// critical path; the writeback fence at the end surfaces any exposure).
-func (p *layerPlane) spillAct(t sim.Time) {
-	p.wbS.PushRun(t, int(p.actBytes), mem.LinesIn(p.actBytes), 0, p.wire, false)
-	p.stats.WritebackBytes += p.actBytes
-}
-
-// fetchAct refetches layer k's activations for backward: demand-issued at
-// t unless prefetchAct already has them in flight.
-func (p *layerPlane) fetchAct(k int, t sim.Time) sim.Time {
-	done := p.actDone[k]
-	if done == 0 {
-		fr := p.fetchS.PushRun(t, int(p.actBytes), mem.LinesIn(p.actBytes), 0, p.wire, false)
-		done = fr.Done
-		p.stats.FetchBytes += p.actBytes
-	}
-	p.actDone[k] = 0
-	if done > t {
-		stall := done - t
-		p.stats.ActStall += stall
-		return stall
-	}
-	return 0
-}
-
-// prefetchAct issues the eager activation refetch of layer j at t.
-func (p *layerPlane) prefetchAct(j int, t sim.Time) {
-	if p.actDone[j] != 0 {
-		return
-	}
-	fr := p.fetchS.PushRun(t, int(p.actBytes), mem.LinesIn(p.actBytes), 0, p.wire, false)
-	p.stats.FetchBytes += p.actBytes
-	p.actDone[j] = fr.Done
-}
-
 // StepLayered simulates one training step under per-layer offload
 // scheduling. The compute and coherence planes are exactly Step's; the
-// staging plane adds the layer-migration traffic and its exposed stalls.
+// far-tier plane adds the layer-migration traffic and its exposed stalls.
 func (e *Engine) StepLayered(m modelzoo.Model, batch int, lc LayerConfig) (phases.StepResult, error) {
-	if e.Config.Invalidation {
-		return phases.StepResult{}, fmt.Errorf("core: layered scheduling requires the update protocol")
-	}
-	if lc.Layers < 0 || lc.Prefetch < 0 || lc.Pinned < 0 {
-		return phases.StepResult{}, fmt.Errorf("core: negative layer config %+v", lc)
-	}
-	if lc.Layers > 0 {
-		m.Layers = lc.Layers
-	}
-	if lc.SeqLen > 0 {
-		m.SeqLen = lc.SeqLen
-		m.AllocSeqLen = lc.SeqLen
+	m, err := e.planeModel(m, lc, lc.Layers, lc.SeqLen, lc.CacheBytes, int64(lc.Prefetch), int64(lc.Pinned))
+	if err != nil {
+		return phases.StepResult{}, err
 	}
 	policy, err := staging.ParsePolicy(lc.Policy)
 	if err != nil {
 		return phases.StepResult{}, err
 	}
-	sizes := layerSlotBytes(m)
+	sizes := SlotLayout(m, false)
 	res, err := staging.NewResidency(sizes, lc.CacheBytes, policy, lc.Pinned)
 	if err != nil {
 		return phases.StepResult{}, err
@@ -209,89 +82,113 @@ func (e *Engine) StepLayered(m modelzoo.Model, batch int, lc LayerConfig) (phase
 	// Compute + coherence planes: the ordinary TECO step, untouched.
 	out := e.Step(m, batch)
 
-	// Staging plane: its own engine and link pair — far-tier layer
-	// migration shares no queue with the coherence streams.
-	eng := sim.New()
-	p := &layerPlane{
-		res:       res,
-		fetch:     cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		wb:        cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		sizes:     sizes,
-		fetchDone: make([]sim.Time, m.Layers),
-		actDone:   make([]sim.Time, m.Layers),
-		wire:      cxl.WirePacketBytes(0),
-	}
-	p.fetchS = cxl.NewStream(p.fetch, e.Config.PerLine)
-	p.wbS = cxl.NewStream(p.wb, e.Config.PerLine)
+	// Far-tier plane: parameter slot k, and in offload mode activation slot
+	// n+k holding layer k's activations for the batch.
+	n := m.Layers
+	slots := []int64(sizes[:n:n])
+	var actBytes int64
 	if lc.ActOffload {
-		p.actBytes = perLayerActBytes(m, batch)
+		actBytes = m.ActivationBytes(batch) / int64(n)
 	}
-	p.stats.Layers = int64(m.Layers)
-	p.stats.CacheBytes = res.Capacity()
+	act := actBytes > 0
+	if act {
+		for k := 0; k < n; k++ {
+			slots = append(slots, actBytes)
+		}
+	}
+	p := e.newFarTier(slots)
+	st := phases.LayerStats{Layers: int64(n), CacheBytes: res.Capacity()}
 
-	fwd := e.GPU.ForwardTime(m, batch)
-	bwd := e.GPU.BackwardTime(m, batch)
-	n := int64(m.Layers)
-	last := m.Layers - 1
+	use := func(k int, t sim.Time) sim.Time {
+		miss, _ := res.Use(k, k)
+		stall, ahead := p.demand(k, !miss, t)
+		switch {
+		case miss:
+			st.DemandMisses++
+			st.FetchBytes += sizes[k]
+			st.DemandStall += stall
+		case ahead:
+			// A prefetch raced ahead of use; if compute outran the wire,
+			// only the residual is exposed.
+			st.Hits++
+			st.PrefetchHits++
+			st.PrefetchStall += stall
+		default:
+			st.Hits++
+		}
+		return stall
+	}
+	prefetch := func(j, k int, t sim.Time) {
+		if res.Prefetch(j, k) {
+			p.issue(j, t)
+			st.PrefetchIssued++
+			st.FetchBytes += sizes[j]
+		}
+	}
 
 	// Forward walk: layer k computes over its telescoped share of the
-	// forward time while the prefetch window pulls k+1..k+P.
-	var cursor, prmStall, actStall sim.Time
-	for k := 0; k <= last; k++ {
-		prmStall += p.use(k, cursor)
-		for j := k + 1; j <= k+lc.Prefetch && j <= last; j++ {
-			p.prefetch(j, k, cursor)
+	// forward time while the prefetch window pulls k+1..k+P, and spills its
+	// activations behind it.
+	var prmStall, actStall sim.Time
+	cursor := walk(0, out.Fwd, n, false, func(k int, t sim.Time) {
+		prmStall += use(k, t)
+		for j := k + 1; j <= k+lc.Prefetch && j < n; j++ {
+			prefetch(j, k, t)
 		}
-		if p.actBytes > 0 {
-			p.spillAct(cursor)
+		if act {
+			p.writeback(n+k, t)
+			st.WritebackBytes += actBytes
 		}
-		cursor += fwd*sim.Time(int64(k)+1)/sim.Time(n) - fwd*sim.Time(int64(k))/sim.Time(n)
-	}
+	})
 	// Backward walk in reverse, prefetching downward; spilled activations
-	// stream back in before each layer's backward.
-	for k := last; k >= 0; k-- {
-		prmStall += p.use(k, cursor)
+	// stream back in before each layer's backward, demand-fetched unless the
+	// window already has them in flight.
+	cursor = walk(cursor, out.Bwd, n, true, func(k int, t sim.Time) {
+		prmStall += use(k, t)
 		for j := k - 1; j >= k-lc.Prefetch && j >= 0; j-- {
-			p.prefetch(j, k, cursor)
-			if p.actBytes > 0 {
-				p.prefetchAct(j, cursor)
+			prefetch(j, k, t)
+			if act && p.inflight[n+j] == 0 {
+				p.issue(n+j, t)
+				st.FetchBytes += actBytes
 			}
 		}
-		if p.actBytes > 0 {
-			actStall += p.fetchAct(k, cursor)
+		if act {
+			hit := p.inflight[n+k] != 0
+			if !hit {
+				st.FetchBytes += actBytes
+			}
+			stall, _ := p.demand(n+k, hit, t)
+			st.ActStall += stall
+			actStall += stall
 		}
-		i := int64(last - k)
-		cursor += bwd*sim.Time(i+1)/sim.Time(n) - bwd*sim.Time(i)/sim.Time(n)
-	}
+	})
 	// Evicted parameter layers are clean (the CPU master copy is
 	// authoritative), so evictions are free; the only writeback exposure
 	// is the activation spill still in flight when backward needs the bus.
-	if p.actBytes > 0 {
-		actStall += p.wb.Fence(cursor) - cursor
+	if act {
+		actStall += p.wb.Link().Fence(cursor) - cursor
 	}
 
-	rs := res.Stats()
-	p.stats.ResidentBytes = res.ResidentBytes()
-	p.stats.Evictions = rs.Evictions
-	// The staging plane is a separate far-tier interconnect: its volumes
-	// stay in LayerStats (FetchBytes/WritebackBytes) rather than folding
-	// into the coherence link counters, but its exposed latency is real
-	// step time — param stalls extend Prm, activation stalls and spill
-	// exposure extend Grad.
+	st.ResidentBytes = res.ResidentBytes()
+	st.Evictions = res.Stats().Evictions
+	// The far tier is a separate interconnect: its volumes stay in
+	// LayerStats (FetchBytes/WritebackBytes) rather than folding into the
+	// coherence link counters, but its exposed latency is real step time —
+	// param stalls extend Prm, activation stalls and spill exposure Grad.
 	out.Prm += prmStall
 	out.Grad += actStall
-	out.Layer = p.stats
+	out.Layer = st
 
 	// Both scheduler halves feed the process-wide /statz telemetry.
 	staging.RecordSchedStep(staging.ResidencyStats{
-		Hits:           p.stats.Hits,
-		PrefetchHits:   p.stats.PrefetchHits,
-		DemandMisses:   p.stats.DemandMisses,
-		PrefetchIssued: p.stats.PrefetchIssued,
-		LoadedBytes:    p.stats.FetchBytes,
+		Hits:           st.Hits,
+		PrefetchHits:   st.PrefetchHits,
+		DemandMisses:   st.DemandMisses,
+		PrefetchIssued: st.PrefetchIssued,
+		LoadedBytes:    st.FetchBytes,
 	})
-	if p.stats.WritebackBytes > 0 {
-		staging.RecordWriteback(p.stats.WritebackBytes)
+	if st.WritebackBytes > 0 {
+		staging.RecordWriteback(st.WritebackBytes)
 	}
 
 	if check.Enabled() {

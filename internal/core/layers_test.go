@@ -6,44 +6,8 @@ import (
 	"testing"
 
 	"teco/internal/conformance/check"
-	"teco/internal/cxl"
 	"teco/internal/modelzoo"
 )
-
-// TestStepLayeredAllResidentMatchesStep is the degradation guarantee: when
-// the fast tier holds every layer, the staging plane moves no bytes and
-// adds no time — StepLayered equals Step bit-identically once the Layer
-// accounting (which only records that the walk happened) is zeroed.
-func TestStepLayeredAllResidentMatchesStep(t *testing.T) {
-	check.Enable(t)
-	m := modelzoo.GPT2()
-	for name, cfg := range map[string]Config{
-		"plain":  {},
-		"dba":    {DBA: true},
-		"faults": {DBA: true, Faults: cxl.FaultConfig{Seed: 5, BER: 1e-7}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			e := MustEngine(cfg)
-			want := e.Step(m, 4)
-			got, err := e.StepLayered(m, 4, LayerConfig{Prefetch: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			l := got.Layer
-			if l.DemandMisses != 0 || l.FetchBytes != 0 || l.WritebackBytes != 0 ||
-				l.DemandStall != 0 || l.PrefetchStall != 0 || l.ActStall != 0 {
-				t.Fatalf("all-resident step shows staging traffic: %+v", l)
-			}
-			if l.Hits != 2*int64(m.Layers) {
-				t.Fatalf("layer walk hit %d times, want %d", l.Hits, 2*m.Layers)
-			}
-			got.Layer = want.Layer
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("all-resident layered step diverged:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
-}
 
 // TestStepLayeredOverlapWin is the acceptance criterion of the layers
 // sweep: with >= 4 layers and a cache under 50% of the model, the
@@ -176,7 +140,13 @@ func TestStepLayeredErrors(t *testing.T) {
 	if _, err := e.StepLayered(m, 4, LayerConfig{CacheBytes: 100}); err == nil || !strings.Contains(err.Error(), "capacity") {
 		t.Fatalf("undersized cache: err=%v", err)
 	}
-	if _, err := e.StepLayered(m, 4, LayerConfig{Prefetch: -1}); err == nil {
-		t.Fatal("negative prefetch accepted")
+	for name, lc := range map[string]LayerConfig{
+		"negative-prefetch": {Prefetch: -1},
+		"negative-cache":    {CacheBytes: -1},
+		"negative-seq-len":  {SeqLen: -7},
+	} {
+		if _, err := e.StepLayered(m, 4, lc); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }

@@ -107,14 +107,6 @@ func MustEngine(cfg Config) *Engine {
 	return e
 }
 
-// mustInject attaches a fault model to a link from a config NewEngine has
-// already validated (derived-seed variants keep the same ranges).
-func mustInject(l *cxl.Link, cfg cxl.FaultConfig) {
-	if _, err := l.InjectFaults(cfg); err != nil {
-		panic(err)
-	}
-}
-
 // paramLinkBytes returns the CPU->GPU payload volume for one step.
 func (e *Engine) paramLinkBytes(m modelzoo.Model, useDBA bool) int64 {
 	if !useDBA || e.Config.Invalidation {
@@ -124,155 +116,64 @@ func (e *Engine) paramLinkBytes(m modelzoo.Model, useDBA bool) int64 {
 	return m.ParamBytes() * int64(e.Config.DirtyBytes) / 4
 }
 
-// Step simulates one training step under the configured variant.
+// Step simulates one training step under the configured variant: the
+// update protocol runs the one-replica dataflow (see dataflow), the
+// invalidation ablation its own on-demand schedule.
 func (e *Engine) Step(m modelzoo.Model, batch int) phases.StepResult {
-	if e.Config.Invalidation {
-		res := e.stepInvalidation(m, batch)
-		if check.Enabled() {
-			check.Check(res.Check)
+	if !e.Config.Invalidation {
+		res, err := e.dataflow(m, batch, FabricConfig{})
+		if err != nil {
+			panic(err) // unreachable: a point-to-point send never fails
 		}
 		return res
 	}
-	useDBA := e.Config.DBA
-	degraded := false
-	if useDBA && e.Config.Degrade &&
-		AggregatedUneconomical(e.Config.Faults, e.Config.DirtyBytes, e.LinkBandwidth) {
-		// Graceful degradation: aggregated payloads cost more expected
-		// link time than full lines at this error rate — run the step
-		// with DBA switched off. The variant label stays TECO-Reduction:
-		// degradation is a per-step policy decision, not a reconfig.
-		useDBA = false
-		degraded = true
-	}
-	res := e.stepUpdate(m, batch, useDBA)
-	res.Fault.Degraded = degraded
+	res := e.stepInvalidation(m, batch)
 	if check.Enabled() {
 		check.Check(res.Check)
 	}
 	return res
 }
 
-// stepUpdate is the TECO dataflow of Fig 6: gradients stream to CPU as
-// backward writes them back ((3)); updated parameter cache lines stream to
-// the giant cache as the vectorized ADAM pass writes them back ((1)/(2));
-// CXLFENCE is called once after each producer finishes. useDBA selects the
-// per-line payload (the degradation policy may clear it while Config.DBA
-// stays set).
-func (e *Engine) stepUpdate(m modelzoo.Model, batch int, useDBA bool) phases.StepResult {
-	eng := sim.New()
-	up := cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap)   // giant cache -> CPU
-	down := cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap) // CPU -> giant cache
-	fc := e.Config.Faults
-	if fc.Enabled() {
-		// Derived seeds keep the two directions on independent but
-		// reproducible random streams.
-		upCfg, downCfg := fc, fc
-		upCfg.Seed = 2*fc.Seed + 1
-		downCfg.Seed = 2*fc.Seed + 2
-		mustInject(up, upCfg)
-		mustInject(down, downCfg)
+// foldFaults folds a step's link-fault accounting into res: exposed is the
+// step's faulted-minus-fault-free fence window, and grad and prm are the
+// transports that carried each direction. Poisoned lines fall back to
+// on-demand fetches: the consumer re-requests the full line (aggregation
+// abandoned) on the critical path, after the fence that surfaced the poison
+// — a NAK-style poison notification, the request/response message round
+// trip, and the full-line resend.
+func (e *Engine) foldFaults(res *phases.StepResult, exposed sim.Time, grad, prm *transport) {
+	if !e.Config.Faults.Enabled() {
+		return
 	}
-	ups := cxl.NewStream(up, e.Config.PerLine)
-	downs := cxl.NewStream(down, e.Config.PerLine)
-
-	fwd := e.GPU.ForwardTime(m, batch)
-	bwd := e.GPU.BackwardTime(m, batch)
-	bwdStart := fwd
-	bwdEnd := fwd + bwd
-
-	// Gradients: cache-line-granular update pushes track backward layer
-	// by layer (no buffer-fill delay — the fine-grained win). Gradients
-	// never aggregate, so the wire packet is a full line.
-	fullWire := cxl.WirePacketBytes(0)
-	for _, ch := range e.GPU.GradientSchedule(m, batch) {
-		ups.PushRun(bwdStart+ch.ReadyAt, int(ch.Bytes), mem.LinesIn(ch.Bytes), 0, fullWire, false)
-	}
-	// CXLFENCE after the last gradient writeback (Fig 6: "after the
-	// buffer is full, CXLFENCE() must be called").
-	gradDone := up.Fence(bwdEnd)
-	gradExposed := gradDone - bwdEnd
-
-	clip := e.CPU.ClipTime(m.Params)
-	clipEnd := gradDone + clip
-
-	// Parameters: ADAM's cache-line writebacks stream over the update
-	// protocol while the pass runs. No double buffer, no explicit
-	// transfer calls (Fig 6 (1)/(2)).
-	adam := e.CPU.AdamTime(m.Params)
-	adamEnd := clipEnd + adam
-	perLine := e.perLinePayload(useDBA)
-	paramWire := fullWire
-	var extra sim.Time
-	if useDBA {
-		// Aggregator logic delay, amortized by pipelining: the paper
-		// charges 1 ns end-to-end per in-flight group (§VIII-D).
-		extra = dba.ModelledLatency
-		paramWire = cxl.WirePacketBytes(e.Config.DirtyBytes)
-	}
-	for _, ch := range e.CPU.UpdateSchedule(m) {
-		payload := ch.Bytes * int64(perLine) / mem.LineSize
-		downs.PushRun(clipEnd+ch.ReadyAt, int(payload), mem.LinesIn(ch.Bytes), extra, paramWire, useDBA)
-	}
-	// One CXLFENCE after all parameters are updated (Listing 1: inside
-	// optimizer.step()).
-	paramDone := down.Fence(adamEnd)
-	paramExposed := paramDone - adamEnd
-
-	res := phases.StepResult{
-		Variant: e.Config.Variant(),
-		Breakdown: phases.Breakdown{
-			Fwd:  fwd,
-			Bwd:  bwd,
-			Grad: gradExposed,
-			Clip: clip,
-			Adam: adam,
-			Prm:  paramExposed,
-		},
-		ParamLinkBytes: e.paramLinkBytes(m, useDBA),
-		GradLinkBytes:  m.GradBytes(),
-	}
-	if fc.Enabled() {
-		// Poisoned lines fall back to on-demand fetches: the consumer
-		// re-requests the full line (aggregation abandoned) on the
-		// critical path, after the fence that surfaced the poison.
-		gradRecovery := poisonRecoveryTime(up)
-		prmRecovery := poisonRecoveryTime(down)
-		res.Grad += gradRecovery
-		res.Prm += prmRecovery
-		res.GradLinkBytes += poisonRecoveryBytes(up)
-		res.ParamLinkBytes += poisonRecoveryBytes(down)
-		fs := up.FaultStats().Add(down.FaultStats())
-		res.Fault = phases.FaultStats{
-			Retries:       fs.Retries,
-			ReplayedBytes: fs.ReplayedBytes,
-			Poisoned:      fs.Poisoned,
-			Recovered:     fs.Poisoned,
-			Stalls:        fs.Stalls,
-			StallTime:     fs.StallTime,
-			Exposed: (gradDone - up.FenceClean(bwdEnd)) +
-				(paramDone - down.FenceClean(adamEnd)) +
-				gradRecovery + prmRecovery,
+	var fs cxl.LinkFaultStats
+	recovery := func(t *transport) (d sim.Time, bytes int64) {
+		for i := 0; i < t.links(); i++ {
+			l := t.link(i)
+			ls := l.FaultStats()
+			fs = fs.Add(ls)
+			if ls.Poisoned > 0 {
+				per := l.Faults().Config().NakDelay + 2*l.ServiceTime(cxl.MsgBytes, 0) + l.ServiceTime(mem.LineSize, 0)
+				d += sim.Time(ls.Poisoned) * per
+				bytes += ls.Poisoned * (cxl.MsgBytes + mem.LineSize)
+			}
 		}
+		return d, bytes
 	}
-	return res
-}
-
-// poisonRecoveryTime prices the on-demand re-fetch of every line the link
-// delivered poisoned: a NAK-style poison notification, the request/response
-// message round trip, and the full-line resend, all on the critical path.
-func poisonRecoveryTime(l *cxl.Link) sim.Time {
-	n := l.FaultStats().Poisoned
-	if n == 0 {
-		return 0
+	gradRec, gradBytes := recovery(grad)
+	prmRec, prmBytes := recovery(prm)
+	res.Grad += gradRec
+	res.Prm += prmRec
+	res.GradLinkBytes += gradBytes
+	res.ParamLinkBytes += prmBytes
+	res.Fault = phases.FaultStats{
+		Retries:       fs.Retries,
+		ReplayedBytes: fs.ReplayedBytes,
+		Poisoned:      fs.Poisoned,
+		Recovered:     fs.Poisoned,
+		Stalls:        fs.Stalls,
+		StallTime:     fs.StallTime,
+		Exposed:       exposed + gradRec + prmRec,
 	}
-	cfg := l.Faults().Config()
-	per := cfg.NakDelay + 2*l.ServiceTime(cxl.MsgBytes, 0) + l.ServiceTime(mem.LineSize, 0)
-	return sim.Time(n) * per
-}
-
-// poisonRecoveryBytes is the extra link volume of those re-fetches.
-func poisonRecoveryBytes(l *cxl.Link) int64 {
-	return l.FaultStats().Poisoned * (cxl.MsgBytes + mem.LineSize)
 }
 
 // perLinePayload returns the on-link payload per 64-byte parameter line.
@@ -286,19 +187,9 @@ func (e *Engine) perLinePayload(useDBA bool) int {
 // consumer reads it, placing both full transfers on the critical path. The
 // paper measures this costing +56.6% training time on average.
 func (e *Engine) stepInvalidation(m modelzoo.Model, batch int) phases.StepResult {
+	// Seeds 2·seed+3/+4: the ablation's links draw their own streams.
 	eng := sim.New()
-	link := cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap)
-	glink := cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap)
-	fc := e.Config.Faults
-	if fc.Enabled() {
-		pCfg, gCfg := fc, fc
-		pCfg.Seed = 2*fc.Seed + 3
-		gCfg.Seed = 2*fc.Seed + 4
-		mustInject(link, pCfg)
-		mustInject(glink, gCfg)
-	}
-	links := cxl.NewStream(link, e.Config.PerLine)
-	glinks := cxl.NewStream(glink, e.Config.PerLine)
+	prm, grad := e.pointToPoint(eng, 3), e.pointToPoint(eng, 4)
 
 	fwd := e.GPU.ForwardTime(m, batch)
 	bwd := e.GPU.BackwardTime(m, batch)
@@ -308,11 +199,9 @@ func (e *Engine) stepInvalidation(m modelzoo.Model, batch int) phases.StepResult
 	// clips. Invalidation messages also occupy the link.
 	fullWire := cxl.WirePacketBytes(0)
 	lines := mem.LinesIn(m.ParamBytes())
-	invalMsgs := sim.DurationForBytes(lines*cxl.MsgBytes, link.BytesPerSecond())
-	pf := links.PushRun(0, int(m.ParamBytes()), lines, 0, fullWire, false)
-	paramFetch := pf.Done
-	gf := glinks.PushRun(0, int(m.GradBytes()), mem.LinesIn(m.GradBytes()), 0, fullWire, false)
-	gradFetch := gf.Done
+	invalMsgs := sim.DurationForBytes(lines*cxl.MsgBytes, prm.s.Link().BytesPerSecond())
+	pf := prm.s.PushRun(0, int(m.ParamBytes()), lines, 0, fullWire, false)
+	gf := grad.s.PushRun(0, int(m.GradBytes()), mem.LinesIn(m.GradBytes()), 0, fullWire, false)
 
 	clip := e.CPU.ClipTime(m.Params)
 	adam := e.CPU.AdamTime(m.Params)
@@ -322,32 +211,14 @@ func (e *Engine) stepInvalidation(m modelzoo.Model, batch int) phases.StepResult
 		Breakdown: phases.Breakdown{
 			Fwd:  fwd,
 			Bwd:  bwd,
-			Grad: gradFetch + invalMsgs,
+			Grad: gf.Done + invalMsgs,
 			Clip: clip,
 			Adam: adam,
-			Prm:  paramFetch,
+			Prm:  pf.Done,
 		},
 		ParamLinkBytes: m.ParamBytes() + lines*cxl.MsgBytes,
 		GradLinkBytes:  m.GradBytes(),
 	}
-	if fc.Enabled() {
-		gradRecovery := poisonRecoveryTime(glink)
-		prmRecovery := poisonRecoveryTime(link)
-		res.Grad += gradRecovery
-		res.Prm += prmRecovery
-		res.GradLinkBytes += poisonRecoveryBytes(glink)
-		res.ParamLinkBytes += poisonRecoveryBytes(link)
-		fs := link.FaultStats().Add(glink.FaultStats())
-		res.Fault = phases.FaultStats{
-			Retries:       fs.Retries,
-			ReplayedBytes: fs.ReplayedBytes,
-			Poisoned:      fs.Poisoned,
-			Recovered:     fs.Poisoned,
-			Stalls:        fs.Stalls,
-			StallTime:     fs.StallTime,
-			Exposed: (pf.Done - pf.CleanDone) + (gf.Done - gf.CleanDone) +
-				gradRecovery + prmRecovery,
-		}
-	}
+	e.foldFaults(&res, (pf.Done-pf.CleanDone)+(gf.Done-gf.CleanDone), &grad, &prm)
 	return res
 }

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"teco/internal/conformance/check"
-	"teco/internal/cxl"
-	"teco/internal/mem"
 	"teco/internal/modelzoo"
 	"teco/internal/phases"
 	"teco/internal/sim"
@@ -18,24 +14,25 @@ import (
 // definition on both sides of the house equality).
 //
 // RunTiered runs Steps ordinary TECO steps (compute + coherence planes,
-// untouched) and adds a TIERING plane on top: host-side model state lives
-// in two tiers — local DDR4 (fast) and DRAM behind a CXL.mem expander
-// (far). Each layer contributes a parameter slot (touched by forward,
-// backward and the update pass) and, in OptSlots mode, an optimizer-state
-// slot of twice the bytes (FP32 ADAM moments m+v) touched only by the
-// update — a ~6× per-byte heat-density skew that makes placement matter.
-// A far-tier touch streams the slot over the CXL link and exposes its
-// latency in the breakdown (forward/backward parameter touches extend Prm,
-// update-pass touches extend Adam); a fast-tier touch costs nothing extra
-// (local DDR is already priced inside the compute phases). Migrations
+// untouched) and walks the far-tier plane (fartier.go) on top: host-side
+// model state lives in two tiers — local DDR4 (fast) and DRAM behind a
+// CXL.mem expander (far). Each layer contributes a parameter slot
+// (touched by forward, backward and the update pass) and, in OptSlots
+// mode, an optimizer-state slot of twice the bytes (FP32 ADAM moments m+v)
+// touched only by the update — a ~6× per-byte heat-density skew that makes
+// placement matter. A far-tier touch streams the slot over the CXL link and
+// exposes its latency in the breakdown (forward/backward parameter touches
+// extend Prm, update-pass touches extend Adam); a fast-tier touch costs
+// nothing extra (local DDR is already priced inside the compute phases).
+// Migrations
 // planned from the recorded heat are pushed on the same links at step
 // start, so they queue ahead of — compete with — the step's own demand
 // traffic, bounded per step by the migration budget.
 //
-// When every slot fits fast (DRAMBytes 0) the tiering plane moves no bytes
-// and adds no time: RunTiered degrades to a sum of plain Steps
-// bit-identically, with only the TierStats hit counters recording that the
-// walk happened (asserted by tiered_test.go). A zero migration budget
+// When every slot fits fast (DRAMBytes 0) the plane moves no bytes and adds
+// no time: RunTiered degrades to a sum of plain Steps bit-identically, with
+// only the TierStats hit counters recording that the walk happened
+// (asserted by the degeneracy table in degenerate_test.go). A zero budget
 // likewise freezes the initial placement regardless of policy.
 
 // DefaultTierSteps is the step count RunTiered aggregates when
@@ -74,76 +71,6 @@ type TierTrace struct {
 	FastBytes int64
 }
 
-// tierSlotBytes builds the slot sizes: per-layer parameter slots,
-// interleaved with 2× optimizer-state slots in OptSlots mode
-// (param k = slot 2k, opt k = slot 2k+1).
-func tierSlotBytes(m modelzoo.Model, optSlots bool) []int64 {
-	params := layerSlotBytes(m)
-	if !optSlots {
-		return params
-	}
-	sizes := make([]int64, 0, 2*len(params))
-	for _, p := range params {
-		sizes = append(sizes, p, 2*p)
-	}
-	return sizes
-}
-
-// tieredPlane is the tiering plane of one tiered run: the placement
-// controller plus the promote/demote links and per-slot arrival times.
-type tieredPlane struct {
-	ctl    *tiering.Controller
-	fetch  *cxl.Link
-	wb     *cxl.Link
-	fetchS *cxl.Stream
-	wbS    *cxl.Stream
-	arrive []sim.Time // per-slot promotion completion (0: none in flight)
-	wire   int
-
-	stats phases.TierStats
-}
-
-// migrate prices this step's planned migrations as background stream
-// traffic at t: promotions stream far→fast on the fetch link — ahead of
-// the step's demand fetches, competing for the same bandwidth — and
-// demotions stream fast→far on the writeback link.
-func (p *tieredPlane) migrate(ms []tiering.Migration, t sim.Time) {
-	for _, mg := range ms {
-		if mg.Promote {
-			fr := p.fetchS.PushRun(t, int(mg.Bytes), mem.LinesIn(mg.Bytes), 0, p.wire, false)
-			p.arrive[mg.Slot] = fr.Done
-			p.stats.PromotedBytes += mg.Bytes
-		} else {
-			p.wbS.PushRun(t, int(mg.Bytes), mem.LinesIn(mg.Bytes), 0, p.wire, false)
-			p.arrive[mg.Slot] = 0
-			p.stats.DemotedBytes += mg.Bytes
-		}
-		p.stats.Migrations++
-	}
-}
-
-// touch walks one demand access to slot k at cursor t and returns the
-// exposed stall: zero on a settled fast hit, the full stream time on a far
-// access, and only the residual wait when a still-arriving promotion races
-// the access.
-func (p *tieredPlane) touch(k int, t sim.Time) sim.Time {
-	if !p.ctl.Touch(k) {
-		sz := p.ctl.Size(k)
-		fr := p.fetchS.PushRun(t, int(sz), mem.LinesIn(sz), 0, p.wire, false)
-		p.stats.FarAccesses++
-		p.stats.FarFetchBytes += sz
-		return fr.Done - t
-	}
-	p.stats.FastHits++
-	if done := p.arrive[k]; done != 0 {
-		p.arrive[k] = 0
-		if done > t {
-			return done - t
-		}
-	}
-	return 0
-}
-
 // addStep accumulates one step's result into a run aggregate: every
 // additive field sums, Degraded ORs.
 func addStep(a, s phases.StepResult) phases.StepResult {
@@ -170,14 +97,9 @@ func addStep(a, s phases.StepResult) phases.StepResult {
 // RunTiered simulates tc.Steps training steps under heterogeneous-memory
 // tiering and returns the aggregated result plus the recorded trace.
 func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.StepResult, TierTrace, error) {
-	if e.Config.Invalidation {
-		return phases.StepResult{}, TierTrace{}, fmt.Errorf("core: tiering requires the update protocol")
-	}
-	if tc.Layers < 0 || tc.DRAMBytes < 0 || tc.MigrateBudget < 0 || tc.Steps < 0 {
-		return phases.StepResult{}, TierTrace{}, fmt.Errorf("core: negative tier config %+v", tc)
-	}
-	if tc.Layers > 0 {
-		m.Layers = tc.Layers
+	m, err := e.planeModel(m, tc, tc.Layers, 0, tc.DRAMBytes, tc.MigrateBudget, int64(tc.Steps))
+	if err != nil {
+		return phases.StepResult{}, TierTrace{}, err
 	}
 	policy, err := tiering.ParsePolicy(tc.Policy)
 	if err != nil {
@@ -187,7 +109,7 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 	if steps == 0 {
 		steps = DefaultTierSteps
 	}
-	sizes := tierSlotBytes(m, tc.OptSlots)
+	sizes := SlotLayout(m, tc.OptSlots)
 	ctl, err := tiering.New(tiering.Config{
 		Sizes:       sizes,
 		FastBytes:   tc.DRAMBytes,
@@ -197,21 +119,8 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 	if err != nil {
 		return phases.StepResult{}, TierTrace{}, err
 	}
-
-	// Tiering plane: its own engine and link pair, like the staging plane —
-	// tier migration shares no queue with the coherence streams.
-	eng := sim.New()
-	p := &tieredPlane{
-		ctl:    ctl,
-		fetch:  cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		wb:     cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		arrive: make([]sim.Time, len(sizes)),
-		wire:   cxl.WirePacketBytes(0),
-	}
-	p.fetchS = cxl.NewStream(p.fetch, e.Config.PerLine)
-	p.wbS = cxl.NewStream(p.wb, e.Config.PerLine)
-	p.stats.Slots = int64(len(sizes))
-	p.stats.FastBytes = ctl.Capacity()
+	p := e.newFarTier(sizes)
+	st := phases.TierStats{Slots: int64(len(sizes)), FastBytes: ctl.Capacity()}
 
 	pslot := func(k int) int {
 		if tc.OptSlots {
@@ -219,51 +128,66 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		}
 		return k
 	}
+	// touch is one demand access: free on a settled fast hit, the full
+	// stream time on a far access, and only the residual wait when a
+	// still-arriving promotion races the access.
+	touch := func(k int, t sim.Time) sim.Time {
+		fast := ctl.Touch(k)
+		stall, _ := p.demand(k, fast, t)
+		if fast {
+			st.FastHits++
+		} else {
+			st.FarAccesses++
+			st.FarFetchBytes += sizes[k]
+		}
+		return stall
+	}
 
 	var agg phases.StepResult
 	var cursor sim.Time
-	n := sim.Time(int64(m.Layers))
-	last := m.Layers - 1
+	n := m.Layers
 	for s := 0; s < steps; s++ {
 		// Compute + coherence planes: the ordinary TECO step, untouched.
 		out := e.Step(m, batch)
 
 		// Migrations planned from the heat recorded so far, excluding the
-		// slot of the layer about to execute, priced at step start.
-		p.migrate(ctl.PlanStep(pslot(0)), cursor)
-
-		var farStall, adamStall sim.Time
-		stepStart := cursor
-
-		// Forward walk: layer k touches its parameter slot over its
-		// telescoped share of the forward time.
-		for k := 0; k <= last; k++ {
-			farStall += p.touch(pslot(k), cursor)
-			cursor += out.Fwd*sim.Time(int64(k)+1)/n - out.Fwd*sim.Time(int64(k))/n
-		}
-		// Backward walk in reverse.
-		for k := last; k >= 0; k-- {
-			farStall += p.touch(pslot(k), cursor)
-			i := sim.Time(int64(last - k))
-			cursor += out.Bwd*(i+1)/n - out.Bwd*i/n
-		}
-		cursor += out.Grad
-		// Update pass: the CPU reads/writes master parameters and, in
-		// OptSlots mode, the ADAM moments, over the clip+ADAM window.
-		upd := out.Clip + out.Adam
-		for k := 0; k <= last; k++ {
-			adamStall += p.touch(pslot(k), cursor)
-			if tc.OptSlots {
-				adamStall += p.touch(2*k+1, cursor)
+		// slot of the layer about to execute, priced at step start:
+		// promotions stream far→fast ahead of the step's demand fetches,
+		// competing for the same bandwidth, and demotions stream fast→far
+		// on the writeback link, off the critical path (the fast-tier copy
+		// is authoritative until the stream fences).
+		for _, mg := range ctl.PlanStep(pslot(0)) {
+			if mg.Promote {
+				p.issue(mg.Slot, cursor)
+				st.PromotedBytes += mg.Bytes
+			} else {
+				p.writeback(mg.Slot, cursor)
+				st.DemotedBytes += mg.Bytes
 			}
-			cursor += upd*sim.Time(int64(k)+1)/n - upd*sim.Time(int64(k))/n
+			st.Migrations++
 		}
+
+		// Forward and backward walks touch each layer's parameter slot over
+		// its telescoped share of the compute time; the update pass then
+		// reads/writes master parameters and, in OptSlots mode, the ADAM
+		// moments over the clip+ADAM window.
+		var farStall, adamStall sim.Time
+		fwdBwd := func(k int, t sim.Time) { farStall += touch(pslot(k), t) }
+		stepStart := cursor
+		cursor = walk(cursor, out.Fwd, n, false, fwdBwd)
+		cursor = walk(cursor, out.Bwd, n, true, fwdBwd)
+		walk(cursor+out.Grad, out.Clip+out.Adam, n, false, func(k int, t sim.Time) {
+			adamStall += touch(pslot(k), t)
+			if tc.OptSlots {
+				adamStall += touch(2*k+1, t)
+			}
+		})
 
 		out.Prm += farStall
 		out.Adam += adamStall
-		p.stats.FarStall += farStall
-		p.stats.AdamStall += adamStall
-		p.stats.Steps++
+		st.FarStall += farStall
+		st.AdamStall += adamStall
+		st.Steps++
 		// The next step starts after this one's full critical path.
 		cursor = stepStart + out.Total()
 
@@ -272,14 +196,11 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		}
 		agg = addStep(agg, out)
 	}
-	// Demotion writebacks still in flight at run end are off the critical
-	// path (the fast-tier copy was authoritative until the stream fenced).
-	p.wb.Fence(cursor)
 
-	st := ctl.Stats()
-	p.stats.ResidentBytes = st.ResidentBytes
-	p.stats.Deferred = st.Deferred
-	agg.Tier = p.stats
+	cs := ctl.Stats()
+	st.ResidentBytes = cs.ResidentBytes
+	st.Deferred = cs.Deferred
+	agg.Tier = st
 
 	trace := TierTrace{
 		Sizes:     sizes,

@@ -5,51 +5,8 @@ import (
 	"testing"
 
 	"teco/internal/conformance/check"
-	"teco/internal/cxl"
 	"teco/internal/modelzoo"
-	"teco/internal/phases"
 )
-
-// TestRunTieredAllFitsMatchesSteps is the degradation guarantee: with
-// DRAMBytes 0 every slot is fast, the tiering plane moves no bytes and adds
-// no time — RunTiered equals the sum of plain Steps bit-identically once
-// the Tier accounting (which only records that the walk happened) is
-// zeroed.
-func TestRunTieredAllFitsMatchesSteps(t *testing.T) {
-	check.Enable(t)
-	m := modelzoo.GPT2()
-	for name, cfg := range map[string]Config{
-		"plain":  {},
-		"dba":    {DBA: true},
-		"faults": {DBA: true, Faults: cxl.FaultConfig{Seed: 5, BER: 1e-7}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			ref := MustEngine(cfg)
-			var want phases.StepResult
-			for s := 0; s < DefaultTierSteps; s++ {
-				want = addStep(want, ref.Step(m, 4))
-			}
-
-			e := MustEngine(cfg)
-			got, _, err := e.RunTiered(m, 4, TierConfig{OptSlots: true, MigrateBudget: 1 << 30})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := got.Tier
-			if tr.FarAccesses != 0 || tr.FarFetchBytes != 0 || tr.Migrations != 0 ||
-				tr.FarStall != 0 || tr.AdamStall != 0 {
-				t.Fatalf("all-fast run shows tier traffic: %+v", tr)
-			}
-			if wantHits := int64(DefaultTierSteps) * int64(m.Layers) * 4; tr.FastHits != wantHits {
-				t.Fatalf("tier walk hit %d times, want %d", tr.FastHits, wantHits)
-			}
-			got.Tier = want.Tier
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("all-fast tiered run diverged:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
-}
 
 // TestRunTieredZeroBudgetMatchesStatic: with no migration budget every
 // policy freezes the first-fit placement, so heat, lru and static runs are

@@ -63,10 +63,10 @@ func LayersSweep(opt Options) *Table {
 		pct := cacheGrid[i%len(cacheGrid)]
 		label := fmt.Sprintf("%d%%", pct)
 		cache := m.ParamBytes() * int64(pct) / 100
-		// The largest per-layer slot carries the division remainder; a cache
-		// below it cannot hold even one layer.
-		per := m.ParamBytes() / int64(layers)
-		if largest := per + (m.ParamBytes() - per*int64(layers)); cache < largest {
+		// A cache below the largest per-layer slot cannot hold even one layer.
+		ml := m
+		ml.Layers = layers
+		if cache < core.SlotLayout(ml, false).Largest() {
 			return []string{fmt.Sprint(layers), label, "n/a", "n/a", "n/a", "-", "-", "-"}
 		}
 		e := tecoEngine(opt, core.Config{DBA: true})

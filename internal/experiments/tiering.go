@@ -55,15 +55,6 @@ func tieringPolicyDRAMPct(opt Options) int {
 	return 25
 }
 
-// tieringSlotTotal returns the tiered byte total and largest single slot
-// for feasibility guards (parameter slot + 2× optimizer-state slot per
-// layer; the last layer carries the division remainder).
-func tieringSlotTotal(m modelzoo.Model) (total, largest int64) {
-	per := m.ParamBytes() / int64(m.Layers)
-	last := per + (m.ParamBytes() - per*int64(m.Layers))
-	return 3 * m.ParamBytes(), 2 * last
-}
-
 // TieringSweep is the capacity-pressure grid (GPT-2, batch 4): fast-tier
 // size x migration budget, with parameter and optimizer-state slots
 // scheduled separately. Per cell: the static-placement run, the migrating
@@ -79,7 +70,8 @@ func TieringSweep(opt Options) *Table {
 			"Far", "Migr", "Promoted", "Deferred"},
 	}
 	m := modelzoo.GPT2()
-	total, largest := tieringSlotTotal(m)
+	slots := core.SlotLayout(m, true)
+	total, largest := slots.Total(), slots.Largest()
 	dramGrid := tieringDRAMGrid(opt)
 	budgetGrid := tieringBudgetGrid(opt)
 	policy := opt.TierPolicy
@@ -143,8 +135,7 @@ func TieringPolicySweep(opt Options) *Table {
 			"Cost", "vs oracle"},
 	}
 	m := modelzoo.GPT2()
-	total, _ := tieringSlotTotal(m)
-	dram := total * int64(pct) / 100
+	dram := core.SlotLayout(m, true).Total() * int64(pct) / 100
 	policies := []string{"static", "lru", "heat"}
 	if opt.TierPolicy != "" {
 		policies = []string{opt.TierPolicy}

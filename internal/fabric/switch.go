@@ -145,6 +145,9 @@ type Switch struct {
 	// cleanFed notes whether the clean spine has been fed (only ports
 	// with fault models produce a meaningful fault-free drain).
 	cleanFed bool
+	// rng draws the failover backoff jitter. It is seeded from the fault
+	// template on the first failover: most switches never fail over, and
+	// seeding a math/rand source costs more than the rest of a one-port step.
 	rng      *rand.Rand
 	lastDone []sim.Time
 	cleanAt  []sim.Time
@@ -183,7 +186,6 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		route:    make([]int, cfg.Ports),
 		lastDone: make([]sim.Time, cfg.Ports),
 		cleanAt:  make([]sim.Time, cfg.Ports),
-		rng:      rand.New(rand.NewSource(cfg.Faults.Seed ^ 0x5DEECE66D)),
 	}
 	phys := cfg.Ports + cfg.SparePorts
 	for i := 0; i < phys; i++ {
@@ -269,6 +271,9 @@ func (sw *Switch) failover(lp int, now sim.Time) (sim.Time, bool) {
 			shift = 16
 		}
 		back := sw.cfg.FailoverBackoff << uint(shift)
+		if sw.rng == nil {
+			sw.rng = rand.New(rand.NewSource(sw.cfg.Faults.Seed ^ 0x5DEECE66D))
+		}
 		back += sim.Time(sw.rng.Int63n(int64(back)/2 + 1))
 		now += back + sw.cfg.LinkDownTimeout
 	}
