@@ -9,19 +9,19 @@ all: build vet test
 # Full verification gate: vet, race-enabled tests over the whole tree (the
 # training hot loops and the sweep runner are concurrent now, so the race
 # detector must see the long numeric runs too, not just -short), vet + tests
-# of the benchmark module (its own go.mod, so ./... does not reach it),
-# short native fuzz runs over the CXL packet decoder and the checkpoint
-# snapshot decoder, and — when the tools are installed — staticcheck and
-# govulncheck (CI always runs them; locally they are skipped if absent).
+# of the benchmark module (its own go.mod, so ./... does not reach it), the
+# fabric kill-one-port timing proofs, short native fuzz runs over the CXL
+# packet decoder and the checkpoint snapshot decoder, and — when the tools
+# are installed — staticcheck and govulncheck (CI always runs them; locally
+# they are skipped if absent).
 check:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 40m ./...
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
-	$(GO) test -count=1 -run 'TestFabricChaos' ./internal/realtrain
+	$(GO) test -race -count=1 -run 'TestStepFabricKill' ./internal/core
 	$(GO) test -fuzz='FuzzDecode$$' -fuzztime=10s ./internal/cxl
 	$(GO) test -fuzz='FuzzDecodeFramed$$' -fuzztime=10s ./internal/cxl
 	$(GO) test -fuzz='FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/checkpoint
-	$(GO) test -fuzz='FuzzDecodeFrame$$' -fuzztime=10s ./internal/fabric
 	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestArenaReuse' ./internal/kernels
 	$(GO) test -run xxx -bench 'TrainStep|MatmulBlocked|FusedAdamScan' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -50,14 +50,13 @@ bench:
 # Chaos soak: SIGKILL the real tecosimd daemon in a loop under cache fault
 # injection (bit flips, truncations, short writes, transient errors) and
 # verify every response against the seed-42 conformance references, then
-# repeat the fabric kill-one-port chaos proof under the race detector.
-# SOAK_SECS bounds the daemon half; the in-process chaos harnesses in
-# internal/server and internal/realtrain run unconditionally under plain
-# `make test`.
+# repeat the fabric kill-one-port timing proofs under the race detector.
+# SOAK_SECS bounds the daemon half; the in-process chaos harness in
+# internal/server runs unconditionally under plain `make test`.
 SOAK_SECS ?= 30
 soak:
 	SOAK_SECS=$(SOAK_SECS) $(GO) test -count=1 -v -run 'TestDaemonChaosSoak' ./internal/server
-	$(GO) test -race -count=3 -run 'TestFabricChaos' ./internal/realtrain
+	$(GO) test -race -count=3 -run 'TestStepFabricKill' ./internal/core
 
 # Regenerate every paper table/figure (plus the extension experiments) as
 # markdown on stdout.

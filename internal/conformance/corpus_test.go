@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"teco/internal/cxl"
-	"teco/internal/fabric"
 	"teco/internal/mem"
 	"teco/internal/realtrain"
 )
@@ -22,7 +21,6 @@ var corpusDirs = map[string]string{
 	"FuzzDecode":         filepath.Join("..", "cxl", "testdata", "fuzz", "FuzzDecode"),
 	"FuzzDecodeFramed":   filepath.Join("..", "cxl", "testdata", "fuzz", "FuzzDecodeFramed"),
 	"FuzzDecodeSnapshot": filepath.Join("..", "checkpoint", "testdata", "fuzz", "FuzzDecodeSnapshot"),
-	"FuzzDecodeFrame":    filepath.Join("..", "fabric", "testdata", "fuzz", "FuzzDecodeFrame"),
 }
 
 // corpusEntry renders one []byte input in Go's native corpus encoding.
@@ -86,30 +84,10 @@ func harvest(t *testing.T) map[string][][]byte {
 	snap := tr.Snapshot().Encode()
 	truncated := snap[:len(snap)/2]
 
-	// Fabric frames around the same trained bytes: a gradient-tape frame, a
-	// host parameter frame, a control frame, plus the hostile shapes (CRC
-	// break, truncation) the switched fabric's retransmit path sees.
-	var frames [][]byte
-	for _, fr := range []fabric.Frame{
-		{Src: 1, Dst: fabric.HostAddr, Kind: fabric.KindGrad, Flow: 3, Seq: 7, Payload: line},
-		{Src: fabric.HostAddr, Dst: 2, Kind: fabric.KindParam, Flow: 1, Seq: 0, Payload: line[:20]},
-		{Src: fabric.HostAddr, Dst: 1, Kind: fabric.KindCtl, Flow: 0, Seq: 1},
-	} {
-		wire, err := fr.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, wire)
-	}
-	broken := append([]byte(nil), frames[0]...)
-	broken[len(broken)-1] ^= 0x01
-	frames = append(frames, broken, frames[1][:len(frames[1])-5])
-
 	return map[string][][]byte{
 		"FuzzDecode":         plain,
 		"FuzzDecodeFramed":   framed,
 		"FuzzDecodeSnapshot": {snap, truncated},
-		"FuzzDecodeFrame":    frames,
 	}
 }
 

@@ -15,6 +15,12 @@
 //   - zero-BER == fault-free: a fault model configured with error rate
 //     zero leaves every timing identical to no fault model at all.
 //
+// TestMetamorphicFabric applies the timing relations to the switched
+// fabric (one replica == bare link, zero-BER == fault-free at every width),
+// and TestMetamorphicStack applies the trainer relations (workers
+// invariance, crash/restore, crash/restore under injected SDC) to the
+// multi-layer "stack" architecture.
+//
 // The harness runs with the runtime invariant layer enabled
 // (conformance/check), so every conservation law fires on every drawn
 // configuration. The case count is bounded by the PROP_CASES environment

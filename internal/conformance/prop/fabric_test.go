@@ -10,24 +10,21 @@ import (
 	"teco/internal/core"
 	"teco/internal/cxl"
 	"teco/internal/phases"
-	"teco/internal/realtrain"
 )
 
 // fabricCase is one drawn switched-fabric configuration: port count,
-// spine oversubscription, per-port bit-error rate, and the chaos kill step.
+// spine oversubscription and per-port bit-error rate.
 type fabricCase struct {
 	seed      int64
 	ber       float64 // per-port BER (0 = pristine fabric)
 	replicas  int     // accelerator ports / data-parallel width
 	hostPorts int     // spine uplinks (< replicas oversubscribes)
 	batch     int     // engine step batch size
-	killStep  int     // training step the chaos kill fires at
-	workers   int     // trainer parallelism knob
 }
 
 func (c fabricCase) String() string {
-	return fmt.Sprintf("seed=%d ber=%g replicas=%d hostPorts=%d batch=%d kill=%d workers=%d",
-		c.seed, c.ber, c.replicas, c.hostPorts, c.batch, c.killStep, c.workers)
+	return fmt.Sprintf("seed=%d ber=%g replicas=%d hostPorts=%d batch=%d",
+		c.seed, c.ber, c.replicas, c.hostPorts, c.batch)
 }
 
 // drawFabric generates the deterministic fabric case table. A distinct
@@ -37,15 +34,13 @@ func drawFabric(n int) []fabricCase {
 	bers := []float64{0, 1e-11, 1e-10, 5e-10}
 	cases := make([]fabricCase, n)
 	for i := range cases {
-		replicas := 2 + rng.Intn(3) // 2..4: every case can lose a replica
+		replicas := 2 + rng.Intn(3) // 2..4
 		cases[i] = fabricCase{
 			seed:      rng.Int63n(1 << 30),
 			ber:       bers[rng.Intn(len(bers))],
 			replicas:  replicas,
 			hostPorts: 1 + rng.Intn(replicas),
 			batch:     []int{8, 16}[rng.Intn(2)],
-			killStep:  2 + rng.Intn(trainSteps-4),
-			workers:   2 + rng.Intn(6),
 		}
 	}
 	return cases
@@ -58,14 +53,6 @@ func (c fabricCase) engineConfig() core.Config {
 			Seed: c.seed,
 			BER:  c.ber,
 		},
-	}
-}
-
-func (c fabricCase) trainConfig() realtrain.Config {
-	return realtrain.Config{
-		Steps: trainSteps, PreSteps: 30, Hidden: 32, Batch: 8,
-		Seed: c.seed, DBA: true, ActAfterSteps: 4,
-		SampleEvery: 2, SDCChecks: true,
 	}
 }
 
@@ -119,49 +106,6 @@ func TestMetamorphicFabric(t *testing.T) {
 			z, p := stepFabric(t, zcfg, c, fc), stepFabric(t, pcfg, c, fc)
 			if !reflect.DeepEqual(z, p) {
 				t.Errorf("zero-BER fabric != fault-free fabric:\n zero: %+v\n none: %+v", z, p)
-			}
-
-			// Relation 3: data-parallel fabric training is bit-identical to
-			// the single-link trainer, at every worker count.
-			ref := realtrain.Run(c.trainConfig())
-			for _, workers := range []int{1, c.workers} {
-				tc := c.trainConfig()
-				tc.Workers = workers
-				g, err := realtrain.NewGroup(realtrain.GroupConfig{Train: tc, Replicas: c.replicas})
-				if err != nil {
-					t.Fatalf("group (%s): %v", c, err)
-				}
-				res, err := g.Run()
-				if err != nil {
-					t.Fatalf("group run (%s): %v", c, err)
-				}
-				if !reflect.DeepEqual(normalize(res), normalize(ref)) {
-					t.Errorf("fabric group (workers=%d) != single trainer:\n group:   %+v\n trainer: %+v",
-						workers, normalize(res), normalize(ref))
-				}
-			}
-
-			// Relation 4: one port killed mid-run at BER 0 — the degraded
-			// group completes and equals the fault-free reference.
-			g, err := realtrain.NewGroup(realtrain.GroupConfig{
-				Train:      c.trainConfig(),
-				Replicas:   c.replicas,
-				KillPort:   c.replicas,
-				KillAtStep: c.killStep,
-			})
-			if err != nil {
-				t.Fatalf("chaos group (%s): %v", c, err)
-			}
-			res, err := g.Run()
-			if err != nil {
-				t.Fatalf("chaos run (%s): %v", c, err)
-			}
-			if !reflect.DeepEqual(normalize(res), normalize(ref)) {
-				t.Errorf("kill at step %d != fault-free run:\n degraded: %+v\n direct:   %+v",
-					c.killStep, normalize(res), normalize(ref))
-			}
-			if st := g.Stats(); st.LostReplicas != 1 || st.Redistributed == 0 {
-				t.Errorf("chaos accounting (%s): %+v", c, st)
 			}
 		})
 	}

@@ -8,10 +8,9 @@ import (
 	"teco/internal/staging"
 )
 
-// Per-layer offload scheduling for the timing engine — the timing half of
-// the scheduler whose functional half lives in realtrain.OffloadScheduler
-// (both share staging.Residency, so "which layer is resident when" has one
-// definition on both sides of the house equality).
+// Per-layer offload scheduling for the timing engine. The residency answer
+// comes from staging.Residency, the one definition of "which layer is
+// resident when" (tiering.Controller wraps the same implementation).
 //
 // StepLayered runs the ordinary TECO step (compute + coherence planes,
 // untouched) and adds the far-tier plane (fartier.go) on top: a fast tier

@@ -1,3 +1,9 @@
+// Package fabric models a switched CXL fabric: N accelerator-facing ports
+// sharing switch spine bandwidth behind per-port queues, with hop latency,
+// per-port fault domains (the cxl.FaultModel composed per link,
+// unchanged), link-down detection, and bounded failover through spare
+// ports. Switch is the timed plane internal/core drives for fabric step
+// timing.
 package fabric
 
 import (
@@ -277,6 +283,18 @@ func (sw *Switch) failover(lp int, now sim.Time) (sim.Time, bool) {
 		back += sim.Time(sw.rng.Int63n(int64(back)/2 + 1))
 		now += back + sw.cfg.LinkDownTimeout
 	}
+}
+
+// PortDownError reports a send that could not be delivered: the routed
+// port is down and no spare port could take over within the failover
+// budget. At carries the simulated time at which the sender gave up.
+type PortDownError struct {
+	Port int
+	At   sim.Time
+}
+
+func (e *PortDownError) Error() string {
+	return fmt.Sprintf("fabric: port %d down, failover exhausted", e.Port)
 }
 
 func (sw *Switch) spareFor() int {

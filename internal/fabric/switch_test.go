@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"teco/internal/conformance/check"
@@ -229,6 +230,17 @@ func TestSwitchFailoverBackoffSeeded(t *testing.T) {
 	}
 	if a, b := giveUp(3), giveUp(4); a == b {
 		t.Fatalf("different seeds both gave up at %v", a)
+	}
+}
+
+func TestPortDownError(t *testing.T) {
+	err := error(&PortDownError{Port: 2, At: 12345})
+	if !strings.Contains(err.Error(), "port 2") {
+		t.Fatalf("unhelpful error: %v", err)
+	}
+	var pde *PortDownError
+	if !errors.As(err, &pde) || pde.Port != 2 {
+		t.Fatal("errors.As failed to recover the port")
 	}
 }
 

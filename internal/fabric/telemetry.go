@@ -4,22 +4,13 @@ import "sync/atomic"
 
 // Process-wide fabric telemetry. The daemon's /statz endpoint snapshots
 // these alongside the cache and admission stats, so an operator can see
-// port flaps, failovers and degraded steps without scraping logs. The
-// counters are monotone for the life of the process, like every other
-// /statz figure; the transport layers (Switch, Net) record their own
-// events and the data-parallel group in internal/realtrain records replica
-// lifecycle events through the Record* helpers.
+// port flaps and failovers without scraping logs. The counters are
+// monotone for the life of the process, like every other /statz figure;
+// every Switch records its failure-path events here.
 var telemetry struct {
 	portsDown       atomic.Int64
 	failovers       atomic.Int64
 	failoverRetries atomic.Int64
-	frames          atomic.Int64
-	frameRetries    atomic.Int64
-	framesPoisoned  atomic.Int64
-	degradedSteps   atomic.Int64
-	lostReplicas    atomic.Int64
-	redistributed   atomic.Int64
-	rebuilds        atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of the process-wide fabric counters,
@@ -32,19 +23,6 @@ type Snapshot struct {
 	Failovers int64 `json:"failovers"`
 	// FailoverRetries counts backoff rounds spent probing for a route.
 	FailoverRetries int64 `json:"failover_retries"`
-	// Frames / FrameRetries / FramesPoisoned count functional-plane frame
-	// deliveries, CRC-failure retransmits, and retry budgets exhausted.
-	Frames         int64 `json:"frames"`
-	FrameRetries   int64 `json:"frame_retries"`
-	FramesPoisoned int64 `json:"frames_poisoned"`
-	// DegradedSteps counts training steps completed with a shrunken
-	// replica group; LostReplicas and Redistributed count the replicas
-	// lost and the batch shards reassigned to survivors; Rebuilds counts
-	// replicas restored from the master or a surviving replica.
-	DegradedSteps int64 `json:"degraded_steps"`
-	LostReplicas  int64 `json:"lost_replicas"`
-	Redistributed int64 `json:"redistributed_shards"`
-	Rebuilds      int64 `json:"rebuilds"`
 }
 
 // Counters returns the current process-wide fabric telemetry.
@@ -53,28 +31,5 @@ func Counters() Snapshot {
 		PortsDown:       telemetry.portsDown.Load(),
 		Failovers:       telemetry.failovers.Load(),
 		FailoverRetries: telemetry.failoverRetries.Load(),
-		Frames:          telemetry.frames.Load(),
-		FrameRetries:    telemetry.frameRetries.Load(),
-		FramesPoisoned:  telemetry.framesPoisoned.Load(),
-		DegradedSteps:   telemetry.degradedSteps.Load(),
-		LostReplicas:    telemetry.lostReplicas.Load(),
-		Redistributed:   telemetry.redistributed.Load(),
-		Rebuilds:        telemetry.rebuilds.Load(),
 	}
 }
-
-// RecordDegradedStep notes a training step that ran with a shrunken
-// replica group.
-func RecordDegradedStep() { telemetry.degradedSteps.Add(1) }
-
-// RecordLostReplica notes a replica declared lost after failover was
-// exhausted.
-func RecordLostReplica() { telemetry.lostReplicas.Add(1) }
-
-// RecordRedistributed notes n batch shards reassigned from a lost replica
-// to survivors.
-func RecordRedistributed(n int) { telemetry.redistributed.Add(int64(n)) }
-
-// RecordRebuild notes a replica whose state was rebuilt from the master
-// copy or a surviving replica.
-func RecordRebuild() { telemetry.rebuilds.Add(1) }

@@ -13,12 +13,11 @@ import (
 //
 //	tokens -> Emb -> N x [ x + attn(x) ; x + mlp(x) ] -> mean-pool -> logits
 //
-// — so the repo finally trains the workload shape the paper's per-layer
-// offload scheduling targets. The whole model stays one flat FP32 vector
-// for the DBA machinery, but unlike the single-block proxies its parameter
-// vector has an explicit layer-granular segmentation (Segments) that the
-// offload scheduler stages through the fast tier one layer at a time. The
-// backward pass is hand-derived and validated against finite differences
+// — so the repo trains the workload shape the paper's per-layer offload
+// scheduling targets (core.StepLayered prices that schedule). The whole
+// model stays one flat FP32 vector for the DBA machinery: the embedding,
+// then each block's five matrices, then the classifier head. The backward
+// pass is hand-derived and validated against finite differences
 // (layerstack_test.go).
 //
 // All dense products route through the internal/kernels blocked primitives;
@@ -130,48 +129,6 @@ func (m *LayerStack) head(p []float32) (wo, bo []float32) {
 	o += m.Dim * m.Classes
 	bo = p[o : o+m.Classes]
 	return
-}
-
-// Segments returns the layer-granular segmentation of the flat parameter
-// vector: the embedding table, one segment per transformer block, and the
-// classifier head. Segments tile [0, NumParams) exactly (asserted by the
-// scheduler's residency invariants), which is what lets the offload
-// scheduler move layers independently while per-segment merges stay
-// bit-identical to the whole-vector transfer.
-func (m *LayerStack) Segments() []Segment {
-	segs := make([]Segment, 0, m.Layers+2)
-	o := m.Vocab * m.Dim
-	segs = append(segs, Segment{Name: "emb", Lo: 0, Hi: o})
-	for l := 0; l < m.Layers; l++ {
-		segs = append(segs, Segment{Name: "layer" + itoa(l), Lo: o, Hi: o + m.blockParams()})
-		o += m.blockParams()
-	}
-	segs = append(segs, Segment{Name: "head", Lo: o, Hi: m.NumParams()})
-	return segs
-}
-
-// ActivationWordsPerLayer estimates the FP32 activation words one block
-// keeps for backward on a T-token example: six T x Dim tensors
-// (xin/q/k/v/xa/f) plus the T x T attention rows. The scheduler charges
-// this per (example, layer) when accounting activation traffic.
-func (m *LayerStack) ActivationWordsPerLayer(t int) int {
-	return 6*t*m.Dim + t*t
-}
-
-// itoa is strconv.Itoa for the small non-negative ints of segment names,
-// kept local to avoid an import for one call site.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // stackBlockState keeps one block's forward activations for backward.
@@ -396,8 +353,7 @@ func (m *LayerStack) LossAndGrad(params []float32, ds *Dataset, batch []int, gra
 				dX[t][j] = dPooled[j] / float32(T)
 			}
 		}
-		// Blocks in reverse — the backward layer order the per-layer
-		// offload scheduler replays.
+		// Blocks in reverse: the backward layer order.
 		for l := m.Layers - 1; l >= 0; l-- {
 			dX = m.backBlock(params, grads, l, &st.blocks[l], dX)
 		}

@@ -37,13 +37,19 @@ func TestLayerStackGradFiniteDiff(t *testing.T) {
 		return l
 	}
 
-	// Probe indices: embedding rows the batch touches, every block's five
-	// matrices, and the head.
+	// Probe indices: three per layer-granular span of the flat vector — the
+	// embedding (rows the batch touches), every block, and the head.
+	emb, block := m.Vocab*m.Dim, m.blockParams()
+	spans := [][2]int{{0, emb}}
+	for l := 0; l < m.Layers; l++ {
+		spans = append(spans, [2]int{emb + l*block, emb + (l+1)*block})
+	}
+	spans = append(spans, [2]int{emb + m.Layers*block, m.NumParams()})
 	var probes []int
-	for _, seg := range m.Segments() {
-		span := seg.Hi - seg.Lo
+	for _, s := range spans {
+		span := s[1] - s[0]
 		for _, frac := range []int{7, span / 2, span - 3} {
-			probes = append(probes, seg.Lo+frac%span)
+			probes = append(probes, s[0]+frac%span)
 		}
 	}
 	const eps = 1e-2
@@ -65,28 +71,6 @@ func TestLayerStackGradFiniteDiff(t *testing.T) {
 	}
 	if checked < 8 {
 		t.Fatalf("only %d non-trivial probes checked", checked)
-	}
-}
-
-// TestLayerStackSegmentsTile asserts the segmentation tiles the flat
-// vector exactly: contiguous, non-overlapping, covering every word.
-func TestLayerStackSegmentsTile(t *testing.T) {
-	for _, layers := range []int{1, 2, 5} {
-		m := NewLayerStack(64, 8, 4, layers, 1)
-		segs := m.Segments()
-		if len(segs) != layers+2 {
-			t.Fatalf("layers=%d: %d segments", layers, len(segs))
-		}
-		off := 0
-		for _, s := range segs {
-			if s.Lo != off || s.Hi <= s.Lo {
-				t.Fatalf("segment %q [%d,%d) breaks tiling at %d", s.Name, s.Lo, s.Hi, off)
-			}
-			off = s.Hi
-		}
-		if off != m.NumParams() {
-			t.Fatalf("segments cover %d of %d", off, m.NumParams())
-		}
 	}
 }
 

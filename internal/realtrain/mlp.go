@@ -144,10 +144,6 @@ func (m *MLP) forwardHidden(params []float32, tok []int) (probs, hidden, x []flo
 	return softmaxInto(sc.probs, z), h, x
 }
 
-func softmax(z []float32) []float32 {
-	return softmaxInto(make([]float32, len(z)), z)
-}
-
 func softmaxInto(out, z []float32) []float32 {
 	maxZ := z[0]
 	for _, v := range z[1:] {

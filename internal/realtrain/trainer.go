@@ -13,7 +13,6 @@ import (
 	"teco/internal/optim"
 	"teco/internal/parallel"
 	"teco/internal/tensor"
-	"teco/internal/tiering"
 )
 
 // Config controls a fine-tuning run.
@@ -42,35 +41,12 @@ type Config struct {
 	// are recorded (default every 10 steps).
 	SampleEvery int
 	// Arch selects the proxy architecture: "mlp" (default), "attention"
-	// (single-head self-attention classifier) or "stack" (the N-layer
-	// residual transformer the per-layer offload scheduler targets).
+	// (single-head self-attention classifier) or "stack" (an N-layer
+	// residual transformer).
 	Arch string
 	// Layers is the block count of the "stack" arch (default 2); other
 	// architectures ignore it.
 	Layers int
-	// Per-layer offload scheduling knobs. Setting any of them routes the
-	// step's parameter/gradient traffic through an OffloadScheduler:
-	// layer-granular segments staged through internal/staging under a
-	// capacity-bounded fast-tier residency model. Like Workers these are
-	// pure scheduling knobs — the trained model is bit-identical at every
-	// setting (asserted by the metamorphic suite) — so all four are
-	// excluded from the config fingerprint and snapshots restore across
-	// scheduling configurations.
-	SchedCacheWords int    // fast-tier capacity in FP32 words; 0 = every layer fits
-	SchedPrefetch   int    // eager-prefetch depth in layers; 0 = demand-only
-	SchedPolicy     string // eviction policy: "" or "lru", "fifo", "pin"
-	SchedPinned     int    // pinned hot-layer count (policy "pin")
-	// Heterogeneous-memory tiering knobs. Setting any of them attaches a
-	// tiering.Controller that replays each step's slot accesses (parameter
-	// and optimizer-state slots per segment) against a DRAM/CXL placement
-	// and plans budget-throttled hot/cold migrations. Pure bookkeeping —
-	// placement never touches the numerics, so the trained model is
-	// bit-identical at every setting (asserted by the metamorphic suite)
-	// and all three are excluded from the config fingerprint like the
-	// scheduling knobs above.
-	TierDRAMPct      int    // fast-tier capacity as % of tiered slot bytes; 0 = everything fits
-	TierPolicy       string // placement policy: "" or "heat", "lru", "static"
-	TierMigrateWords int    // per-step migration budget in FP32 words; 0 = static placement
 	// SDCChecks enables the silent-data-corruption guards: per-chunk
 	// CRC-32C sums of every resident tensor validated at every step
 	// boundary, a merge post-condition after each DBA merge, and a NaN/Inf
@@ -127,29 +103,89 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects a defaulted configuration the trainer cannot run as
+// written: a size or step count that would panic or silently train
+// something else, a learning rate or clip norm that is negative or not
+// finite, a dirty-byte length outside 1..4, or an unknown architecture.
+// Negative ActAfterSteps stays legal: it selects the paper default.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Steps", c.Steps}, {"Batch", c.Batch}, {"Hidden", c.Hidden}, {"PreSteps", c.PreSteps}, {"SampleEvery", c.SampleEvery}} {
+		if f.v < 1 {
+			return fmt.Errorf("realtrain: %s %d must be positive", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LR", c.LR}, {"FineLR", c.FineLR}, {"ClipNorm", c.ClipNorm}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("realtrain: %s %v must be finite and non-negative", f.name, f.v)
+		}
+	}
+	if c.DirtyBytes < 1 || c.DirtyBytes > dba.WordSize {
+		return fmt.Errorf("realtrain: DirtyBytes %d outside 1..%d", c.DirtyBytes, dba.WordSize)
+	}
+	switch c.Arch {
+	case "mlp", "attention":
+	case "stack":
+		if c.Layers < 1 {
+			return fmt.Errorf("realtrain: stack Layers %d must be positive", c.Layers)
+		}
+	default:
+		return fmt.Errorf("realtrain: unknown architecture %q", c.Arch)
+	}
+	return nil
+}
+
+// tagField is one numerics-relevant Config field as configTag hashes it.
+type tagField struct {
+	name string
+	val  any
+}
+
+// tagFields returns c's numerics-relevant fields in hash order. Every
+// Config field is named either here or in tagExcluded
+// (TestConfigTagCoversEveryField); a new field goes on the end of one of
+// the two lists.
+func (c Config) tagFields() []tagField {
+	return []tagField{
+		{"Steps", c.Steps}, {"Batch", c.Batch}, {"LR", c.LR}, {"ClipNorm", c.ClipNorm},
+		{"Hidden", c.Hidden}, {"Seed", c.Seed}, {"PreSteps", c.PreSteps}, {"FineLR", c.FineLR},
+		{"DBA", c.DBA}, {"FP16Compute", c.FP16Compute}, {"ActAfterSteps", c.ActAfterSteps},
+		{"DirtyBytes", c.DirtyBytes}, {"SampleEvery", c.SampleEvery}, {"Arch", c.Arch},
+		{"Layers", c.Layers},
+	}
+}
+
+// tagExcluded names the fields no trained number depends on, so a
+// snapshot restores across them: the SDC guards are read-only, and the
+// trainer is bit-identical at every worker count.
+var tagExcluded = []string{"SDCChecks", "Workers"}
+
 // configTag fingerprints the numerically relevant configuration. A
 // snapshot only restores into a trainer whose tag matches: resuming under
 // different hyperparameters would silently diverge from the original run.
-// SDCChecks is excluded — the guards are read-only and a guarded session
-// may restore a snapshot written by an unguarded run. Workers is excluded
-// for the same reason: parallel and serial runs are bit-identical, so a
-// snapshot written at one worker count restores at any other. The offload
-// scheduling knobs (SchedCacheWords/SchedPrefetch/SchedPolicy/SchedPinned)
-// are excluded on the same grounds: residency policy never changes the
-// numerics, so a snapshot taken under one policy restores under any other.
+// It is FNV-64a over "|name=value" for each tagged field whose defaulted
+// value differs from the field's default, in tagFields order — the
+// Options.Fingerprint scheme. So an omitted knob and its explicit default
+// share a tag, and a new field that defaults to the old behaviour moves
+// no stored snapshot's tag.
 func (c Config) configTag() uint64 {
+	return tagOf(c.withDefaults().tagFields(), Config{}.withDefaults().tagFields())
+}
+
+func tagOf(fields, defaults []tagField) uint64 {
+	b := []byte("realtrain")
+	for i, f := range fields {
+		if f.val != defaults[i].val {
+			b = fmt.Appendf(b, "|%s=%v", f.name, f.val)
+		}
+	}
 	h := fnv.New64a()
-	cc := c
-	cc.SDCChecks = false
-	cc.Workers = 0
-	cc.SchedCacheWords = 0
-	cc.SchedPrefetch = 0
-	cc.SchedPolicy = ""
-	cc.SchedPinned = 0
-	cc.TierDRAMPct = 0
-	cc.TierPolicy = ""
-	cc.TierMigrateWords = 0
-	fmt.Fprintf(h, "%+v", cc)
+	h.Write(b)
 	return h.Sum64()
 }
 
@@ -200,16 +236,15 @@ func (m *MLP) Parameters() []float32 { return m.Params }
 // Parameters returns the attention model's flat parameter vector.
 func (m *Attention) Parameters() []float32 { return m.Params }
 
+// newProxy builds cfg's architecture; cfg has passed validate.
 func newProxy(cfg Config, ds *Dataset) proxyModel {
 	switch cfg.Arch {
 	case "attention":
 		return NewAttention(ds.Vocab, ds.Dim, ds.Classes, cfg.Seed+1)
 	case "stack":
 		return NewLayerStack(ds.Vocab, ds.Dim, ds.Classes, cfg.Layers, cfg.Seed+1)
-	case "mlp":
-		return NewMLP(ds.Vocab, ds.Dim, cfg.Hidden, ds.Classes, cfg.Seed+1)
 	default:
-		panic(fmt.Sprintf("realtrain: unknown architecture %q", cfg.Arch))
+		return NewMLP(ds.Vocab, ds.Dim, cfg.Hidden, ds.Classes, cfg.Seed+1)
 	}
 }
 
@@ -282,8 +317,6 @@ type Trainer struct {
 	rng   *rand.Rand
 	ad    *optim.Adam
 	ctrl  *dba.Controller
-	sched *OffloadScheduler   // nil unless an offload-scheduling knob is set
-	tier  *tiering.Controller // nil unless a tiering knob is set
 
 	master     []float32 // CPU master copy (aliases the model's params)
 	compute    []float32 // accelerator copy (fwd/bwd uses this)
@@ -296,11 +329,6 @@ type Trainer struct {
 	samples []StepSample
 	batch   []int         // reusable minibatch index buffer
 	fs      *fusedScratch // per-chunk slots for the fused ADAM epilogue
-
-	// gradFn, when set, replaces the local forward/backward: the
-	// data-parallel fabric group installs its sharded tape pipeline here.
-	// nil (the default) leaves the single-trainer behaviour untouched.
-	gradFn func(fwdParams []float32, batch []int, grads []float32) (float64, error)
 
 	guard *sdcGuard // SDC guard record: per-chunk sums of the resident tensors
 }
@@ -399,12 +427,16 @@ func NewTrainerFromPre(cfg Config, pre *PreState) (*Trainer, error) {
 	return t, nil
 }
 
-// newTrainerShell allocates everything that does not depend on training
-// history: dataset, model, RNG, optimizer, DBA controller, buffers. ds is
-// cfg.Seed's dataset when the caller already holds it (read-only, safe to
-// share between trainers), nil to generate it.
+// newTrainerShell validates the defaulted cfg and allocates everything
+// that does not depend on training history: dataset, model, RNG,
+// optimizer, DBA controller, buffers. ds is cfg.Seed's dataset when the
+// caller already holds it (read-only, safe to share between trainers),
+// nil to generate it.
 func newTrainerShell(cfg Config, ds *Dataset) (*Trainer, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if ds == nil {
 		ds = NewDataset(DatasetConfig{Seed: cfg.Seed})
 	}
@@ -416,18 +448,6 @@ func newTrainerShell(cfg Config, ds *Dataset) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sched *OffloadScheduler
-	if cfg.schedEnabled() {
-		if sched, err = newScheduler(m, cfg, ds.TokensPer); err != nil {
-			return nil, err
-		}
-	}
-	var tier *tiering.Controller
-	if cfg.tierEnabled() {
-		if tier, err = newTierController(m, cfg); err != nil {
-			return nil, err
-		}
-	}
 	return &Trainer{
 		cfg:        cfg,
 		ds:         ds,
@@ -436,8 +456,6 @@ func newTrainerShell(cfg Config, ds *Dataset) (*Trainer, error) {
 		rng:        rand.New(src),
 		ad:         ad,
 		ctrl:       dba.NewController(cfg.ActAfterSteps, cfg.DirtyBytes),
-		sched:      sched,
-		tier:       tier,
 		master:     m.Parameters(),
 		compute:    make([]float32, n),
 		grads:      make([]float32, n),
@@ -469,17 +487,6 @@ func (t *Trainer) Moments() (m, v []float32) { return t.ad.Moments() }
 
 // Samples returns the loss-trajectory samples recorded so far.
 func (t *Trainer) Samples() []StepSample { return t.samples }
-
-// SchedStats returns the offload scheduler's residency/heat accounting and
-// whether a scheduler is active. Counters live outside Result and the
-// checkpoint format: they describe transfer scheduling, not the trained
-// model, so crash/restore equality is unaffected by them.
-func (t *Trainer) SchedStats() (SchedStats, bool) {
-	if t.sched == nil {
-		return SchedStats{}, false
-	}
-	return t.sched.Stats(), true
-}
 
 // VerifyIntegrity runs the full SDC guard sweep regardless of SDCChecks:
 // checksum validation (when recorded) plus a non-finite scan of master
@@ -530,17 +537,8 @@ func (t *Trainer) Step() error {
 		})
 		fwdParams = t.fp16View
 	}
-	batch := t.ds.BatchInto(t.rng, t.batch, t.cfg.Batch)
-	t.batch = batch
-	var loss float64
-	if t.gradFn != nil {
-		var err error
-		if loss, err = t.gradFn(fwdParams, batch, t.grads); err != nil {
-			return err
-		}
-	} else {
-		loss = t.model.LossAndGrad(fwdParams, t.ds, batch, t.grads)
-	}
+	t.batch = t.ds.BatchInto(t.rng, t.batch, t.cfg.Batch)
+	loss := t.model.LossAndGrad(fwdParams, t.ds, t.batch, t.grads)
 	// Gradients cross GPU->CPU in full FP32 (no DBA for grads). The clip's
 	// norm reduction runs first (it needs every gradient); the scaling
 	// itself is deferred into the fused ADAM pass.
@@ -578,17 +576,9 @@ func (t *Trainer) Step() error {
 	if t.cfg.DBA {
 		active = t.ctrl.CheckActivation(s)
 	}
-	// Parameter transfer CPU->GPU. Under the offload scheduler the step's
-	// layer traversal (forward + prefetch, backward + gradient stream-out)
-	// is replayed against the residency model and every segment routes
-	// through the staging buffers — bit-identical to the whole-vector
-	// transfer below, which remains the single-block fast path.
-	if t.sched != nil {
-		if err := t.sched.Step(t.compute, t.master, t.grads, active,
-			t.cfg.DirtyBytes, t.cfg.Workers, t.cfg.SchedPrefetch, len(batch)); err != nil {
-			return err
-		}
-	} else if active {
+	// Parameter transfer CPU->GPU: the dirty-byte merge once DBA is
+	// active, a full copy before.
+	if active {
 		dba.MergeWords(t.compute, t.master, t.cfg.DirtyBytes, t.cfg.Workers)
 	} else {
 		copy(t.compute, t.master)
@@ -612,13 +602,6 @@ func (t *Trainer) Step() error {
 			ParamDist: foldDist(fs.pDist),
 			GradDist:  foldDist(fs.gDist),
 		})
-	}
-	// Tiering bookkeeping: replay the step's slot accesses against the
-	// placement controller and plan this step's migrations. Placement never
-	// feeds back into the numerics above — any tiering config trains
-	// bit-identically to the static baseline.
-	if t.tier != nil {
-		t.tierWalk()
 	}
 	t.step++
 	t.recordSumsFused()

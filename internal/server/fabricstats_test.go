@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"teco/internal/fabric"
-	"teco/internal/realtrain"
 )
 
 // statz fetches and decodes /statz.
@@ -25,58 +24,56 @@ func statz(t *testing.T, h http.Handler) Stats {
 	return st
 }
 
-// TestStatzExposesFabricCounters: /statz surfaces the process-wide fabric
-// telemetry — a degraded data-parallel run moves the degraded-mode and
-// frame counters, and the JSON names are the documented ones. The counters
-// are process-global and monotone, so the test asserts deltas.
-func TestStatzExposesFabricCounters(t *testing.T) {
-	s := newTestServer(t, nil)
-	before := statz(t, s.Handler()).Fabric
+// mustRun serves one /run request and fails the test unless it succeeds.
+func mustRun(t *testing.T, h http.Handler, query string) {
+	t.Helper()
+	if _, code := getRun(t, h, query); code != http.StatusOK {
+		t.Fatalf("/run?%s: HTTP %d", query, code)
+	}
+}
 
-	// Drive a real kill-one-port training run through the fabric transport;
-	// its lifecycle events land in the telemetry /statz snapshots.
-	g, err := realtrain.NewGroup(realtrain.GroupConfig{
-		Train:      realtrain.Config{Steps: 12, PreSteps: 6, Seed: 5},
-		Replicas:   2,
-		KillPort:   2,
-		KillAtStep: 4,
-	})
+// wireNames decodes block's JSON field names as /statz serves them.
+func wireNames(t *testing.T, st Stats, block string) map[string]json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	after := statz(t, s.Handler()).Fabric
-	if after.Frames <= before.Frames {
-		t.Fatalf("frame counter never moved: before %+v after %+v", before, after)
-	}
-	if after.PortsDown <= before.PortsDown || after.LostReplicas <= before.LostReplicas {
-		t.Fatalf("port-kill counters never moved: before %+v after %+v", before, after)
-	}
-	if after.DegradedSteps <= before.DegradedSteps || after.Redistributed <= before.Redistributed {
-		t.Fatalf("degraded-mode counters never moved: before %+v after %+v", before, after)
-	}
-
-	// The wire names are part of the operator interface; pin them.
-	raw, err := json.Marshal(Stats{Fabric: fabric.Snapshot{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tree map[string]json.RawMessage
+	var tree, names map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &tree); err != nil {
 		t.Fatal(err)
 	}
-	var fb map[string]json.RawMessage
-	if err := json.Unmarshal(tree["fabric"], &fb); err != nil {
-		t.Fatalf("no fabric block in /statz: %s", raw)
+	if err := json.Unmarshal(tree[block], &names); err != nil {
+		t.Fatalf("no %s block in /statz: %s", block, raw)
 	}
-	for _, name := range []string{"ports_down", "failovers", "failover_retries",
-		"frames", "frame_retries", "frames_poisoned",
-		"degraded_steps", "lost_replicas", "redistributed_shards", "rebuilds"} {
-		if _, ok := fb[name]; !ok {
+	return names
+}
+
+// TestStatzExposesFabricCounters: a served fabric-faults request — whose
+// kill+spare cells fail over and whose kill cells exhaust the failover
+// probes — moves the process-wide fabric counters /statz reports, and the
+// JSON names are the documented ones. The counters are process-global and
+// monotone, so the test asserts deltas.
+func TestStatzExposesFabricCounters(t *testing.T) {
+	s := newTestServer(t, nil)
+	before := statz(t, s.Handler()).Fabric
+	mustRun(t, s.Handler(), "id=fabric-faults&seed=5")
+	after := statz(t, s.Handler()).Fabric
+	if after.PortsDown <= before.PortsDown || after.Failovers <= before.Failovers {
+		t.Fatalf("port-kill counters never moved: before %+v after %+v", before, after)
+	}
+	if after.FailoverRetries <= before.FailoverRetries {
+		t.Fatalf("failover-retry counter never moved: before %+v after %+v", before, after)
+	}
+
+	// The wire names are part of the operator interface; pin them.
+	names := wireNames(t, Stats{Fabric: fabric.Snapshot{}}, "fabric")
+	for _, name := range []string{"ports_down", "failovers", "failover_retries"} {
+		if _, ok := names[name]; !ok {
 			t.Fatalf("fabric counter %q missing from /statz", name)
 		}
+	}
+	if len(names) != 3 {
+		t.Fatalf("fabric block has %d counters, want 3: %v", len(names), names)
 	}
 }

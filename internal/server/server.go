@@ -100,18 +100,17 @@ type Stats struct {
 	Cache diskcache.Stats `json:"cache"`
 
 	// Fabric is the process-wide switched-fabric telemetry: port flaps,
-	// failovers, frame retries, and degraded-mode training counters.
+	// failovers and failover retries from the fabric sweeps' switches.
 	Fabric fabric.Snapshot `json:"fabric"`
 
 	// Layers is the process-wide per-layer offload telemetry: fast-tier
-	// hits, misses, prefetch overlap, and eviction churn from both
-	// scheduler halves (realtrain and core.StepLayered).
+	// hits, misses, prefetch overlap, and eviction churn from
+	// core.StepLayered.
 	Layers staging.LayerCounters `json:"layers"`
 
 	// Tiering is the process-wide heterogeneous-tiering telemetry:
 	// fast/far demand accesses, plan rounds, migrations and the byte flow
-	// between the tiers, from both controller halves (realtrain and
-	// core.RunTiered).
+	// between the tiers, from core.RunTiered.
 	Tiering tiering.TierCounters `json:"tiering"`
 }
 

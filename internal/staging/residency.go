@@ -1,17 +1,16 @@
+// Package staging tracks per-layer fast-tier residency — the policy half
+// of the offload scheduler. A Residency models a capacity-bounded fast tier
+// (the giant cache) holding a subset of the model's layer-granular slots;
+// the layer walk of the timing engine (core.StepLayered) and the tiering
+// controller (tiering.Controller, under core.RunTiered) share this one
+// implementation, so "which slot is resident when" has a single
+// definition. Policies are 10Cache-style placement rules: plain LRU, FIFO,
+// and pinned-hot-layers (the first K slots are never evicted).
 package staging
 
 import (
 	"fmt"
 )
-
-// Per-layer fast-tier residency tracking — the policy half of the offload
-// scheduler. A Residency models a capacity-bounded fast tier (the giant
-// cache) holding a subset of the model's layer-granular slots; the
-// functional trainer (realtrain.OffloadScheduler) and the timing engine
-// (core.StepLayered) share this one implementation so "which layer is
-// resident when" has a single definition on both sides of the house
-// equality. Policies are 10Cache-style placement rules: plain LRU, FIFO,
-// and pinned-hot-layers (the first K slots are never evicted).
 
 // Policy selects the eviction discipline.
 type Policy int

@@ -2,12 +2,11 @@ package staging
 
 import "sync/atomic"
 
-// Process-wide layer-offload telemetry. Both halves of the per-layer
-// scheduler — the functional trainer path (realtrain.OffloadScheduler) and
-// the timing engine (core.StepLayered) — record residency events here, so
-// the daemon's /statz endpoint can show layer heat and fast-tier churn
-// alongside the fabric and cache figures. Counters are monotone for the
-// life of the process.
+// Process-wide layer-offload telemetry. The timing engine's per-layer
+// scheduler (core.StepLayered) records residency events here, and every
+// Residency records its evictions, so the daemon's /statz endpoint can
+// show layer heat and fast-tier churn alongside the fabric and cache
+// figures. Counters are monotone for the life of the process.
 var telemetry struct {
 	demandMisses   atomic.Int64
 	hits           atomic.Int64
@@ -38,7 +37,7 @@ type LayerCounters struct {
 	// WritebackBytes is the volume written back to the far tier
 	// (activation spills and layer writebacks).
 	WritebackBytes int64 `json:"writeback_bytes"`
-	// SchedSteps counts training steps that ran under a layer scheduler.
+	// SchedSteps counts steps core.StepLayered scheduled.
 	SchedSteps int64 `json:"sched_steps"`
 }
 

@@ -2,9 +2,8 @@ package tiering
 
 import "sync/atomic"
 
-// Process-wide tiering telemetry. Both halves of the controller — the
-// functional trainer bookkeeping (realtrain) and the timing plane
-// (core.RunTiered) — record placement events here, so the daemon's /statz
+// Process-wide tiering telemetry. Every Controller — core.RunTiered drives
+// one per run — records placement events here, so the daemon's /statz
 // endpoint can show tier heat and migration churn alongside the residency
 // and fabric figures. Counters are monotone for the life of the process.
 var telemetry struct {
