@@ -11,9 +11,9 @@ all: build vet test
 # detector must see the long numeric runs too, not just -short), vet + tests
 # of the benchmark module (its own go.mod, so ./... does not reach it), the
 # fabric kill-one-port timing proofs, short native fuzz runs over the CXL
-# packet decoder and the checkpoint snapshot decoder, and — when the tools
-# are installed — staticcheck and govulncheck (CI always runs them; locally
-# they are skipped if absent).
+# packet decoder, the checkpoint snapshot decoder and the daemon's request
+# decoding, and — when the tools are installed — staticcheck and govulncheck
+# (CI always runs them; locally they are skipped if absent).
 check:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 40m ./...
@@ -22,6 +22,7 @@ check:
 	$(GO) test -fuzz='FuzzDecode$$' -fuzztime=10s ./internal/cxl
 	$(GO) test -fuzz='FuzzDecodeFramed$$' -fuzztime=10s ./internal/cxl
 	$(GO) test -fuzz='FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz='FuzzParseRequest$$' -fuzztime=10s ./internal/server
 	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestArenaReuse' ./internal/kernels
 	$(GO) test -run xxx -bench 'TrainStep|MatmulBlocked|FusedAdamScan' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \

@@ -30,7 +30,6 @@ import (
 	"teco/internal/modelzoo"
 	"teco/internal/realtrain"
 	"teco/internal/sim"
-	"teco/internal/solver"
 	"teco/internal/zero"
 )
 
@@ -288,34 +287,6 @@ func BenchmarkGCNIIEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.LossAndGrad(m.Params, g, grads)
-	}
-}
-
-// BenchmarkCGSolve measures the conjugate-gradient reference solver.
-func BenchmarkCGSolve(b *testing.B) {
-	m := solver.Poisson2D(32)
-	rhs := make([]float32, m.N)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := make([]float32, m.N)
-		solver.CG(m, rhs, x, 1e-5, 2000)
-	}
-}
-
-// BenchmarkOffloadedJacobi measures the dirty-byte-channel Jacobi solver.
-func BenchmarkOffloadedJacobi(b *testing.B) {
-	m := solver.Poisson2D(16)
-	rhs := make([]float32, m.N)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := make([]float32, m.N)
-		solver.OffloadedJacobi(m, rhs, x, solver.OffloadConfig{Tol: 1e-3, MaxIter: 3000, DirtyBytes: 3})
 	}
 }
 

@@ -21,8 +21,8 @@ func TestListAndRun(t *testing.T) {
 	if code != 0 || out != strings.Join(experiments.IDs(), "\n")+"\n" {
 		t.Fatalf("-list: exit %d, output %q", code, out)
 	}
-	// A knob flag and the inverted scheduling flag in one run.
-	code, out, errw := tecosim("-markdown", "-workers", "1", "-coalesce=false", "-seed", "7", "table7")
+	// A knob flag and the scheduling flags in one run.
+	code, out, errw := tecosim("-markdown", "-workers", "1", "-no-memo", "-seed", "7", "table7")
 	if code != 0 || !strings.Contains(out, "### table7") {
 		t.Fatalf("table7: exit %d\n%s%s", code, out, errw)
 	}
@@ -36,6 +36,8 @@ func TestBadInputExitsNonZero(t *testing.T) {
 		{"nope"}, {}, {"-no-such-flag", "table1"}, {"-ber", "2", "faults"},
 		{"-retry-budget", "-1", "faults"}, {"-cache-pct", "101", "layers"},
 		{"-layer-policy", "mru", "layers-policy"}, {"-kill-port", "5", "fabric-faults"},
+		{"-layer-policy", "pinned", "layers-policy"}, {"-tier-policy", "recency", "tiering-policy"},
+		{"-coalesce=false", "table1"},
 	}
 	for flagName, ceiling := range map[string]int{
 		"layers": 1 << 10, "prefetch": 1 << 6, "replicas": 1 << 10, "host-ports": 1 << 10,

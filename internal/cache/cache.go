@@ -1,6 +1,6 @@
 // Package cache implements a set-associative, write-back cache with per-line
-// MESI coherence state and LRU replacement. Instances model both the CPU
-// cache hierarchy of the gem5-avx configuration (Table II of the paper) and
+// MESI coherence state and LRU replacement. Instances model both the CPU's
+// last-level cache in the gem5-avx configuration (Table II of the paper) and
 // the accelerator-side giant cache, which the paper treats as a peer cache of
 // the CPU cache inside the CXL coherent domain (§IV-A2).
 package cache
@@ -67,12 +67,6 @@ type Config struct {
 	// Ways is the associativity. Ways <= 0 means fully associative.
 	Ways int
 }
-
-// Gem5L1 returns the paper's gem5-avx L1 data cache geometry (Table II).
-func Gem5L1() Config { return Config{Name: "L1", SizeBytes: 8 << 10, Ways: 8} }
-
-// Gem5L2 returns the paper's gem5-avx L2 geometry (Table II).
-func Gem5L2() Config { return Config{Name: "L2", SizeBytes: 64 << 10, Ways: 16} }
 
 // Gem5L3 returns the paper's gem5-avx shared L3 geometry (Table II).
 func Gem5L3() Config { return Config{Name: "L3", SizeBytes: 16 << 20, Ways: 64} }
@@ -224,7 +218,7 @@ func (c *Cache) SetState(a mem.LineAddr, s State) bool {
 // cache *without* coherence: hits update LRU; misses insert the line
 // (Exclusive for loads, Modified for stores) and may evict. The coherence
 // layer wraps this for protocol-accurate traffic; this raw form serves the
-// standalone hierarchy model and tests.
+// access-path benchmark and tests.
 func (c *Cache) Access(a mem.LineAddr, write bool) (hit bool, ev Eviction, evicted bool) {
 	st := c.Lookup(a)
 	if st.Valid() {

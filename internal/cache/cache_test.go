@@ -20,15 +20,9 @@ func TestStateString(t *testing.T) {
 }
 
 func TestGem5Geometries(t *testing.T) {
-	// Table II: L1 8KB/64B/8-way, L2 64KB/64B/16-way, L3 16MB/64-way.
-	for _, cfg := range []Config{Gem5L1(), Gem5L2(), Gem5L3()} {
-		c := New(cfg)
-		if c.Lines()*mem.LineSize != cfg.SizeBytes {
-			t.Errorf("%s capacity mismatch", cfg.Name)
-		}
-	}
-	if New(Gem5L1()).Lines() != 128 {
-		t.Fatal("L1 should hold 128 lines")
+	// Table II: L3 16MB/64B/64-way.
+	if c := New(Gem5L3()); c.Lines()*mem.LineSize != Gem5L3().SizeBytes || c.Lines() != 1<<18 {
+		t.Fatalf("L3 holds %d lines, want 262144", c.Lines())
 	}
 }
 

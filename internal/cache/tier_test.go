@@ -13,19 +13,17 @@ import (
 // drops. These tests pin that correspondence so the coherence model and
 // the tiering cost model cannot drift apart.
 
-// TestTierGeometriesLineExact: every modeled cache tier (the gem5 CPU
-// hierarchy and the giant-cache peer) is an exact multiple of the line
-// size the migration streams move — mem.LinesIn of a tier's capacity is
-// its line count, with no partial-line remainder for a migration to lose.
+// TestTierGeometriesLineExact: the modeled CPU cache tier (the gem5
+// last-level cache) is an exact multiple of the line size the migration
+// streams move — mem.LinesIn of its capacity is its line count, with no
+// partial-line remainder for a migration to lose.
 func TestTierGeometriesLineExact(t *testing.T) {
-	for _, cfg := range []Config{Gem5L1(), Gem5L2(), Gem5L3()} {
-		c := New(cfg)
-		if got, want := c.Lines(), int64(mem.LinesIn(cfg.SizeBytes)); got != want {
-			t.Errorf("%s: %d lines, but LinesIn(%d) = %d", cfg.Name, got, cfg.SizeBytes, want)
-		}
-		if cfg.SizeBytes%mem.LineSize != 0 {
-			t.Errorf("%s: capacity %d not line-exact", cfg.Name, cfg.SizeBytes)
-		}
+	cfg := Gem5L3()
+	if got, want := New(cfg).Lines(), int64(mem.LinesIn(cfg.SizeBytes)); got != want {
+		t.Errorf("%s: %d lines, but LinesIn(%d) = %d", cfg.Name, got, cfg.SizeBytes, want)
+	}
+	if cfg.SizeBytes%mem.LineSize != 0 {
+		t.Errorf("%s: capacity %d not line-exact", cfg.Name, cfg.SizeBytes)
 	}
 }
 

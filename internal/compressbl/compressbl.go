@@ -13,7 +13,6 @@ import (
 	"teco/internal/core"
 	"teco/internal/lz4"
 	"teco/internal/modelzoo"
-	"teco/internal/phases"
 	"teco/internal/sim"
 	"teco/internal/zero"
 )
@@ -169,10 +168,4 @@ func ZeroQuant(m modelzoo.Model, batch, steps int) ZeroQuantRow {
 	}
 	row.Slowdown = row.ZeroQuantHours / row.TECOHours
 	return row
-}
-
-// TECOStep exposes the TECO-Reduction step result used in the rows above
-// (for harness cross-checks).
-func TECOStep(m modelzoo.Model, batch int) phases.StepResult {
-	return core.MustEngine(core.Config{DBA: true}).Step(m, batch)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"teco/internal/cxl"
@@ -84,7 +85,8 @@ func TestCoalesceBitIdenticalGrid(t *testing.T) {
 
 // TestCoalesceBitIdenticalPaperConfigs cross-checks the configurations the
 // accuracy experiments (fig2, table5, fig10, fig13) and the fault sweep
-// evaluate: the paper's proxy models under TECO-CXL and TECO-Reduction.
+// evaluate: the paper's proxy models under TECO-CXL and TECO-Reduction, and
+// every cell of the fault sweep's grid around BER 1e-5 at seed 7.
 // Clean (pristine-link) runs simulate every cache line of the full-size
 // model in per-line mode, so the cheaper models carry the clean coverage
 // and the larger ones ride on the fault-injected path (where both modes
@@ -124,6 +126,21 @@ func TestCoalesceBitIdenticalPaperConfigs(t *testing.T) {
 			cfgCase{"bert-reduction-clean", modelzoo.BertLargeCased(), 4, Config{DBA: true}},
 			cfgCase{"albert-cxl-clean", modelzoo.AlbertXXLarge(), 4, Config{}},
 		)
+	}
+	// The fault sweep's cells as it builds them for seed 7, BER 1e-5: its
+	// grid is {0, BER/10, BER, BER*10} in float64 arithmetic (BER/10 is not
+	// the literal 1e-6). The clean dirty_bytes=2 cell is bert-reduction-clean
+	// above, and the other clean cells simulate every line of Bert-large, so
+	// they share its -short exemption.
+	sweepBER := 1e-5
+	for _, ber := range []float64{0, sweepBER / 10, sweepBER, sweepBER * 10} {
+		for _, db := range []int{1, 2, 4} {
+			if ber == 0 && (db == 2 || testing.Short()) {
+				continue
+			}
+			cases = append(cases, cfgCase{fmt.Sprintf("bert-sweep-dba%d-ber%.0e", db, ber), modelzoo.BertLargeCased(), 4,
+				Config{DBA: true, DirtyBytes: db, Faults: cxl.FaultConfig{Seed: 7, BER: ber}}})
+		}
 	}
 	for _, c := range cases {
 		c := c

@@ -10,32 +10,23 @@ import (
 	"teco/internal/mem"
 	"teco/internal/modelzoo"
 	"teco/internal/sim"
-	"teco/internal/trace"
 	"teco/internal/zero"
 )
 
 // TestEngineMatchesTraceReplay cross-validates the two halves of the
 // methodology: the layer-granular flow engine (Step) against an explicit
-// writeback-trace replay through the same link model (the paper's
-// gem5-trace -> process.py path). The parameter-phase drain computed both
-// ways must agree.
+// replay of the ADAM writeback schedule through the same link model (the
+// paper's gem5-trace -> process.py path). The parameter-phase drain
+// computed both ways must agree.
 func TestEngineMatchesTraceReplay(t *testing.T) {
 	for _, m := range []modelzoo.Model{modelzoo.GPT2(), modelzoo.BertLargeCased(), modelzoo.T5Large()} {
 		for _, useDBA := range []bool{false, true} {
 			e := MustEngine(Config{DBA: useDBA})
 			r := e.Step(m, 4)
 
-			// Rebuild the same ADAM writeback schedule as a trace and
-			// replay it line-group by line-group over a fresh link.
+			// Replay the same ADAM writeback schedule chunk by chunk (the
+			// engine's own granularity) over a fresh link.
 			cpu := cpusim.Xeon6120()
-			chunks := cpu.UpdateSchedule(m)
-			ready := make([]sim.Time, len(chunks))
-			sizes := make([]int64, len(chunks))
-			for i, c := range chunks {
-				ready[i], sizes[i] = c.ReadyAt, c.Bytes
-			}
-			// One record per layer chunk = the engine's own granularity.
-			tr := trace.FromUpdateChunks(0, ready, sizes, 0, 1)
 			link := cxl.NewLink(sim.New(), e.LinkBandwidth, e.QueueCap)
 			payloadPerLine := mem.LineSize
 			var extra sim.Time
@@ -43,11 +34,10 @@ func TestEngineMatchesTraceReplay(t *testing.T) {
 				payloadPerLine = dba.WordsPerLine * dba.DefaultDirtyBytes
 				extra = dba.ModelledLatency
 			}
-			// Scale: each record carries one whole layer's bytes.
 			var finish sim.Time
-			for i, rec := range tr.Stores() {
-				payload := sizes[i] * int64(payloadPerLine) / mem.LineSize
-				_, done := link.Send(rec.At, int(payload), extra)
+			for _, c := range cpu.UpdateSchedule(m) {
+				payload := c.Bytes * int64(payloadPerLine) / mem.LineSize
+				_, done := link.Send(c.ReadyAt, int(payload), extra)
 				if done > finish {
 					finish = done
 				}

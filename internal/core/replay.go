@@ -44,7 +44,7 @@ type wireScratch struct {
 	line    []byte     // EncodeLineInto target (one cache line)
 	payload []byte     // AppendAggregate target
 	frame   []byte     // AppendEncode/AppendEncodeFramed target
-	corrupt []byte     // CorruptFrameReuse scratch
+	corrupt []byte     // CorruptFrame scratch
 	merged  []byte     // DisaggregateInto target (one cache line)
 	decoded cxl.Packet // DecodeInto/DecodeFramedInto target
 }
@@ -81,7 +81,7 @@ func (ws *wireScratch) wireDelivery(pkt *cxl.Packet, fm *cxl.FaultModel, onDeman
 	ws.frame = frame
 	budget := fm.Config().RetryBudget
 	for attempt := 0; ; attempt++ {
-		wire, flips := fm.CorruptFrameReuse(frame, ws.corrupt)
+		wire, flips := fm.CorruptFrame(frame, ws.corrupt)
 		if flips > 0 {
 			ws.corrupt = wire
 		}

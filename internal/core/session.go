@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"teco/internal/modelzoo"
-	"teco/internal/phases"
 	"teco/internal/sim"
 	"teco/internal/zero"
 )
@@ -90,13 +89,4 @@ func (c CostModel) AnnualSavingsUSD(timeSavedFraction float64) float64 {
 	instances := float64(c.GPUs) / float64(c.GPUsPerInstance)
 	annual := instances * c.InstanceHourlyUSD * 24 * 365
 	return annual * c.TrainingShare * timeSavedFraction
-}
-
-// ProductionSavings combines a training estimate with the cost model,
-// returning the projected yearly savings and the step results used.
-func ProductionSavings(m modelzoo.Model, batch int, c CostModel) (float64, phases.StepResult, phases.StepResult) {
-	base := zero.NewEngine().Step(m, batch)
-	red := MustEngine(Config{DBA: true}).Step(m, batch)
-	saved := 1 - float64(red.Total())/float64(base.Total())
-	return c.AnnualSavingsUSD(saved), base, red
 }

@@ -67,13 +67,3 @@ func TestCostAnalysisNearPaper(t *testing.T) {
 		t.Fatal("zero-value cost model must use defaults")
 	}
 }
-
-func TestProductionSavingsPositive(t *testing.T) {
-	usd, base, red := ProductionSavings(modelzoo.BertLargeCased(), 4, DefaultCostModel())
-	if usd <= 0 {
-		t.Fatalf("savings = %v", usd)
-	}
-	if red.Total() >= base.Total() {
-		t.Fatal("TECO step must be faster")
-	}
-}

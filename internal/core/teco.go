@@ -46,9 +46,8 @@ type Config struct {
 	// becomes its own event on the stream simulator instead of a
 	// closed-form run segment. Results are bit-identical in both modes
 	// (asserted by coalesce_test.go); per-line exists as the reference
-	// path and costs orders of magnitude more wall clock. tecosim
-	// -coalesce=false reaches the generators' engines through
-	// experiments.Options.PerLine.
+	// path the tests compare against and costs orders of magnitude more
+	// wall clock.
 	PerLine bool
 }
 

@@ -333,11 +333,6 @@ func (l *Link) commitRun(done, svc sim.Time, n int) {
 	l.packets++
 }
 
-// SendMsg enqueues a data-less protocol message.
-func (l *Link) SendMsg(ready sim.Time) (admit, done sim.Time) {
-	return l.Send(ready, MsgBytes, 0)
-}
-
 // Fence returns the time at which all traffic enqueued so far has completed,
 // but no earlier than `ready`. This is CXLFENCE: it "guarantees the CXL
 // coherence traffic by checking the status of CXL controller and home

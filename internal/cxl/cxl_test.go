@@ -119,7 +119,7 @@ func TestStatsAndReset(t *testing.T) {
 	eng := sim.New()
 	l := NewLink(eng, 16e9, 0)
 	l.Send(0, 64, 0)
-	l.SendMsg(0)
+	l.Send(0, MsgBytes, 0)
 	b, p, busy, _ := l.Stats()
 	if b != 64+MsgBytes || p != 2 || busy <= 0 {
 		t.Fatalf("stats = %d bytes %d pkts busy %v", b, p, busy)

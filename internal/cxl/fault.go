@@ -284,16 +284,9 @@ func (f *FaultModel) draw(k int64, p float64) int64 {
 // CorruptFrame applies deterministic bit errors to a wire frame: the number
 // of flips is a binomial draw over the frame's bits at the configured BER.
 // It returns the (possibly copied and corrupted) frame and the flip count;
-// with zero flips the input slice is returned unmodified.
-func (f *FaultModel) CorruptFrame(wire []byte) ([]byte, int) {
-	return f.CorruptFrameReuse(wire, nil)
-}
-
-// CorruptFrameReuse is CorruptFrame with a caller-owned scratch buffer for
-// the corrupted copy: when flips occur the copy lands in scratch's capacity
-// instead of a fresh allocation. The RNG draw sequence is identical to
-// CorruptFrame's, so the two forms are interchangeable mid-run.
-func (f *FaultModel) CorruptFrameReuse(wire, scratch []byte) ([]byte, int) {
+// with zero flips the input slice is returned unmodified. When flips occur
+// the corrupted copy lands in scratch's capacity (nil: a fresh allocation).
+func (f *FaultModel) CorruptFrame(wire, scratch []byte) ([]byte, int) {
 	bits := int64(len(wire)) * 8
 	k := f.draw(bits, f.cfg.BER)
 	if k == 0 {

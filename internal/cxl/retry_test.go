@@ -270,8 +270,8 @@ func TestCorruptFrameDeterministic(t *testing.T) {
 	b := MustFaultModel(FaultConfig{Seed: 21, BER: 0.01})
 	var flippedTotal int
 	for i := 0; i < 200; i++ {
-		wa, fa := a.CorruptFrame(frame)
-		wb, fb := b.CorruptFrame(frame)
+		wa, fa := a.CorruptFrame(frame, nil)
+		wb, fb := b.CorruptFrame(frame, nil)
 		if fa != fb {
 			t.Fatalf("flip counts diverged at %d: %d vs %d", i, fa, fb)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"teco/internal/conformance/check"
-	"teco/internal/mem"
 	"teco/internal/sim"
 )
 
@@ -26,7 +25,7 @@ import (
 //     payload bytes completes at start + DurationForBytes(n*(i+1)/L), which
 //     telescopes exactly to the closed form for the last line, so the two
 //     modes agree bit-for-bit (asserted by stream_test.go and the
-//     cross-check suites in core and experiments).
+//     cross-check suites in core).
 //
 // Coalescing breaks exactly at fault boundaries: a run on a link with an
 // attached fault model is never split or merged in either mode — it is
@@ -203,10 +202,4 @@ func (s *Stream) CheckInvariants() error {
 		return fmt.Errorf("cxl: stream engine holds %d undrained line events", p)
 	}
 	return s.eng.CheckInvariants()
-}
-
-// PushLines is PushRun for full-line payloads: lines is derived from n at
-// the 64-byte line size.
-func (s *Stream) PushLines(ready sim.Time, n int, extra sim.Time, pktBytes int, aggregated bool) FlowResult {
-	return s.PushRun(ready, n, mem.LinesIn(int64(n)), extra, pktBytes, aggregated)
 }

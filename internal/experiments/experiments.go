@@ -23,15 +23,6 @@ const RealTrainSteps = 800
 // evalBatches are the batch sizes of Fig 11 / Table IV.
 var evalBatches = []int{4, 8, 16}
 
-// tecoEngine builds a core engine for one grid point, honouring the
-// option's coalescing selection (tecosim -coalesce). Timing tables are
-// bit-identical in both modes (asserted by coalesce_test.go in core and the
-// cross-check here), so PerLine never appears in a cache fingerprint.
-func tecoEngine(opt Options, cfg core.Config) *core.Engine {
-	cfg.PerLine = cfg.PerLine || opt.PerLine
-	return core.MustEngine(cfg)
-}
-
 // Every generator takes the full Options: its grid runs on the option's
 // sweep pool and its fine-tuning runs come from the shared run cache. Grid
 // points always get fresh engines — the timing engines carry internal state
@@ -116,8 +107,8 @@ func AblationInvalidation(opt Options) *Table {
 	cells := grid(opt, len(models), func(i int) cell {
 		m := models[i]
 		b := batchFor(m, 4)
-		ru := tecoEngine(opt, core.Config{}).Step(m, b)
-		ri := tecoEngine(opt, core.Config{Invalidation: true}).Step(m, b)
+		ru := core.MustEngine(core.Config{}).Step(m, b)
+		ri := core.MustEngine(core.Config{Invalidation: true}).Step(m, b)
 		pen := float64(ri.Total())/float64(ru.Total()) - 1
 		return cell{
 			row: []string{m.Name, ms(ru.Total().Milliseconds()), ms(ri.Total().Milliseconds()), pct(pen)},
@@ -184,8 +175,8 @@ func Fig11TableIV(opt Options) *Table {
 		}
 		rb := zero.NewEngine().Step(m, b)
 		return []string{m.Name, fmt.Sprint(b),
-			f2(tecoEngine(opt, core.Config{}).Step(m, b).Speedup(rb)) + "x",
-			f2(tecoEngine(opt, core.Config{DBA: true}).Step(m, b).Speedup(rb)) + "x",
+			f2(core.MustEngine(core.Config{}).Step(m, b).Speedup(rb)) + "x",
+			f2(core.MustEngine(core.Config{DBA: true}).Step(m, b).Speedup(rb)) + "x",
 			pv}
 	}) {
 		t.AddRow(row...)
@@ -285,9 +276,9 @@ func Fig12(opt Options) *Table {
 		step func(modelzoo.Model, int) phases.StepResult
 	}{
 		{"ZeRO-Offload", func(m modelzoo.Model, b int) phases.StepResult { return zero.NewEngine().Step(m, b) }},
-		{"TECO-CXL", func(m modelzoo.Model, b int) phases.StepResult { return tecoEngine(opt, core.Config{}).Step(m, b) }},
+		{"TECO-CXL", func(m modelzoo.Model, b int) phases.StepResult { return core.MustEngine(core.Config{}).Step(m, b) }},
 		{"TECO-Reduction", func(m modelzoo.Model, b int) phases.StepResult {
-			return tecoEngine(opt, core.Config{DBA: true}).Step(m, b)
+			return core.MustEngine(core.Config{DBA: true}).Step(m, b)
 		}},
 	}
 	batches := []int{4, 8}
@@ -328,7 +319,7 @@ func CommVolume(opt Options) *Table {
 		m := models[i]
 		b := batchFor(m, 4)
 		rb := zero.NewEngine().Step(m, b)
-		rr := tecoEngine(opt, core.Config{DBA: true}).Step(m, b)
+		rr := core.MustEngine(core.Config{DBA: true}).Step(m, b)
 		redn := rr.CommReduction(rb)
 		return cell{
 			row:  []string{m.Name, gb(rb.ParamLinkBytes), gb(rr.ParamLinkBytes), gb(rr.GradLinkBytes), pct(redn)},
@@ -360,8 +351,8 @@ func TableVI(opt Options) *Table {
 		m := models[i]
 		rb := zero.NewEngine().Step(m, 4)
 		return []string{m.Name, "1x",
-			f2(tecoEngine(opt, core.Config{}).Step(m, 4).Speedup(rb)) + "x",
-			f2(tecoEngine(opt, core.Config{DBA: true}).Step(m, 4).Speedup(rb)) + "x",
+			f2(core.MustEngine(core.Config{}).Step(m, 4).Speedup(rb)) + "x",
+			f2(core.MustEngine(core.Config{DBA: true}).Step(m, 4).Speedup(rb)) + "x",
 			paper[m.Name]}
 	}) {
 		t.AddRow(row...)
@@ -382,8 +373,8 @@ func Fig13(opt Options) *Table {
 	}
 	m := modelzoo.GPT2()
 	base := zero.NewEngine().Step(m, 4)
-	cxlStep := tecoEngine(opt, core.Config{}).Step(m, 4).Total()
-	dbaStep := tecoEngine(opt, core.Config{DBA: true}).Step(m, 4).Total()
+	cxlStep := core.MustEngine(core.Config{}).Step(m, 4).Total()
+	dbaStep := core.MustEngine(core.Config{DBA: true}).Step(m, 4).Total()
 	total := RealTrainSteps
 	acts := []int{0, total / 8, total / 4, total / 2, 3 * total / 4, total}
 	for _, row := range grid(opt, len(acts), func(i int) []string {
@@ -417,7 +408,7 @@ func AblationDPU(opt Options) *Table {
 		e := zero.NewEngine()
 		plain := e.Step(m, b)
 		dpu := e.StepDPU(m, b)
-		teco := tecoEngine(opt, core.Config{DBA: true}).Step(m, b)
+		teco := core.MustEngine(core.Config{DBA: true}).Step(m, b)
 		return []string{fmt.Sprint(b),
 			ms(plain.Total().Milliseconds()),
 			ms(dpu.Total().Milliseconds()),

@@ -62,7 +62,7 @@ func FabricSweep(opt Options) *Table {
 	}
 	rows := grid(opt, len(cells), func(i int) []string {
 		r, hostPorts, label := cells[i].r, cells[i].hostPorts, cells[i].label
-		e := tecoEngine(opt, core.Config{DBA: true})
+		e := core.MustEngine(core.Config{DBA: true})
 		base, err := e.StepFabric(m, 16, fabricCfg(1, 1, 0))
 		if err != nil {
 			return []string{fmt.Sprint(r), fmt.Sprint(hostPorts), label, "-", "-", "-", "-", "-", err.Error()}
@@ -153,7 +153,7 @@ func FabricFaultSweep(opt Options) *Table {
 			cfg.Faults = cxl.FaultConfig{Seed: opt.Seed, BER: ber, RetryBudget: opt.RetryBudget}
 		}
 		cfg.Degrade = opt.Degrade
-		e := tecoEngine(opt, cfg)
+		e := core.MustEngine(cfg)
 		healthy, err := e.StepFabric(m, 16, core.FabricConfig{
 			Replicas: replicas, HopLatency: fabric.DefaultHopLatency,
 		})

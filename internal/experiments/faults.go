@@ -66,7 +66,6 @@ func FaultSweep(opt Options) *Table {
 			DBA:        true,
 			DirtyBytes: db,
 			Degrade:    opt.Degrade,
-			PerLine:    opt.PerLine,
 			Faults: cxl.FaultConfig{
 				Seed:        opt.Seed,
 				BER:         ber,

@@ -14,7 +14,6 @@ func TestFingerprintSchedulingInvariant(t *testing.T) {
 	variants := []Options{
 		{Seed: 42, BER: 1e-6, RetryBudget: 4, Degrade: true, Workers: 8},
 		{Seed: 42, BER: 1e-6, RetryBudget: 4, Degrade: true, NoMemo: true},
-		{Seed: 42, BER: 1e-6, RetryBudget: 4, Degrade: true, PerLine: true},
 		{Seed: 42, BER: 1e-6, RetryBudget: 4, Degrade: true, CkptDir: "/tmp/elsewhere"},
 		{Seed: 42, BER: 1e-6, RetryBudget: 4, Degrade: true, Ctx: context.Background()},
 	}

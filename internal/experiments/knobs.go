@@ -51,13 +51,10 @@ type Options struct {
 	TierDRAMPct, TierMigrateBudget int
 	// Workers sizes the sweep worker pool and rides into the trainers'
 	// intra-step hot loops (<= 0: GOMAXPROCS, 1: serial). NoMemo disables
-	// the shared-run memoization (runcache.go). PerLine runs every timing
-	// engine on the per-line reference path instead of the flow-coalescing
-	// fast path. All three are pure scheduling: every table is identical
-	// at every setting (parallel_test.go, coalesce_test.go).
+	// the shared-run memoization (runcache.go). Both are pure scheduling:
+	// every table is identical at every setting (parallel_test.go).
 	Workers int
 	NoMemo  bool
-	PerLine bool
 	// Ctx, when non-nil, bounds the whole generation: the sweep pool stops
 	// dispatching grid points and returns as soon as it is cancelled (the
 	// sweep service threads per-request deadlines through here). A
@@ -90,8 +87,8 @@ type knob struct {
 	// sched marks pure scheduling knobs: flag-only, never accepted in a
 	// request and never in a key, because no output byte depends on them.
 	sched bool
-	// ref addresses the knob's field: *int, *int64, *float64, *bool,
-	// *string, or a flag.Value wrapping one.
+	// ref addresses the knob's field: *int, *int64, *float64, *bool or
+	// *string.
 	ref func(*Options) any
 }
 
@@ -129,35 +126,13 @@ var knobs = []knob{
 	{name: "layers", usage: "layer count for the layers sweeps (0: default grid)", hi: maxLayers, ref: func(o *Options) any { return &o.Layers }},
 	{name: "cache_pct", usage: "fast-tier size for the layers sweeps, percent of model parameter bytes (0: defaults)", hi: 100, ref: func(o *Options) any { return &o.CachePct }},
 	{name: "prefetch", usage: "prefetch look-ahead depth in layers for the layers sweeps (0: defaults)", hi: maxPrefetch, ref: func(o *Options) any { return &o.PrefetchDepth }},
-	{name: "layer_policy", usage: "eviction policy for the layers-policy sweep: lru, fifo, pin (empty: full set)", enum: []string{"lru", "fifo", "pin", "pinned"}, ref: func(o *Options) any { return &o.LayerPolicy }},
+	{name: "layer_policy", usage: "eviction policy for the layers-policy sweep: lru, fifo, pin (empty: full set)", enum: []string{"lru", "fifo", "pin"}, ref: func(o *Options) any { return &o.LayerPolicy }},
 	{name: "layer_seq_len", usage: "long-context sequence length for the layers-policy sweep (0: default 1024)", hi: maxSeqLen, ref: func(o *Options) any { return &o.LayerSeqLen }},
-	{name: "tier_policy", usage: "placement policy for the tiering sweeps: heat, lru, static (empty: defaults)", enum: []string{"heat", "lru", "recency", "static"}, ref: func(o *Options) any { return &o.TierPolicy }},
+	{name: "tier_policy", usage: "placement policy for the tiering sweeps: heat, lru, static (empty: defaults)", enum: []string{"heat", "lru", "static"}, ref: func(o *Options) any { return &o.TierPolicy }},
 	{name: "tier_dram_pct", usage: "fast-tier size for the tiering sweeps, percent of tiered slot bytes (0: defaults)", hi: 100, ref: func(o *Options) any { return &o.TierDRAMPct }},
 	{name: "tier_migrate_budget", usage: "per-step migration budget in MiB for the tiering sweeps (0: defaults)", hi: maxMiB, ref: func(o *Options) any { return &o.TierMigrateBudget }},
 	{name: "workers", usage: "sweep worker pool size (0: GOMAXPROCS, 1: serial); tables are identical at every setting", lo: -inf, hi: inf, sched: true, ref: func(o *Options) any { return &o.Workers }},
 	{name: "no_memo", usage: "disable shared-run memoization across experiments (slower, identical output)", sched: true, ref: func(o *Options) any { return &o.NoMemo }},
-	{name: "coalesce", usage: "flow-coalescing fast path for the stream simulator; false runs the bit-identical per-line reference path (slow)", sched: true, ref: func(o *Options) any { return notFlag{&o.PerLine} }},
-}
-
-// notFlag presents a bool field under the opposite polarity: -coalesce
-// (default true) is Options.PerLine (default false).
-type notFlag struct{ p *bool }
-
-func (f notFlag) IsBoolFlag() bool { return true }
-
-func (f notFlag) String() string {
-	if f.p == nil {
-		return ""
-	}
-	return strconv.FormatBool(!*f.p)
-}
-
-func (f notFlag) Set(s string) error {
-	v, err := strconv.ParseBool(s)
-	if err == nil {
-		*f.p = !v
-	}
-	return err
 }
 
 // RegisterFlags registers one flag per knob on fs, bound to the fields of
@@ -176,8 +151,6 @@ func RegisterFlags(fs *flag.FlagSet, o *Options) {
 			fs.BoolVar(p, name, *p, k.usage)
 		case *string:
 			fs.StringVar(p, name, *p, k.usage)
-		case flag.Value:
-			fs.Var(p, name, k.usage)
 		}
 	}
 }

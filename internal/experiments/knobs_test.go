@@ -16,16 +16,6 @@ import (
 
 var updateDocs = flag.Bool("update", false, "rewrite the generated knob table in DESIGN.md")
 
-// field returns the address of the Options field a knob is bound to,
-// unwrapping the inverted -coalesce view.
-func (k *knob) field(o *Options) any {
-	p := k.ref(o)
-	if nf, ok := p.(notFlag); ok {
-		return nf.p
-	}
-	return p
-}
-
 // TestKnobTableCoversOptions: every field of Options except Ctx is declared
 // by exactly one knob, wire names are unique, and each knob's flag is its
 // wire name with '_' → '-'.
@@ -49,7 +39,7 @@ func TestKnobTableCoversOptions(t *testing.T) {
 		name := v.Type().Field(i).Name
 		n := 0
 		for j := range knobs {
-			if knobs[j].field(&o) == v.Field(i).Addr().Interface() {
+			if knobs[j].ref(&o) == v.Field(i).Addr().Interface() {
 				n++
 			}
 		}
@@ -75,7 +65,7 @@ func TestSetDecodesEveryKind(t *testing.T) {
 		t.Fatalf("Set produced %+v, want %+v", o, want)
 	}
 	for name, value := range map[string]string{
-		"sede": "7", "workers": "9", "no_memo": "true", "coalesce": "false", "ckpt_dir": "/tmp",
+		"sede": "7", "workers": "9", "no_memo": "true", "ckpt_dir": "/tmp",
 		"seed": "abc", "layers": "1.5", "ber": "x", "degrade": "maybe",
 	} {
 		if err := o.Set(name, value); err == nil {
@@ -95,7 +85,7 @@ func TestValidateBounds(t *testing.T) {
 			ok bool
 		}{{k.lo, true}, {k.hi, true}, {k.lo - 1, false}, {k.hi + 1, false}} {
 			o := Options{Replicas: maxPorts} // so kill_port's own bound is the one tested
-			switch p := k.field(&o).(type) {
+			switch p := k.ref(&o).(type) {
 			case *int:
 				if math.IsInf(c.v, 0) {
 					continue
@@ -115,7 +105,7 @@ func TestValidateBounds(t *testing.T) {
 		}
 		for _, v := range k.enum {
 			o := Options{}
-			*k.field(&o).(*string) = v
+			*k.ref(&o).(*string) = v
 			if err := o.Validate(); err != nil {
 				t.Errorf("%s=%q: %v", k.name, v, err)
 			}
@@ -134,8 +124,8 @@ func TestValidateBounds(t *testing.T) {
 		}
 	}
 	for _, bad := range []Options{
-		{LayerPolicy: "mru"}, {TierPolicy: "coldest"}, {BER: math.NaN()},
-		{KillPort: 5}, {Replicas: 2, KillPort: 3},
+		{LayerPolicy: "mru"}, {LayerPolicy: "pinned"}, {TierPolicy: "coldest"}, {TierPolicy: "recency"},
+		{BER: math.NaN()}, {KillPort: 5}, {Replicas: 2, KillPort: 3},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
@@ -143,6 +133,29 @@ func TestValidateBounds(t *testing.T) {
 	}
 	if err := (Options{Replicas: 8, KillPort: 8, Seed: math.MinInt64, Workers: -1}).Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPolicyEnumValuesSelectRows: every policy spelling Validate accepts
+// selects at least one row of the sweep it collapses — a spelling the sweep
+// does not know would render a header and no rows.
+func TestPolicyEnumValuesSelectRows(t *testing.T) {
+	sweeps := map[string]func(Options) *Table{"layer_policy": LayersPolicySweep, "tier_policy": TieringPolicySweep}
+	for i := range knobs {
+		k := &knobs[i]
+		if k.enum == nil {
+			continue
+		}
+		for _, v := range k.enum {
+			o := Options{Workers: 1}
+			*k.ref(&o).(*string) = v
+			if err := o.Validate(); err != nil {
+				t.Fatalf("%s=%q: %v", k.name, v, err)
+			}
+			if rows := len(sweeps[k.name](o).Rows); rows == 0 {
+				t.Errorf("%s=%q: the sweep rendered no rows", k.name, v)
+			}
+		}
 	}
 }
 
@@ -154,7 +167,7 @@ func TestFingerprintFormat(t *testing.T) {
 		t.Fatalf("zero options: %016x, want %016x", got, want)
 	}
 	o := Options{Seed: 42, BER: 1e-6, Degrade: true, TierPolicy: "lru", Layers: 12,
-		Workers: 8, NoMemo: true, PerLine: true, CkptDir: "/tmp/x"}
+		Workers: 8, NoMemo: true, CkptDir: "/tmp/x"}
 	canon := "fig11|seed=42|ber=1e-06|degrade=true|layers=12|tier_policy=lru"
 	if got, want := o.Fingerprint("table4"), fnv64a(canon); got != want {
 		t.Fatalf("fingerprint %016x, want FNV-64a(%q) = %016x", got, canon, want)
@@ -235,8 +248,6 @@ func knobDoc() string {
 			if k.enum != nil {
 				kind, bounds = "enum", strings.Join(k.enum, ", ")
 			}
-		case flag.Value:
-			kind, def = "bool", p.String()
 		}
 		switch {
 		case kind == "bool" || kind == "string" || kind == "enum":
@@ -291,7 +302,7 @@ func TestFlagsKeepParentDefaults(t *testing.T) {
 		"ckpt-dir": "", "crash-at": "0", "replicas": "0", "host-ports": "0", "kill-port": "0",
 		"kill-step": "0", "layers": "0", "cache-pct": "0", "prefetch": "0", "layer-policy": "",
 		"layer-seq-len": "0", "tier-policy": "", "tier-dram-pct": "0", "tier-migrate-budget": "0",
-		"workers": "0", "no-memo": "false", "coalesce": "true",
+		"workers": "0", "no-memo": "false",
 	}
 	fs.VisitAll(func(f *flag.Flag) {
 		def, ok := want[f.Name]
@@ -305,10 +316,10 @@ func TestFlagsKeepParentDefaults(t *testing.T) {
 	for name := range want {
 		t.Errorf("flag -%s is gone", name)
 	}
-	if err := fs.Parse([]string{"-coalesce=false", "-layer-policy", "pin", "-workers", "3"}); err != nil {
+	if err := fs.Parse([]string{"-no-memo", "-layer-policy", "pin", "-workers", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if !o.PerLine || o.LayerPolicy != "pin" || o.Workers != 3 || o.Seed != 42 {
+	if !o.NoMemo || o.LayerPolicy != "pin" || o.Workers != 3 || o.Seed != 42 {
 		t.Fatalf("parsed flags did not reach Options: %+v", o)
 	}
 }

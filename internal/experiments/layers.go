@@ -69,7 +69,7 @@ func LayersSweep(opt Options) *Table {
 		if cache < core.SlotLayout(ml, false).Largest() {
 			return []string{fmt.Sprint(layers), label, "n/a", "n/a", "n/a", "-", "-", "-"}
 		}
-		e := tecoEngine(opt, core.Config{DBA: true})
+		e := core.MustEngine(core.Config{DBA: true})
 		serial, err := e.StepLayered(m, 4, core.LayerConfig{Layers: layers, CacheBytes: cache})
 		if err != nil {
 			return []string{fmt.Sprint(layers), label, "-", "-", "-", "-", "-", err.Error()}
@@ -172,7 +172,7 @@ func LayersPolicySweep(opt Options) *Table {
 		lc.Policy = v.policy
 		lc.Prefetch = v.prefetch
 		lc.Pinned = v.pinned
-		e := tecoEngine(opt, core.Config{DBA: true})
+		e := core.MustEngine(core.Config{DBA: true})
 		res, err := e.StepLayered(m, 4, lc)
 		if err != nil {
 			return []string{sc.name, v.policy, fmt.Sprint(v.prefetch), "-", "-", "-", "-", "-", "-", err.Error()}

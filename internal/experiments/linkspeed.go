@@ -32,7 +32,7 @@ func LinkSpeedSweep(opt Options) *Table {
 		g := gens[i]
 		base := zero.NewEngine()
 		base.LinkBandwidth = g.raw * modelzoo.BaselineDMAEfficiency
-		teco := tecoEngine(opt, core.Config{DBA: true})
+		teco := core.MustEngine(core.Config{DBA: true})
 		teco.LinkBandwidth = g.raw * modelzoo.CXLEfficiency
 		rb := base.Step(m, 4)
 		rt := teco.Step(m, 4)

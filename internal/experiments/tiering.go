@@ -84,7 +84,7 @@ func TieringSweep(opt Options) *Table {
 		if pct < 100 && dram < largest {
 			return []string{label, blabel, "n/a", "n/a", "n/a", "-", "-", "-", "-"}
 		}
-		e := tecoEngine(opt, core.Config{DBA: true})
+		e := core.MustEngine(core.Config{DBA: true})
 		tc := core.TierConfig{DRAMBytes: dram, OptSlots: true, Policy: policy,
 			MigrateBudget: int64(budget) << 20}
 		if pct >= 100 {
@@ -148,7 +148,7 @@ func TieringPolicySweep(opt Options) *Table {
 		err   error
 	}
 	cells := grid(opt, len(policies), func(i int) cell {
-		e := tecoEngine(opt, core.Config{DBA: true})
+		e := core.MustEngine(core.Config{DBA: true})
 		res, trace, err := e.RunTiered(m, 4, core.TierConfig{
 			DRAMBytes: dram, OptSlots: true,
 			Policy: policies[i], MigrateBudget: int64(budget) << 20,

@@ -34,8 +34,8 @@ func TimeToLoss(opt Options) *Table {
 	base, red := runs[0], runs[1]
 
 	baseStep := zero.NewEngine().Step(m, 4).Total()
-	cxlStep := tecoEngine(opt, core.Config{}).Step(m, 4).Total()
-	dbaStep := tecoEngine(opt, core.Config{DBA: true}).Step(m, 4).Total()
+	cxlStep := core.MustEngine(core.Config{}).Step(m, 4).Total()
+	dbaStep := core.MustEngine(core.Config{DBA: true}).Step(m, 4).Total()
 
 	// Wall-clock of step s under each system.
 	baseClock := func(s int) sim.Time { return sim.Time(int64(baseStep) * int64(s+1)) }

@@ -30,8 +30,8 @@ func TuneActAfterSteps(opt Options) *Table {
 	}
 	m := modelzoo.GPT2()
 	base := zero.NewEngine().Step(m, 4)
-	cxlStep := tecoEngine(opt, core.Config{}).Step(m, 4).Total()
-	dbaStep := tecoEngine(opt, core.Config{DBA: true}).Step(m, 4).Total()
+	cxlStep := core.MustEngine(core.Config{}).Step(m, 4).Total()
+	dbaStep := core.MustEngine(core.Config{DBA: true}).Step(m, 4).Total()
 
 	type point struct {
 		act            int

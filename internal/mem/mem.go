@@ -82,11 +82,6 @@ func (r Region) End() Addr { return r.Base + Addr(r.Bytes) }
 // Contains reports whether a falls inside the region.
 func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 
-// ContainsLine reports whether the whole line falls inside the region.
-func (r Region) ContainsLine(l LineAddr) bool {
-	return r.Contains(l.Addr()) && r.Contains(l.Addr()+LineSize-1)
-}
-
 // Lines returns the number of cache lines in the region.
 func (r Region) Lines() int64 { return LinesIn(r.Bytes) }
 
@@ -113,13 +108,6 @@ func (m *Map) Allocate(name string, kind RegionKind, bytes int64) Region {
 	m.regions = append(m.regions, r)
 	m.next += Addr(aligned)
 	return r
-}
-
-// Regions returns the regions in address order.
-func (m *Map) Regions() []Region {
-	out := make([]Region, len(m.regions))
-	copy(out, m.regions)
-	return out
 }
 
 // Lookup returns the region containing a, if any.

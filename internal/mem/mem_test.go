@@ -95,16 +95,6 @@ func TestInGiantCache(t *testing.T) {
 	}
 }
 
-func TestRegionContainsLine(t *testing.T) {
-	r := Region{Base: 64, Bytes: 128}
-	if !r.ContainsLine(LineAddr(1)) || !r.ContainsLine(LineAddr(2)) {
-		t.Fatal("interior lines should be contained")
-	}
-	if r.ContainsLine(LineAddr(0)) || r.ContainsLine(LineAddr(3)) {
-		t.Fatal("exterior lines should not be contained")
-	}
-}
-
 func TestAllocatePanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -283,7 +283,8 @@ func TestBadRequests(t *testing.T) {
 	for _, query := range []string{"id=nope", "id=table1&seed=abc", "",
 		"id=layers&cache_pct=101", "id=tiering&tier_dram_pct=-5", "id=fabric&replicas=-1",
 		"id=faults&ber=2", "id=table1&sede=7", "id=table1&workers=9", "id=table1&coalesce=false",
-		"id=fabric-faults&kill_port=5", "id=layers-policy&layer_policy=mru", "id=table1&timeout_ms=soon"} {
+		"id=fabric-faults&kill_port=5", "id=layers-policy&layer_policy=mru", "id=table1&timeout_ms=soon",
+		"id=layers-policy&layer_policy=pinned", "id=tiering-policy&tier_policy=recency"} {
 		bad(http.MethodGet, "/run?"+query, "")
 	}
 	for _, body := range []string{`{"id":"table1","sede":7}`, `{"id":"table1","workers":9}`,

@@ -186,84 +186,6 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 }
 
-func TestServerSerialization(t *testing.T) {
-	eng := New()
-	srv := NewServer(eng)
-	var done []Time
-	// Three 10-unit jobs enqueued at t=0 must finish at 10, 20, 30.
-	for i := 0; i < 3; i++ {
-		srv.Enqueue(10, func() { done = append(done, eng.Now()) })
-	}
-	eng.Run()
-	want := []Time{10, 20, 30}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("done = %v, want %v", done, want)
-		}
-	}
-	if srv.BusyTime() != 30 {
-		t.Fatalf("busy = %v", srv.BusyTime())
-	}
-	if u := srv.Utilization(); u != 1 {
-		t.Fatalf("utilization = %v, want 1", u)
-	}
-}
-
-func TestServerIdleGap(t *testing.T) {
-	eng := New()
-	srv := NewServer(eng)
-	srv.Enqueue(10, nil)
-	eng.At(50, func() {
-		srv.Enqueue(10, nil)
-	})
-	eng.Run()
-	if srv.FreeAt() != 60 {
-		t.Fatalf("freeAt = %v, want 60 (idle gap respected)", srv.FreeAt())
-	}
-	if srv.BusyTime() != 20 {
-		t.Fatalf("busy = %v, want 20", srv.BusyTime())
-	}
-}
-
-func TestServerEnqueueAt(t *testing.T) {
-	eng := New()
-	srv := NewServer(eng)
-	end := srv.EnqueueAt(100, 5, nil)
-	if end != 105 {
-		t.Fatalf("end = %v, want 105", end)
-	}
-	// A second item ready earlier still waits for the first.
-	end2 := srv.EnqueueAt(50, 5, nil)
-	if end2 != 110 {
-		t.Fatalf("end2 = %v, want 110", end2)
-	}
-}
-
-// Property: a serial server's completion times are exactly the prefix sums
-// of service times when all work is enqueued up front.
-func TestServerPrefixSumProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		eng := New()
-		srv := NewServer(eng)
-		var ends []Time
-		for _, r := range raw {
-			srv.Enqueue(Time(r), func() { ends = append(ends, eng.Now()) })
-		}
-		eng.Run()
-		var sum Time
-		for i, r := range raw {
-			sum += Time(r)
-			if ends[i] != sum {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEngineManyRandomEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	eng := New()

@@ -47,7 +47,7 @@ func ParsePolicy(s string) (Policy, error) {
 		return LRU, nil
 	case "fifo":
 		return FIFO, nil
-	case "pin", "pinned":
+	case "pin":
 		return Pinned, nil
 	default:
 		return 0, fmt.Errorf("staging: unknown eviction policy %q (want lru, fifo or pin)", s)

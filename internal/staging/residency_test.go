@@ -16,15 +16,19 @@ func mustResidency(t *testing.T, sizes []int64, capacity int64, policy Policy, p
 
 func TestParsePolicy(t *testing.T) {
 	for in, want := range map[string]Policy{
-		"": LRU, "lru": LRU, "fifo": FIFO, "pin": Pinned, "pinned": Pinned,
+		"": LRU, "lru": LRU, "fifo": FIFO, "pin": Pinned,
 	} {
 		got, err := ParsePolicy(in)
 		if err != nil || got != want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParsePolicy("mru"); err == nil || !strings.Contains(err.Error(), "policy") {
-		t.Fatalf("bad policy: err=%v", err)
+	// One spelling per policy: an alias would run the same policy under a
+	// second cache key.
+	for _, bad := range []string{"mru", "pinned"} {
+		if _, err := ParsePolicy(bad); err == nil || !strings.Contains(err.Error(), "policy") {
+			t.Fatalf("ParsePolicy(%q): err=%v", bad, err)
+		}
 	}
 	if got := Policy(99).String(); !strings.Contains(got, "99") {
 		t.Fatalf("unknown policy String() = %q", got)

@@ -172,17 +172,6 @@ func (d *Distribution) Observe(old, new float32) {
 	d.Counts[Classify(old, new)]++
 }
 
-// ObserveTensors accumulates element-wise classifications of two tensors of
-// equal length.
-func (d *Distribution) ObserveTensors(old, new *Tensor) {
-	if old.Len() != new.Len() {
-		panic("tensor: distribution over mismatched tensors")
-	}
-	for i, ov := range old.data {
-		d.Observe(ov, new.data[i])
-	}
-}
-
 // Total returns the number of observations.
 func (d *Distribution) Total() int64 {
 	var n int64

@@ -145,7 +145,9 @@ func TestDistribution(t *testing.T) {
 	nw.Set(1, math.Float32frombits(math.Float32bits(nw.At(1))^1))
 	nw.Set(2, math.Float32frombits(math.Float32bits(nw.At(2))^0x100))
 	nw.Set(3, -nw.At(3))
-	d.ObserveTensors(old, nw)
+	for i := 0; i < old.Len(); i++ {
+		d.Observe(old.At(i), nw.At(i))
+	}
 	if d.Total() != 4 || d.Changed() != 3 {
 		t.Fatalf("total=%d changed=%d", d.Total(), d.Changed())
 	}

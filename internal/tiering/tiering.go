@@ -54,7 +54,7 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "", "heat":
 		return Heat, nil
-	case "lru", "recency":
+	case "lru":
 		return Recency, nil
 	case "static":
 		return Static, nil

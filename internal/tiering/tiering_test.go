@@ -224,15 +224,17 @@ func TestPromotionIntoFreeSpace(t *testing.T) {
 // TestParsePolicy: the flag spellings and the error path.
 func TestParsePolicy(t *testing.T) {
 	for s, want := range map[string]Policy{
-		"": Heat, "heat": Heat, "lru": Recency, "recency": Recency, "static": Static,
+		"": Heat, "heat": Heat, "lru": Recency, "static": Static,
 	} {
 		got, err := ParsePolicy(s)
 		if err != nil || got != want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, bad := range []string{"mru", "recency"} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Fatalf("policy %q accepted", bad)
+		}
 	}
 	if Heat.String() != "heat" || Recency.String() != "lru" || Static.String() != "static" {
 		t.Fatal("policy spellings drifted")
