@@ -24,7 +24,7 @@ import (
 	"syscall"
 	"time"
 
-	"teco/internal/diskcache"
+	"teco/internal/checkpoint"
 	"teco/internal/server"
 )
 
@@ -59,9 +59,9 @@ func run() error {
 		return fmt.Errorf("-cache-dir is required")
 	}
 
-	var faults *diskcache.Faults
+	var faults *checkpoint.Faults
 	if *faultFlip > 0 || *faultTrunc > 0 || *faultShort > 0 || *faultWriteErr > 0 || *faultDelay > 0 {
-		faults = diskcache.NewFaults(*faultSeed)
+		faults = checkpoint.NewFaults(*faultSeed)
 		faults.FlipBitEvery = *faultFlip
 		faults.TruncateEvery = *faultTrunc
 		faults.ShortWriteEvery = *faultShort
@@ -88,7 +88,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A client that trickles its request ties up a connection at most this
+	// long. net/http lifts the read deadline once the body is read, so a
+	// request's own compute is bounded by -timeout, not by these
+	// (TestReadTimeoutSparesLongRequest).
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second, ReadTimeout: time.Minute}
 
 	// The listen line is the readiness signal the soak harness (and any
 	// script) waits for before sending traffic.

@@ -1,9 +1,12 @@
 // Package checkpoint implements step-level crash recovery for training
 // runs: a CRC-framed, versioned binary snapshot format for parameter
 // tensors, ADAM moment vectors, RNG state and step counters; an on-disk
-// store with atomic write-then-rename and keep-last-K retention; and the
-// corruption harness (bit flips, truncation) the recovery tests use to
-// prove corrupted snapshots are always detected and never loaded.
+// store with keep-last-K retention; the one durable-write primitive
+// (WriteAtomic: temp file, fsync, rename, directory fsync; SweepTemps on
+// open) that both the store and the sweep daemon's result cache
+// (internal/diskcache) write through; and the fault plan (Faults: crashes,
+// short writes, transient errors, bit flips, truncation) that proves a
+// crash or a corrupted file is always detected and never loaded.
 //
 // Integrity reuses the CXL link layer's CRC-16/CCITT-FALSE
 // (internal/cxl/crc.go): every section of a snapshot is framed with a

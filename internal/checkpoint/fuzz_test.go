@@ -13,9 +13,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
 	f.Add(testSnapshot(1).Encode())
-	small := &Snapshot{ActivatedAt: -1, Params: []float32{1}, Compute: []float32{2},
-		AdamM: []float32{3}, AdamV: []float32{4}, PrevParams: []float32{5}, PrevGrads: []float32{6}}
-	f.Add(small.Encode())
+	f.Add(smallSnapshot(0).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {

@@ -19,62 +19,22 @@ const DefaultKeepLast = 3
 var ErrNoSnapshot = errors.New("checkpoint: no loadable snapshot")
 
 // Store manages a directory of snapshot files named ckpt-<step>.teco.
-// Writes are atomic and crash-durable: the wire image goes to a temp file
-// which is fsynced before the rename into its live name, and the parent
-// directory is fsynced after, so a crash — or power loss — at any point
+// Save goes through WriteAtomic, so a crash — or power loss — at any point
 // leaves either the previous snapshot set or the complete new file under
 // the live name, never a torn one and never a rename that evaporates on
-// reboot. Retention keeps the last K snapshots.
+// reboot; NewStore sweeps the temp files such a crash leaves. Retention
+// keeps the last K snapshots.
 type Store struct {
-	dir  string
-	keep int
+	dir    string
+	keep   int
+	faults *Faults // nil outside this package's tests
 }
 
-// The durable-write sequence is factored into injectable steps so the
-// crash-durability test can observe their order and fail each one —
-// without them the fsync-before-rename and dir-fsync-after-rename ordering
-// would be untestable (the kernel hides it on a healthy filesystem).
-var (
-	// writeTempFile writes wire to a fresh temp file in dir and fsyncs it,
-	// returning the temp path. The fsync must happen before rename: rename
-	// publishes the name, and a published name pointing at unflushed bytes
-	// is exactly the torn state the store exists to prevent.
-	writeTempFile = func(dir string, wire []byte) (string, error) {
-		f, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-		if err != nil {
-			return "", err
-		}
-		tmp := f.Name()
-		if _, err := f.Write(wire); err != nil {
-			f.Close()
-			return tmp, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return tmp, err
-		}
-		return tmp, f.Close()
-	}
-	// renameFile publishes the temp file under its live name.
-	renameFile = os.Rename
-	// syncParentDir fsyncs the directory so the rename itself survives
-	// power loss (the rename lives in directory metadata, which the file
-	// fsync does not cover).
-	syncParentDir = func(dir string) error {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		err = d.Sync()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-)
+// storeTemp prefixes Save's temp files, the ones NewStore sweeps.
+const storeTemp = ".ckpt-"
 
-// NewStore opens (creating if needed) a checkpoint directory. keep <= 0
-// selects DefaultKeepLast.
+// NewStore opens (creating if needed) a checkpoint directory and removes
+// the temp files of saves that crashed. keep <= 0 selects DefaultKeepLast.
 func NewStore(dir string, keep int) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("checkpoint: empty store directory")
@@ -85,41 +45,25 @@ func NewStore(dir string, keep int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create store: %w", err)
 	}
+	if _, err := SweepTemps(dir, storeTemp); err != nil {
+		return nil, fmt.Errorf("checkpoint: sweep store: %w", err)
+	}
 	return &Store{dir: dir, keep: keep}, nil
 }
-
-// Dir returns the store directory.
-func (st *Store) Dir() string { return st.dir }
 
 // path returns the snapshot filename for a step.
 func (st *Store) path(step int64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("ckpt-%012d.teco", step))
 }
 
-// Save atomically and durably persists a snapshot and prunes old files
-// past the retention depth. It returns the final path and the encoded
-// size. The sequence is write-temp → fsync(temp) → rename → fsync(dir);
-// any failure removes the temp file and leaves the previous snapshot set
-// untouched.
+// Save atomically and durably persists a snapshot (WriteAtomic) and
+// prunes old files past the retention depth. It returns the final path and
+// the encoded size. Any failure leaves the previous snapshot set untouched.
 func (st *Store) Save(s *Snapshot) (string, int64, error) {
 	wire := s.Encode()
-	tmpName, err := writeTempFile(st.dir, wire)
-	if err != nil {
-		if tmpName != "" {
-			os.Remove(tmpName)
-		}
-		return "", 0, fmt.Errorf("checkpoint: save: %w", err)
-	}
 	final := st.path(s.Step)
-	if err := renameFile(tmpName, final); err != nil {
-		os.Remove(tmpName)
+	if err := WriteAtomic(final, storeTemp, wire, st.faults); err != nil {
 		return "", 0, fmt.Errorf("checkpoint: save: %w", err)
-	}
-	if err := syncParentDir(st.dir); err != nil {
-		// The rename happened but its durability is unknown; surface the
-		// error so the caller does not advance its recovery line past a
-		// checkpoint that may evaporate on power loss.
-		return "", 0, fmt.Errorf("checkpoint: save: sync dir: %w", err)
 	}
 	st.prune()
 	return final, int64(len(wire)), nil
@@ -195,17 +139,4 @@ func (st *Store) LoadLatest() (*Snapshot, LoadInfo, error) {
 		return s, info, nil
 	}
 	return nil, info, ErrNoSnapshot
-}
-
-// Latest returns the path of the newest snapshot file (without validating
-// it) — the handle the crash-injection harness corrupts.
-func (st *Store) Latest() (string, error) {
-	files, err := st.List()
-	if err != nil {
-		return "", err
-	}
-	if len(files) == 0 {
-		return "", ErrNoSnapshot
-	}
-	return files[len(files)-1], nil
 }

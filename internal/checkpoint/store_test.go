@@ -1,152 +1,156 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// These tests pin the crash-durability contract of Store.Save by swapping
-// the injectable I/O steps (writeTempFile / renameFile / syncParentDir):
-// the durable-write sequence must run in write→fsync→rename→dirsync order,
-// and a failure at any step must leave the previous snapshot set intact.
+// These tests pin the crash-durability contract of WriteAtomic through
+// Store.Save: the write step goes through a Faults plan set on the store,
+// the rename and the directory fsync through the primitive's two seams.
 
-func swapSaveHooks(t *testing.T,
-	write func(string, []byte) (string, error),
-	rename func(string, string) error,
-	dirSync func(string) error) {
+// smallSnapshot is a valid snapshot of a few hundred bytes, small enough
+// to crash a write at every byte offset of it.
+func smallSnapshot(step int64) *Snapshot {
+	return &Snapshot{Step: step, ActivatedAt: -1, Params: []float32{1}, Compute: []float32{2},
+		AdamM: []float32{3}, AdamV: []float32{4}, PrevParams: []float32{5}, PrevGrads: []float32{6}}
+}
+
+func swapSeams(t *testing.T, rename func(string, string) error, dirSync func(string) error) {
 	t.Helper()
-	origWrite, origRename, origSync := writeTempFile, renameFile, syncParentDir
-	if write != nil {
-		writeTempFile = write
-	}
+	origRename, origSync := renameFile, syncDir
 	if rename != nil {
 		renameFile = rename
 	}
 	if dirSync != nil {
-		syncParentDir = dirSync
+		syncDir = dirSync
 	}
-	t.Cleanup(func() {
-		writeTempFile, renameFile, syncParentDir = origWrite, origRename, origSync
-	})
+	t.Cleanup(func() { renameFile, syncDir = origRename, origSync })
 }
 
-// TestSaveDurableOrdering injects recording hooks and asserts the exact
-// sequence: the temp file is written (and fsynced) before the rename, and
-// the parent directory is fsynced after the rename — the order that makes
-// the rename itself survive power loss.
+func countTemps(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSaveDurableOrdering records the sequence: the temp file is written
+// in full through the fault plan before the rename publishes it, and the
+// store directory is fsynced after the rename — the order that makes the
+// rename itself survive power loss. The temp file's own fsync is not
+// observable through the two seams, so this test does not pin it.
 func TestSaveDurableOrdering(t *testing.T) {
 	dir := t.TempDir()
-	var seq []string
-	origWrite := writeTempFile
-	swapSaveHooks(t,
-		func(d string, wire []byte) (string, error) {
-			seq = append(seq, "write+fsync(temp)")
-			return origWrite(d, wire)
-		},
-		func(oldpath, newpath string) error {
-			seq = append(seq, "rename")
-			return os.Rename(oldpath, newpath)
-		},
-		func(d string) error {
-			seq = append(seq, "fsync(dir)")
-			if d != dir {
-				t.Fatalf("dir fsync on %q, want the store dir %q", d, dir)
-			}
-			return nil
-		})
 	st, err := NewStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Save(testSnapshot(1)); err != nil {
+	st.faults = NewFaults(1)
+	snap := testSnapshot(1)
+	wire := snap.Encode()
+	var seq []string
+	swapSeams(t,
+		func(oldpath, newpath string) error {
+			if buf, err := os.ReadFile(oldpath); err == nil && bytes.Equal(buf, wire) && st.faults.writes == 1 {
+				seq = append(seq, "write(temp)")
+			}
+			seq = append(seq, "rename")
+			return os.Rename(oldpath, newpath)
+		},
+		func(d string) error {
+			if d != dir {
+				t.Errorf("dir fsync on %q, want the store dir %q", d, dir)
+			}
+			if _, err := os.Stat(st.path(snap.Step)); err == nil {
+				seq = append(seq, "fsync(dir)")
+			}
+			return nil
+		})
+	if _, _, err := st.Save(snap); err != nil {
 		t.Fatal(err)
 	}
-	want := "write+fsync(temp),rename,fsync(dir)"
+	want := "write(temp),rename,fsync(dir)"
 	if got := strings.Join(seq, ","); got != want {
 		t.Fatalf("durable-write order %q, want %q", got, want)
 	}
 }
 
-// TestSaveWriteFailureLeavesStoreClean: an injected WriteFile failure (torn
-// temp write) must fail the Save, remove the temp residue, and leave every
-// previously saved snapshot loadable.
-func TestSaveWriteFailureLeavesStoreClean(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := testSnapshot(7)
-	if _, _, err := st.Save(good); err != nil {
-		t.Fatal(err)
-	}
-
-	injected := errors.New("injected: disk full mid-write")
-	origWrite := writeTempFile
-	swapSaveHooks(t, func(d string, wire []byte) (string, error) {
-		// Write half the bytes for real, then fail — the torn-temp case.
-		tmp, _ := origWrite(d, wire[:len(wire)/2])
-		return tmp, injected
-	}, nil, nil)
-
-	bad := testSnapshot(8)
-	bad.Step = good.Step + 50
-	if _, _, err := st.Save(bad); !errors.Is(err, injected) {
-		t.Fatalf("Save error = %v, want the injected write failure", err)
-	}
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("temp residue %s left after failed Save", e.Name())
+// TestSaveFailureMatrix meets every failure of the primitive through
+// Store.Save on a store that already holds a good snapshot: a short write,
+// a transient error, a failed rename, a failed directory fsync, and a crash
+// at every byte offset of a small snapshot. Each must fail the Save with
+// its own error. Every failure but the crash removes its temp file at once;
+// the crash leaves it for the next NewStore (the reboot) to sweep. After
+// the reboot LoadLatest returns the good snapshot, except after the failed
+// directory fsync: that rename landed, so the error is all that tells the
+// caller not to advance its recovery line past a file that may evaporate.
+func TestSaveFailureMatrix(t *testing.T) {
+	good, next := smallSnapshot(10), smallSnapshot(60)
+	injected := errors.New("injected I/O failure")
+	fail := func(t *testing.T, dir string, arm func(*testing.T, *Store), want error, temps int, loaded int64) {
+		t.Helper()
+		st, err := NewStore(dir, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Save(good); err != nil {
+			t.Fatal(err)
+		}
+		st.faults = NewFaults(1)
+		arm(t, st)
+		if _, _, err := st.Save(next); !errors.Is(err, want) {
+			t.Fatalf("Save error = %v, want %v", err, want)
+		}
+		if n := countTemps(t, dir); n != temps {
+			t.Fatalf("%d temp files after the failed Save, want %d", n, temps)
+		}
+		if st, err = NewStore(dir, 3); err != nil {
+			t.Fatal(err)
+		}
+		if n := countTemps(t, dir); n != 0 {
+			t.Fatalf("%d temp files survived the reboot sweep", n)
+		}
+		s, info, err := st.LoadLatest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Step != loaded || len(info.Skipped) != 0 {
+			t.Fatalf("loaded step %d (skipped %v), want %d", s.Step, info.Skipped, loaded)
 		}
 	}
-	s, info, err := st.LoadLatest()
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range []struct {
+		name   string
+		arm    func(*testing.T, *Store)
+		want   error
+		loaded int64
+	}{
+		{"short-write", func(_ *testing.T, st *Store) { st.faults.ShortWriteEvery = 1 }, errInjected, good.Step},
+		{"transient", func(_ *testing.T, st *Store) { st.faults.WriteErrEvery = 1 }, errInjected, good.Step},
+		{"rename", func(t *testing.T, _ *Store) { swapSeams(t, func(string, string) error { return injected }, nil) }, injected, good.Step},
+		{"dir-fsync", func(t *testing.T, _ *Store) { swapSeams(t, nil, func(string) error { return injected }) }, injected, next.Step},
+	} {
+		t.Run(r.name, func(t *testing.T) { fail(t, t.TempDir(), r.arm, r.want, 0, r.loaded) })
 	}
-	if s.Step != good.Step || len(info.Skipped) != 0 {
-		t.Fatalf("recovery line moved: loaded step %d (skipped %v), want %d", s.Step, info.Skipped, good.Step)
-	}
-}
-
-// TestSaveDirSyncFailureSurfaces: when the directory fsync fails the rename
-// durability is unknown, so Save must report the error (the session then
-// refuses to advance its recovery line) even though the file is visible.
-func TestSaveDirSyncFailureSurfaces(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	injected := errors.New("injected: dir fsync lost")
-	swapSaveHooks(t, nil, nil, func(string) error { return injected })
-	if _, _, err := st.Save(testSnapshot(3)); !errors.Is(err, injected) {
-		t.Fatalf("Save error = %v, want the injected dir-sync failure", err)
-	}
-}
-
-// TestSaveRenameFailureRemovesTemp: a failed publish removes the fsynced
-// temp file rather than stranding it.
-func TestSaveRenameFailureRemovesTemp(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	injected := errors.New("injected: rename EIO")
-	swapSaveHooks(t, nil, func(string, string) error { return injected }, nil)
-	if _, _, err := st.Save(testSnapshot(4)); !errors.Is(err, injected) {
-		t.Fatalf("Save error = %v, want the injected rename failure", err)
-	}
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 0 {
-		names := make([]string, len(ents))
-		for i, e := range ents {
-			names[i] = filepath.Join(dir, e.Name())
+	t.Run("crash-every-byte", func(t *testing.T) {
+		dir := t.TempDir()
+		size := int64(len(next.Encode()))
+		for off := int64(0); off <= size; off++ {
+			t.Run(fmt.Sprint(off), func(t *testing.T) {
+				fail(t, dir, func(_ *testing.T, st *Store) { st.faults.CrashNextWriteAfter(off) }, ErrCrashed, 1, good.Step)
+			})
 		}
-		t.Fatalf("store dir not clean after failed rename: %v", names)
-	}
+	})
 }

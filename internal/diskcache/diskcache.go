@@ -15,9 +15,12 @@
 // wrong answer. The chaos harness in internal/server proves both
 // properties under kill -9 and injected media faults.
 //
-// Transient I/O errors are retried with bounded exponential backoff plus
-// seeded jitter; injected crashes (Faults.CrashNextWriteAfter, the
-// in-process stand-in for kill -9) are not retried — the "process" is dead.
+// The durable write, the temp sweep on Open and the fault plan are the
+// ones checkpoint.Store uses: checkpoint.WriteAtomic, checkpoint.SweepTemps
+// and checkpoint.Faults. Transient I/O errors are retried a fixed number of
+// times with exponential backoff plus jitter; injected crashes
+// (Faults.CrashNextWriteAfter, the in-process stand-in for kill -9) are not
+// retried — the "process" is dead.
 package diskcache
 
 import (
@@ -35,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"teco/internal/checkpoint"
 	"teco/internal/cxl"
 )
 
@@ -56,25 +60,21 @@ const (
 // decode surfaces it for the corruption tests.
 var ErrCorrupt = errors.New("diskcache: corrupt entry")
 
-// DefaultMaxRetries bounds the retry loop around entry I/O when Config
-// leaves it zero.
-const DefaultMaxRetries = 4
+// The retry schedule for transient entry I/O failures: up to maxRetries
+// retries, attempt k sleeping retryBase<<k plus up to 50% jitter drawn
+// from a stream seeded with 0.
+const (
+	maxRetries = 4
+	retryBase  = time.Millisecond
+)
 
-// DefaultRetryBase is the initial backoff step when Config leaves it zero;
-// attempt k sleeps base<<k plus up to 50% seeded jitter.
-const DefaultRetryBase = time.Millisecond
+// tempPrefix prefixes entry temp files, the ones Open sweeps.
+const tempPrefix = ".res-"
 
 // Config parameterizes Open.
 type Config struct {
 	// Dir is the cache directory, created if needed.
 	Dir string
-	// MaxRetries bounds retries of transient entry I/O failures
-	// (0: DefaultMaxRetries).
-	MaxRetries int
-	// RetryBase is the initial backoff step (0: DefaultRetryBase).
-	RetryBase time.Duration
-	// RetrySeed seeds the backoff jitter stream.
-	RetrySeed int64
 	// MaxBytes bounds the cache's on-disk footprint (entry files, framing
 	// included). When a Put would push past it, least-recently-used entries
 	// are evicted first; a payload too large to ever fit is not stored at
@@ -82,7 +82,7 @@ type Config struct {
 	MaxBytes int64
 	// Faults optionally injects I/O failures — the chaos harness's handle
 	// on the cache. Nil runs clean.
-	Faults *Faults
+	Faults *checkpoint.Faults
 }
 
 // Stats are the cache's cumulative counters, all monotone.
@@ -112,11 +112,9 @@ type Stats struct {
 
 // Cache is a handle on one cache directory. It is safe for concurrent use.
 type Cache struct {
-	dir        string
-	maxRetries int
-	retryBase  time.Duration
-	maxBytes   int64
-	faults     *Faults
+	dir      string
+	maxBytes int64
+	faults   *checkpoint.Faults
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -158,21 +156,18 @@ func Open(cfg Config) (*Cache, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskcache: create dir: %w", err)
 	}
+	swept, err := checkpoint.SweepTemps(cfg.Dir, tempPrefix)
+	if err != nil {
+		return nil, fmt.Errorf("diskcache: sweep dir: %w", err)
+	}
 	c := &Cache{
-		dir:        cfg.Dir,
-		maxRetries: cfg.MaxRetries,
-		retryBase:  cfg.RetryBase,
-		maxBytes:   cfg.MaxBytes,
-		faults:     cfg.Faults,
-		jitter:     rand.New(rand.NewSource(cfg.RetrySeed)),
-		index:      make(map[uint64]*entry),
-		lru:        list.New(),
-	}
-	if c.maxRetries <= 0 {
-		c.maxRetries = DefaultMaxRetries
-	}
-	if c.retryBase <= 0 {
-		c.retryBase = DefaultRetryBase
+		dir:       cfg.Dir,
+		maxBytes:  cfg.MaxBytes,
+		faults:    cfg.Faults,
+		jitter:    rand.New(rand.NewSource(0)),
+		tempSwept: int64(swept),
+		index:     make(map[uint64]*entry),
+		lru:       list.New(),
 	}
 	ents, err := os.ReadDir(cfg.Dir)
 	if err != nil {
@@ -186,23 +181,18 @@ func Open(cfg Config) (*Cache, error) {
 	var live []found
 	for _, e := range ents {
 		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, ".res-") && strings.HasSuffix(name, ".tmp"):
-			// A writer died between CreateTemp and rename; the live
-			// namespace never saw the entry, so the residue is garbage.
-			os.Remove(filepath.Join(cfg.Dir, name))
-			c.tempSwept++
-		case strings.HasPrefix(name, "res-") && strings.HasSuffix(name, ".teco"):
-			key, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "res-"), ".teco"), 16, 64)
-			if err != nil {
-				continue
-			}
-			info, err := e.Info()
-			if err != nil {
-				continue // raced with a concurrent eviction; not indexed
-			}
-			live = append(live, found{key, info.Size(), info.ModTime()})
+		if !strings.HasPrefix(name, "res-") || !strings.HasSuffix(name, ".teco") {
+			continue
 		}
+		key, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "res-"), ".teco"), 16, 64)
+		if err != nil {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			continue // raced with a concurrent eviction; not indexed
+		}
+		live = append(live, found{key, info.Size(), info.ModTime()})
 	}
 	// Oldest first, name as the tiebreak, so inserting in order leaves the
 	// newest entry at the recency front deterministically.
@@ -221,9 +211,6 @@ func Open(cfg Config) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
 
 // Len returns the number of keys believed present.
 func (c *Cache) Len() int {
@@ -267,7 +254,7 @@ func (c *Cache) Get(key uint64) ([]byte, bool, error) {
 	var buf []byte
 	err := c.withRetry(func() error {
 		var err error
-		buf, err = c.readFile(path)
+		buf, err = c.faults.ReadFile(path)
 		return err
 	})
 	if err != nil {
@@ -298,9 +285,8 @@ func (c *Cache) Get(key uint64) ([]byte, bool, error) {
 	return payload, true, nil
 }
 
-// Put durably stores payload under key using the crash-safe sequence:
-// write to a temp file, fsync it, rename into place, fsync the directory.
-// An entry that already exists and verifies is left untouched (the cache is
+// Put durably stores payload under key with checkpoint.WriteAtomic. An
+// entry that already exists and verifies is left untouched (the cache is
 // content-addressed — equal key means equal bytes). Transient I/O errors
 // are retried with backoff; an injected crash aborts immediately, leaving
 // at most a temp file that the next Open sweeps.
@@ -329,7 +315,9 @@ func (c *Cache) Put(key uint64, payload []byte) error {
 	if err := c.evictFor(int64(len(wire))); err != nil {
 		return fmt.Errorf("diskcache: put %016x: evict: %w", key, err)
 	}
-	err := c.withRetry(func() error { return c.writeEntry(key, wire) })
+	err := c.withRetry(func() error {
+		return checkpoint.WriteAtomic(c.EntryPath(key), tempPrefix, wire, c.faults)
+	})
 	if err != nil {
 		return fmt.Errorf("diskcache: put %016x: %w", key, err)
 	}
@@ -351,10 +339,6 @@ func (c *Cache) Put(key uint64, payload []byte) error {
 		return fmt.Errorf("diskcache: put %016x: trim: %w", key, err)
 	}
 	c.puts.Add(1)
-	// Post-commit media faults (silent bit rot) for the chaos harness.
-	if c.faults != nil {
-		c.faults.afterCommit(c.EntryPath(key))
-	}
 	return nil
 }
 
@@ -362,7 +346,7 @@ func (c *Cache) Put(key uint64, payload []byte) error {
 // durable before the process exits) and detaches the handle. The in-memory
 // index needs no persisting — it is rebuilt from the directory on Open.
 func (c *Cache) Close() error {
-	return syncDir(c.dir)
+	return checkpoint.SyncDir(c.dir)
 }
 
 // dropLocked removes key from the index and recency list. indexMu held.
@@ -411,73 +395,20 @@ func (c *Cache) evictFor(need int64) error {
 		c.evictions.Add(1)
 	}
 	c.evictedBytes.Add(freed)
-	return syncDir(c.dir)
-}
-
-// writeEntry is one attempt at the atomic durable write.
-func (c *Cache) writeEntry(key uint64, wire []byte) error {
-	f, err := os.CreateTemp(c.dir, ".res-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		// An injected crash is the process dying mid-write: nobody is left
-		// to clean up, so the temp file stays for Open's sweep to find.
-		if !errors.Is(err, ErrCrashed) {
-			os.Remove(tmp)
-		}
-		return err
-	}
-	if err := c.writeAll(f, wire); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, c.EntryPath(key)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(c.dir)
-}
-
-// writeAll pushes wire through the fault plan (which may delay, error,
-// short-write or crash) or straight to the file when running clean.
-func (c *Cache) writeAll(f *os.File, wire []byte) error {
-	if c.faults == nil {
-		_, err := f.Write(wire)
-		return err
-	}
-	return c.faults.write(f, wire)
-}
-
-// readFile reads a whole entry through the fault plan.
-func (c *Cache) readFile(path string) ([]byte, error) {
-	if c.faults != nil {
-		if err := c.faults.beforeRead(); err != nil {
-			return nil, err
-		}
-	}
-	return os.ReadFile(path)
+	return checkpoint.SyncDir(c.dir)
 }
 
 // withRetry runs op, retrying transient failures with exponential backoff
-// plus seeded jitter. Not-exist errors (a plain miss) and injected crashes
+// plus jitter. Not-exist errors (a plain miss) and injected crashes
 // (the process is "dead") pass straight through.
 func (c *Cache) withRetry(op func() error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = op()
-		if err == nil || os.IsNotExist(err) || errors.Is(err, ErrCrashed) {
+		if err == nil || os.IsNotExist(err) || errors.Is(err, checkpoint.ErrCrashed) {
 			return err
 		}
-		if attempt >= c.maxRetries {
+		if attempt >= maxRetries {
 			return err
 		}
 		c.retries.Add(1)
@@ -488,7 +419,7 @@ func (c *Cache) withRetry(op func() error) error {
 // backoff returns the sleep before retry `attempt`: retryBase << attempt,
 // plus up to 50% jitter so synchronized retry storms decorrelate.
 func (c *Cache) backoff(attempt int) time.Duration {
-	d := c.retryBase << uint(attempt)
+	d := retryBase << uint(attempt)
 	c.jitterMu.Lock()
 	j := time.Duration(c.jitter.Int63n(int64(d)/2 + 1))
 	c.jitterMu.Unlock()
@@ -533,17 +464,4 @@ func decode(buf []byte, key uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
 	return buf[headerLen : headerLen+plen], nil
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -158,7 +158,7 @@ func TestCrashAtEveryByteLeavesOldOrNothing(t *testing.T) {
 	const priorKey, crashKey = 99, 100
 	for off := int64(0); off <= wireLen; off++ {
 		dir := t.TempDir()
-		faults := NewFaults(off)
+		faults := checkpoint.NewFaults(off)
 		c, err := Open(Config{Dir: dir, Faults: faults})
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +167,7 @@ func TestCrashAtEveryByteLeavesOldOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		faults.CrashNextWriteAfter(off)
-		if err := c.Put(crashKey, payload); !errors.Is(err, ErrCrashed) {
+		if err := c.Put(crashKey, payload); !errors.Is(err, checkpoint.ErrCrashed) {
 			t.Fatalf("off %d: Put error = %v, want ErrCrashed", off, err)
 		}
 		// Reboot: no Close — the process died.
@@ -195,9 +195,9 @@ func TestCrashAtEveryByteLeavesOldOrNothing(t *testing.T) {
 // TestTransientErrorsRetried proves the bounded-backoff loop: a write plan
 // that fails every other attempt still commits, and the retry counter moves.
 func TestTransientErrorsRetried(t *testing.T) {
-	faults := NewFaults(1)
+	faults := checkpoint.NewFaults(1)
 	faults.WriteErrEvery = 2 // attempts 2, 4, ... fail
-	c := openTemp(t, Config{Faults: faults, RetryBase: 100 * time.Microsecond})
+	c := openTemp(t, Config{Faults: faults})
 	for key := uint64(1); key <= 8; key++ {
 		if err := c.Put(key, []byte{byte(key)}); err != nil {
 			t.Fatalf("key %d: %v", key, err)
@@ -209,11 +209,11 @@ func TestTransientErrorsRetried(t *testing.T) {
 }
 
 // TestRetryBudgetExhausted: a permanently failing write surfaces its error
-// after the bounded retries rather than looping forever.
+// after exactly maxRetries retries rather than looping forever.
 func TestRetryBudgetExhausted(t *testing.T) {
-	faults := NewFaults(1)
+	faults := checkpoint.NewFaults(1)
 	faults.WriteErrEvery = 1 // every attempt fails
-	c := openTemp(t, Config{Faults: faults, MaxRetries: 3, RetryBase: 50 * time.Microsecond})
+	c := openTemp(t, Config{Faults: faults})
 	start := time.Now()
 	err := c.Put(5, []byte("never lands"))
 	if err == nil {
@@ -221,6 +221,9 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("retry loop took %v — not bounded", d)
+	}
+	if st := c.Stats(); st.Retries != maxRetries {
+		t.Fatalf("Retries = %d, want %d", st.Retries, maxRetries)
 	}
 	if _, ok, _ := c.Get(5); ok {
 		t.Fatal("failed Put must not leave a visible entry")
@@ -230,9 +233,9 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // TestShortWriteContained: a torn write (half the bytes, then failure) must
 // never become visible under the live name, even across retries.
 func TestShortWriteContained(t *testing.T) {
-	faults := NewFaults(7)
+	faults := checkpoint.NewFaults(7)
 	faults.ShortWriteEvery = 2
-	c := openTemp(t, Config{Faults: faults, RetryBase: 50 * time.Microsecond})
+	c := openTemp(t, Config{Faults: faults})
 	payload := bytes.Repeat([]byte("abcdefgh"), 64)
 	for key := uint64(1); key <= 16; key++ {
 		if err := c.Put(key, payload); err != nil {
@@ -249,7 +252,7 @@ func TestShortWriteContained(t *testing.T) {
 // flips bits and truncates tails of committed entries, and asserts reads
 // only ever return the exact canonical bytes or a miss.
 func TestSilentCorruptionNeverServed(t *testing.T) {
-	faults := NewFaults(3)
+	faults := checkpoint.NewFaults(3)
 	faults.FlipBitEvery = 2
 	faults.TruncateEvery = 3
 	c := openTemp(t, Config{Faults: faults})

@@ -140,7 +140,8 @@ func TestLRUChurnNeverServesWrongEntry(t *testing.T) {
 		rounds  = 200
 	)
 	wire := int64(payload + overhead)
-	c := openTemp(t, Config{MaxBytes: keys / 4 * wire})
+	dir := t.TempDir()
+	c := openTemp(t, Config{Dir: dir, MaxBytes: keys / 4 * wire})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, writers+readers)
@@ -194,7 +195,7 @@ func TestLRUChurnNeverServesWrongEntry(t *testing.T) {
 	}
 	// The index's idea of the footprint matches the directory's.
 	var onDisk int64
-	ents, err := os.ReadDir(c.Dir())
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,7 @@ import (
 	"testing"
 	"time"
 
+	"teco/internal/checkpoint"
 	"teco/internal/conformance"
 	"teco/internal/diskcache"
 	"teco/internal/experiments"
@@ -70,7 +71,7 @@ func TestChaosKillRestartCycles(t *testing.T) {
 	dir := t.TempDir()
 	want := references(t)
 
-	faults := diskcache.NewFaults(1)
+	faults := checkpoint.NewFaults(1)
 	faults.FlipBitEvery = 3
 	faults.TruncateEvery = 5
 	faults.ShortWriteEvery = 4
@@ -96,7 +97,7 @@ func TestChaosKillRestartCycles(t *testing.T) {
 	var total diskcache.Stats
 	served := 0
 	for cycle := 0; cycle < cycles; cycle++ {
-		s, err := New(Config{CacheDir: dir, CacheFaults: faults, CacheRetrySeed: int64(cycle)})
+		s, err := New(Config{CacheDir: dir, CacheFaults: faults})
 		if err != nil {
 			t.Fatalf("cycle %d: restart failed: %v", cycle, err)
 		}
@@ -178,7 +179,7 @@ func TestChaosKillRestartCycles(t *testing.T) {
 // with -race) and still answer-exact.
 func TestChaosConcurrentClientsUnderFaults(t *testing.T) {
 	want := references(t)
-	faults := diskcache.NewFaults(2)
+	faults := checkpoint.NewFaults(2)
 	faults.FlipBitEvery = 2 // corrupt half of all committed entries
 	s := newTestServer(t, func(c *Config) {
 		c.CacheFaults = faults

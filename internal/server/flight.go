@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
+	"log"
+	"runtime/debug"
 	"sync"
 )
 
@@ -39,7 +42,9 @@ func newFlightGroup() *flightGroup {
 // caller shared another request's computation. fn runs on its own
 // goroutine under a context derived from base; that context is cancelled
 // when the last waiter abandons, so fn must treat cancellation as "nobody
-// wants this anymore" and return promptly.
+// wants this anymore" and return promptly. A panic in fn is every waiter's
+// error: net/http recovers panics only on a handler's own goroutine, so
+// one left to escape here would kill the daemon and every request in it.
 func (g *flightGroup) do(ctx, base context.Context, key uint64, fn func(context.Context) ([]byte, error)) ([]byte, bool, error) {
 	g.mu.Lock()
 	c, shared := g.calls[key]
@@ -48,7 +53,7 @@ func (g *flightGroup) do(ctx, base context.Context, key uint64, fn func(context.
 		c = &flightCall{done: make(chan struct{}), cancel: cancel, refs: 0}
 		g.calls[key] = c
 		go func() {
-			v, err := fn(runCtx)
+			v, err := recoverCall(runCtx, fn)
 			g.mu.Lock()
 			c.val, c.err = v, err
 			delete(g.calls, key)
@@ -73,6 +78,21 @@ func (g *flightGroup) do(ctx, base context.Context, key uint64, fn func(context.
 		}
 		return nil, shared, ctx.Err()
 	}
+}
+
+// errInternal is a panicked computation's error. The panic value and stack
+// go to the daemon's log, never to the client.
+var errInternal = errors.New("internal error")
+
+// recoverCall runs fn, reporting a panic in it as errInternal.
+func recoverCall(ctx context.Context, fn func(context.Context) ([]byte, error)) (v []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("tecosimd: computation panicked: %v\n%s", p, debug.Stack())
+			v, err = nil, errInternal
+		}
+	}()
+	return fn(ctx)
 }
 
 // inFlight returns the number of distinct computations currently running.

@@ -34,11 +34,13 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"teco/internal/checkpoint"
 	"teco/internal/diskcache"
 	"teco/internal/experiments"
 	"teco/internal/fabric"
@@ -69,15 +71,11 @@ type Config struct {
 	DefaultTimeout, MaxTimeout time.Duration
 	// Workers sizes each computation's sweep pool (0: GOMAXPROCS).
 	Workers int
-	// RetryAfter is the hint returned with 503 responses (0: 1s).
-	RetryAfter time.Duration
 	// CacheMaxBytes bounds the on-disk cache; least-recently-used results
 	// are evicted (and recomputed on demand) past it. 0 is unbounded.
 	CacheMaxBytes int64
 	// CacheFaults optionally injects cache-layer faults (chaos harness).
-	CacheFaults *diskcache.Faults
-	// CacheRetrySeed seeds the cache's backoff jitter.
-	CacheRetrySeed int64
+	CacheFaults *checkpoint.Faults
 	// Run overrides the experiment runner (tests). Nil runs
 	// experiments.ByID.
 	Run func(ctx context.Context, id string, opt experiments.Options) ([]*experiments.Table, error)
@@ -151,17 +149,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 10 * time.Minute
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	cache, err := diskcache.Open(diskcache.Config{
-		Dir:       cfg.CacheDir,
-		RetrySeed: cfg.CacheRetrySeed,
-		MaxBytes:  cfg.CacheMaxBytes,
-		Faults:    cfg.CacheFaults,
+		Dir:      cfg.CacheDir,
+		MaxBytes: cfg.CacheMaxBytes,
+		Faults:   cfg.CacheFaults,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -278,7 +272,7 @@ type errorBody struct {
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -305,11 +299,17 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(s.Stats())
 }
 
+// maxBodyBytes bounds a POST /run body: over 50 times the largest legal
+// one (every request name at its longest value, 428 bytes).
+const maxBodyBytes = 64 << 10
+
 // parseRequest decodes a /run call — a JSON object (POST) or query
 // parameters (GET) — into the experiment id, the client's timeout_ms and the
 // option set. Those two names are request-level; every other one goes
 // through experiments.Options.Set, so unknown names, scheduling knobs and
-// unparsable values are errors rather than silently dropped.
+// unparsable values are errors rather than silently dropped. Names are
+// visited in sorted order, so of several bad names the same one is
+// reported every time.
 func parseRequest(r *http.Request) (id string, timeoutMs int64, opt experiments.Options, err error) {
 	set := func(name, value string) {
 		switch {
@@ -331,8 +331,8 @@ func parseRequest(r *http.Request) (id string, timeoutMs int64, opt experiments.
 		if err := dec.Decode(&body); err != nil {
 			return "", 0, opt, fmt.Errorf("bad JSON body: %v", err)
 		}
-		for name, v := range body {
-			switch v := v.(type) {
+		for _, name := range sortedNames(body) {
+			switch v := body[name].(type) {
 			case string:
 				set(name, v)
 			case json.Number:
@@ -344,14 +344,24 @@ func parseRequest(r *http.Request) (id string, timeoutMs int64, opt experiments.
 			}
 		}
 	} else {
-		for name, values := range r.URL.Query() {
-			set(name, values[0])
+		query := r.URL.Query()
+		for _, name := range sortedNames(query) {
+			set(name, query[name][0])
 		}
 	}
 	if err != nil {
 		err = fmt.Errorf("bad request parameter: %v", err)
 	}
 	return id, timeoutMs, opt, err
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // encodeTables is the canonical payload serialization: compact JSON of the
@@ -382,6 +392,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Everything a client can get wrong is a 400 here, before the cache
 	// lookup, the coalescer and the admission gate ever see the request.
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	id, timeoutMs, opt, err := parseRequest(r)
 	if err == nil {
 		err = opt.Validate()

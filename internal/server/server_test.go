@@ -196,8 +196,8 @@ func TestOverloadShedsWith503(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overloaded request: HTTP %d, want 503", w.Code)
 	}
-	if w.Header().Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After header")
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("503 with Retry-After %q, want \"1\"", got)
 	}
 	close(release)
 	if code := <-errc; code != http.StatusOK {
@@ -267,6 +267,80 @@ func TestCancelledGenerationIsNeverCached(t *testing.T) {
 	}
 }
 
+// TestPanickingGeneratorIs500: a generator panic is the waiter's 500, not
+// a dead daemon; the panicking key is never cached and its gate slot is
+// released, so the next request — with one slot and no queue — is served.
+func TestPanickingGeneratorIs500(t *testing.T) {
+	var calls atomic.Int64
+	s := newTestServer(t, func(c *Config) {
+		c.Slots = 1
+		c.QueueDepth = -1
+		c.Run = func(_ context.Context, id string, _ experiments.Options) ([]*experiments.Table, error) {
+			if calls.Add(1) == 1 {
+				panic("generator bug")
+			}
+			return []*experiments.Table{{ID: id, Title: "stub", Header: []string{"x"}}}, nil
+		}
+	})
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/run?id=table1&seed=9", nil))
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking generator: HTTP %d, want 500", w.Code)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error != errInternal.Error() {
+		t.Fatalf("panicking generator: body %q, want error %q and no panic value", w.Body.Bytes(), errInternal)
+	}
+	if n := s.Cache().Len(); n != 0 {
+		t.Fatalf("%d entries stored for the panicking key", n)
+	}
+	resp, code := getRun(t, s.Handler(), "id=table1&seed=9")
+	if code != http.StatusOK || resp.Cached {
+		t.Fatalf("request after the panic: HTTP %d cached=%v, want a fresh 200", code, resp.Cached)
+	}
+}
+
+// TestReadTimeoutSparesLongRequest: tecosimd's http.Server ReadTimeout
+// bounds reading a request, not computing it. A read deadline still armed
+// while the handler runs would fail net/http's background read and cancel
+// r.Context(): a 503 "server stopping" for a request well inside its own
+// timeout. GET and POST both go through a real listener.
+func TestReadTimeoutSparesLongRequest(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		c.Run = func(ctx context.Context, id string, _ experiments.Options) ([]*experiments.Table, error) {
+			select {
+			case <-time.After(600 * time.Millisecond):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return []*experiments.Table{{ID: id, Title: "stub", Header: []string{"x"}}}, nil
+		}
+	})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ReadTimeout = 150 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+	for _, post := range []bool{false, true} {
+		var resp *http.Response
+		var err error
+		if post {
+			resp, err = http.Post(ts.URL+"/run", "application/json", strings.NewReader(`{"id":"table1","seed":5}`))
+		} else {
+			resp, err = http.Get(ts.URL + "/run?id=table1&seed=4")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("post=%v: a computation outlasting ReadTimeout got HTTP %d, want 200", post, resp.StatusCode)
+		}
+	}
+	if n := s.Stats().Rejected; n != 0 {
+		t.Fatalf("rejected = %d, want 0", n)
+	}
+}
+
 // TestBadRequests: unknown ids, unknown or scheduling-only parameter names,
 // and unparsable or out-of-range values are 400s before the cache, the
 // coalescer and the admission gate — never computations, never 500s.
@@ -288,11 +362,54 @@ func TestBadRequests(t *testing.T) {
 		bad(http.MethodGet, "/run?"+query, "")
 	}
 	for _, body := range []string{`{"id":"table1","sede":7}`, `{"id":"table1","workers":9}`,
-		`{"id":"table1","seed":[1]}`, `{"id":"layers","cache_pct":101}`, `{"id":`} {
+		`{"id":"table1","seed":[1]}`, `{"id":"layers","cache_pct":101}`, `{"id":`,
+		strings.Repeat(" ", maxBodyBytes) + `{"id":"table1"}`} {
 		bad(http.MethodPost, "/run", body)
 	}
 	if st := s.Stats(); st.Computes != 0 || st.Requests != 0 || st.InFlight != 0 {
 		t.Fatalf("bad requests reached admission: %+v", st)
+	}
+}
+
+// TestBadRequestErrorIsStable: of several bad names in one request, the
+// same one is reported every time, whatever the map order.
+func TestBadRequestErrorIsStable(t *testing.T) {
+	s := newTestServer(t, nil)
+	for _, req := range []struct{ method, target, body string }{
+		{http.MethodGet, "/run?id=table1&sede=7&zeed=8&workers=2", ""},
+		{http.MethodPost, "/run", `{"id":"table1","sede":7,"zeed":8,"workers":2,"seed":[1]}`},
+	} {
+		texts := map[string]bool{}
+		for i := 0; i < 50; i++ {
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest(req.method, req.target, strings.NewReader(req.body)))
+			texts[w.Body.String()] = true
+		}
+		if len(texts) != 1 {
+			t.Errorf("%s %s %s: %d distinct error texts: %v", req.method, req.target, req.body, len(texts), texts)
+		}
+	}
+}
+
+// TestLargestLegalBodyFitsBound: a POST body with every request name at
+// its longest accepted value is legal, and maxBodyBytes leaves it at least
+// 50 times that room.
+func TestLargestLegalBodyFitsBound(t *testing.T) {
+	body := `{"id":"tiering-policy","timeout_ms":-9223372036854775808,"seed":-9223372036854775808,` +
+		`"ber":4.9406564584124654e-324,"retry_budget":1024,"degrade":false,"ckpt_interval":1048576,` +
+		`"crash_at":1048576,"replicas":1024,"host_ports":1024,"kill_port":1024,"kill_step":1048576,` +
+		`"layers":1024,"cache_pct":100,"prefetch":64,"layer_policy":"fifo","layer_seq_len":1048576,` +
+		`"tier_policy":"static","tier_dram_pct":100,"tier_migrate_budget":1048576}`
+	r := httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body))
+	_, _, opt, err := parseRequest(r)
+	if err == nil {
+		err = opt.Validate()
+	}
+	if err != nil {
+		t.Fatalf("largest legal body rejected: %v", err)
+	}
+	if 50*len(body) > maxBodyBytes {
+		t.Fatalf("maxBodyBytes %d is under 50x the largest legal body (%d bytes)", maxBodyBytes, len(body))
 	}
 }
 
