@@ -112,12 +112,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Lines returns total line capacity.
-func (c *Cache) Lines() int64 { return c.cfg.SizeBytes / mem.LineSize }
-
 func (c *Cache) setOf(a mem.LineAddr) []Line {
 	return c.sets[uint64(a)%c.nsets]
 }
@@ -261,14 +255,3 @@ func (c *Cache) FlushAll() []Eviction {
 	}
 	return out
 }
-
-// ValidLines returns the number of currently valid lines.
-func (c *Cache) ValidLines() int { return len(c.where) }
-
-// Stats returns (hits, misses, evictions, writebacks).
-func (c *Cache) Stats() (hits, misses, evictions, writebacks int64) {
-	return c.hits, c.misses, c.evictions, c.writebacks
-}
-
-// ResetStats zeroes counters, keeping contents.
-func (c *Cache) ResetStats() { c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0 }

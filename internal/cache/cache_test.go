@@ -21,8 +21,9 @@ func TestStateString(t *testing.T) {
 
 func TestGem5Geometries(t *testing.T) {
 	// Table II: L3 16MB/64B/64-way.
-	if c := New(Gem5L3()); c.Lines()*mem.LineSize != Gem5L3().SizeBytes || c.Lines() != 1<<18 {
-		t.Fatalf("L3 holds %d lines, want 262144", c.Lines())
+	c := New(Gem5L3())
+	if lines := int64(len(c.sets) * len(c.sets[0])); lines*mem.LineSize != Gem5L3().SizeBytes || lines != 1<<18 {
+		t.Fatalf("L3 holds %d lines, want 262144", lines)
 	}
 }
 
@@ -42,8 +43,8 @@ func TestInsertAndLookup(t *testing.T) {
 	if c.Lookup(5) != Modified {
 		t.Fatal("in-place state update failed")
 	}
-	if c.ValidLines() != 1 {
-		t.Fatalf("valid = %d", c.ValidLines())
+	if len(c.where) != 1 {
+		t.Fatalf("valid = %d", len(c.where))
 	}
 }
 
@@ -71,7 +72,7 @@ func TestLRUEviction(t *testing.T) {
 	if !evicted || ev.Addr != 0 || !ev.Dirty {
 		t.Fatalf("eviction = %+v %v, want dirty victim line 0", ev, evicted)
 	}
-	_, _, evs, wbs := c.Stats()
+	evs, wbs := c.evictions, c.writebacks
 	if evs != 2 || wbs != 1 {
 		t.Fatalf("evictions=%d writebacks=%d", evs, wbs)
 	}
@@ -96,7 +97,7 @@ func TestSetStateAndInvalidate(t *testing.T) {
 		t.Fatal("SetState on absent line should return false")
 	}
 	// Silent invalidation is not an eviction.
-	_, _, evs, _ := c.Stats()
+	evs := c.evictions
 	if evs != 0 {
 		t.Fatalf("evictions = %d, want 0", evs)
 	}
@@ -115,14 +116,8 @@ func TestAccessHitMissCounting(t *testing.T) {
 	if c.Lookup(1) != Modified {
 		t.Fatal("write hit should dirty the line")
 	}
-	h, m, _, _ := c.Stats()
-	if h != 1 || m != 1 {
-		t.Fatalf("hits=%d misses=%d", h, m)
-	}
-	c.ResetStats()
-	h, m, _, _ = c.Stats()
-	if h != 0 || m != 0 {
-		t.Fatal("reset failed")
+	if c.hits != 1 || c.misses != 1 {
+		t.Fatalf("hits=%d misses=%d", c.hits, c.misses)
 	}
 }
 
@@ -145,7 +140,7 @@ func TestFlushAll(t *testing.T) {
 	if dirty != 2 {
 		t.Fatalf("flush marked %d dirty, want 2", dirty)
 	}
-	if c.ValidLines() != 0 {
+	if len(c.where) != 0 {
 		t.Fatal("cache not empty after flush")
 	}
 }
@@ -171,7 +166,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		for _, op := range ops {
 			a := mem.LineAddr(op % 257)
 			c.Access(a, op%3 == 0)
-			if c.ValidLines() > int(c.Lines()) {
+			if len(c.where) > 32 {
 				return false
 			}
 			if c.Contains(a) != c.Lookup(a).Valid() {

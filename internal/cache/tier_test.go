@@ -19,7 +19,8 @@ import (
 // partial-line remainder for a migration to lose.
 func TestTierGeometriesLineExact(t *testing.T) {
 	cfg := Gem5L3()
-	if got, want := New(cfg).Lines(), int64(mem.LinesIn(cfg.SizeBytes)); got != want {
+	c := New(cfg)
+	if got, want := int64(len(c.sets)*len(c.sets[0])), int64(mem.LinesIn(cfg.SizeBytes)); got != want {
 		t.Errorf("%s: %d lines, but LinesIn(%d) = %d", cfg.Name, got, cfg.SizeBytes, want)
 	}
 	if cfg.SizeBytes%mem.LineSize != 0 {
@@ -51,10 +52,10 @@ func TestSlotDemotionFlushSemantics(t *testing.T) {
 	if dirty != 2 {
 		t.Fatalf("%d dirty lines flushed, want the 2 written ones", dirty)
 	}
-	if c.ValidLines() != 0 {
-		t.Fatalf("%d lines survived the flush", c.ValidLines())
+	if len(c.where) != 0 {
+		t.Fatalf("%d lines survived the flush", len(c.where))
 	}
-	_, _, _, wbs := c.Stats()
+	wbs := c.writebacks
 	if wbs != 2 {
 		t.Fatalf("writeback counter %d, want 2", wbs)
 	}

@@ -30,13 +30,6 @@ const (
 	Update
 )
 
-func (m Mode) String() string {
-	if m == Update {
-		return "update"
-	}
-	return "invalidation"
-}
-
 // MsgType enumerates CXL.cache protocol messages the home agent exchanges.
 type MsgType int
 
@@ -60,13 +53,6 @@ const (
 
 var msgNames = [...]string{"ReadOwn", "ReadShared", "Invalidate", "Go_Flush", "FlushData", "Data"}
 
-func (t MsgType) String() string {
-	if int(t) < len(msgNames) {
-		return msgNames[t]
-	}
-	return fmt.Sprintf("MsgType(%d)", int(t))
-}
-
 // Side identifies a peer cache in the coherent domain.
 type Side int
 
@@ -76,13 +62,6 @@ const (
 	// Accelerator is the giant cache carved out of device memory.
 	Accelerator
 )
-
-func (s Side) String() string {
-	if s == CPU {
-		return "cpu"
-	}
-	return "accelerator"
-}
 
 // Opposite returns the other peer.
 func (s Side) Opposite() Side {
@@ -186,31 +165,11 @@ func NewDomain(cfg Config) *Domain {
 	}
 }
 
-// Mode returns the active protocol.
-func (d *Domain) Mode() Mode { return d.mode }
-
-// SetMode reconfigures the protocol. The paper makes this switchable by the
-// home agent: "By disabling the immediate FlushData transition upon data
-// update, the update-based transitions can be disabled."
-func (d *Domain) SetMode(m Mode) { d.mode = m }
-
-// CPUCache returns the host cache model.
-func (d *Domain) CPUCache() *cache.Cache { return d.cpu }
-
-// GiantCache returns the device giant-cache model.
-func (d *Domain) GiantCache() *cache.Cache { return d.giant }
-
-// Msgs returns the count of protocol messages of type t exchanged.
-func (d *Domain) Msgs(t MsgType) int64 { return d.msgs[t] }
-
-// Transfers returns (total link data transfers, on-demand transfers).
-func (d *Domain) Transfers() (total, onDemand int64) { return d.transfers, d.onDemand }
-
 func (d *Domain) say(t MsgType) { d.msgs[t]++ }
 
 // checkLine asserts the per-line legality rules after a protocol operation
 // touched line l, plus the domain-wide message/transfer conservation laws.
-// Called from Write/Read/Evict only while conformance checking is enabled.
+// Called from Write/Read only while conformance checking is enabled.
 func (d *Domain) checkLine(l mem.LineAddr) {
 	check.Check(
 		func() error { return d.CheckInvariants([]mem.LineAddr{l}) },
@@ -299,10 +258,6 @@ func (d *Domain) PoisonPush(l mem.LineAddr, from Side) {
 	}
 	d.poisonedLines[l] = struct{}{}
 }
-
-// PoisonedLines returns the number of lines whose last push was poisoned
-// and that have not yet been recovered.
-func (d *Domain) PoisonedLines() int { return len(d.poisonedLines) }
 
 // FaultCounters returns (retransmitted pushes, poisoned pushes, poisoned
 // lines recovered via the on-demand fetch path).
@@ -474,26 +429,6 @@ func (d *Domain) Read(l mem.LineAddr, from Side) bool {
 		d.checkLine(l)
 	}
 	return false
-}
-
-// Evict removes side s's copy of line l, applying Fig 5's eviction rule for
-// update-mode giant-cache lines: C_S S -> I and the peer's S -> E.
-func (d *Domain) Evict(l mem.LineAddr, s Side) {
-	c := d.cacheOf(s)
-	if !c.Contains(l) {
-		return
-	}
-	c.SetState(l, cache.Invalid)
-	if d.mode == Invalidation {
-		d.snoopClear(l, s)
-	}
-	peer := d.cacheOf(s.Opposite())
-	if d.addrMap.InGiantCache(l) && peer.Lookup(l) == cache.Shared {
-		peer.SetState(l, cache.Exclusive)
-	}
-	if check.Enabled() {
-		d.checkLine(l)
-	}
 }
 
 // FlushCPU flushes the whole CPU cache — the once-per-iteration flush that

@@ -24,21 +24,9 @@ func testDomain(mode Mode) (*Domain, mem.Region, mem.Region, *[]Transfer) {
 	return d, params, host, &log
 }
 
-func TestModeAndSideStrings(t *testing.T) {
-	if Update.String() != "update" || Invalidation.String() != "invalidation" {
-		t.Fatal("mode strings")
-	}
-	if CPU.String() != "cpu" || Accelerator.String() != "accelerator" {
-		t.Fatal("side strings")
-	}
+func TestSideOpposite(t *testing.T) {
 	if CPU.Opposite() != Accelerator || Accelerator.Opposite() != CPU {
 		t.Fatal("opposite")
-	}
-	if MsgGoFlush.String() != "Go_Flush" {
-		t.Fatal(MsgGoFlush.String())
-	}
-	if MsgType(99).String() == "" {
-		t.Fatal("unknown msg type should render")
 	}
 }
 
@@ -50,43 +38,43 @@ func TestFig5ParameterUpdateFlow(t *testing.T) {
 	// Initial condition: giant cache has the parameter copy, G_S = E,
 	// C_S = I.
 	d.Seed(l, Accelerator)
-	if d.GiantCache().Lookup(l) != cache.Exclusive {
-		t.Fatalf("G_S = %v, want E", d.GiantCache().Lookup(l))
+	if d.giant.Lookup(l) != cache.Exclusive {
+		t.Fatalf("G_S = %v, want E", d.giant.Lookup(l))
 	}
-	if d.CPUCache().Lookup(l).Valid() {
+	if d.cpu.Lookup(l).Valid() {
 		t.Fatal("C_S should start I")
 	}
 
 	// (1)(2): CPU updates the parameter line. ReadOwn then the update push.
 	d.Write(l, CPU)
-	if got := d.Msgs(MsgReadOwn); got != 1 {
+	if got := d.msgs[MsgReadOwn]; got != 1 {
 		t.Fatalf("ReadOwn msgs = %d, want 1", got)
 	}
-	if got := d.Msgs(MsgGoFlush); got != 1 {
+	if got := d.msgs[MsgGoFlush]; got != 1 {
 		t.Fatalf("Go_Flush msgs = %d, want 1", got)
 	}
-	if got := d.Msgs(MsgFlushData); got != 1 {
+	if got := d.msgs[MsgFlushData]; got != 1 {
 		t.Fatalf("FlushData msgs = %d, want 1", got)
 	}
 	// (3): after the approved flush, C_S = S and the peer copy is S.
-	if d.CPUCache().Lookup(l) != cache.Shared {
-		t.Fatalf("C_S = %v, want S", d.CPUCache().Lookup(l))
+	if d.cpu.Lookup(l) != cache.Shared {
+		t.Fatalf("C_S = %v, want S", d.cpu.Lookup(l))
 	}
-	if d.GiantCache().Lookup(l) != cache.Shared {
-		t.Fatalf("G_S = %v, want S", d.GiantCache().Lookup(l))
+	if d.giant.Lookup(l) != cache.Shared {
+		t.Fatalf("G_S = %v, want S", d.giant.Lookup(l))
 	}
 	// The push is NOT on-demand: it overlaps with producer compute.
 	if len(*log) != 1 || (*log)[0].OnDemand {
 		t.Fatalf("log = %+v", *log)
 	}
 
-	// CPU evicts C: C_S S -> I, G_S S -> E.
-	d.Evict(l, CPU)
-	if d.CPUCache().Lookup(l).Valid() {
-		t.Fatal("C_S should be I after evict")
+	// CPU flushes C: C_S S -> I, G_S S -> E.
+	d.FlushCPU()
+	if d.cpu.Lookup(l).Valid() {
+		t.Fatal("C_S should be I after the flush")
 	}
-	if d.GiantCache().Lookup(l) != cache.Exclusive {
-		t.Fatalf("G_S = %v, want E after CPU evict", d.GiantCache().Lookup(l))
+	if d.giant.Lookup(l) != cache.Exclusive {
+		t.Fatalf("G_S = %v, want E after the CPU flush", d.giant.Lookup(l))
 	}
 
 	// Accelerator reads C: G_S remains E, no link traffic.
@@ -94,7 +82,7 @@ func TestFig5ParameterUpdateFlow(t *testing.T) {
 	if onDemand := d.Read(l, Accelerator); onDemand {
 		t.Fatal("accelerator read of pushed parameter must not be on-demand")
 	}
-	if d.GiantCache().Lookup(l) != cache.Exclusive {
+	if d.giant.Lookup(l) != cache.Exclusive {
 		t.Fatal("G_S must remain E on accelerator read")
 	}
 	if len(*log) != before {
@@ -115,14 +103,14 @@ func TestInvalidationOnDemand(t *testing.T) {
 
 	// CPU updates the parameter: peer invalidated, no data pushed.
 	d.Write(l, CPU)
-	if d.GiantCache().Lookup(l).Valid() {
+	if d.giant.Lookup(l).Valid() {
 		t.Fatal("invalidation mode must invalidate the peer copy")
 	}
-	if d.CPUCache().Lookup(l) != cache.Modified {
-		t.Fatalf("C_S = %v, want M", d.CPUCache().Lookup(l))
+	if d.cpu.Lookup(l) != cache.Modified {
+		t.Fatalf("C_S = %v, want M", d.cpu.Lookup(l))
 	}
-	if d.Msgs(MsgInvalidate) != 1 {
-		t.Fatalf("Invalidate msgs = %d", d.Msgs(MsgInvalidate))
+	if d.msgs[MsgInvalidate] != 1 {
+		t.Fatalf("Invalidate msgs = %d", d.msgs[MsgInvalidate])
 	}
 	if len(*log) != 0 {
 		t.Fatal("no data should move at update time in invalidation mode")
@@ -135,7 +123,7 @@ func TestInvalidationOnDemand(t *testing.T) {
 	if len(*log) != 1 || !(*log)[0].OnDemand {
 		t.Fatalf("log = %+v", *log)
 	}
-	total, od := d.Transfers()
+	total, od := d.transfers, d.onDemand
 	if total != 1 || od != 1 {
 		t.Fatalf("transfers = %d/%d", total, od)
 	}
@@ -151,12 +139,12 @@ func TestGradientPushAcceleratorToCPU(t *testing.T) {
 	l := params.Base.Line() + 10
 
 	d.Write(l, Accelerator)
-	if d.GiantCache().Lookup(l) != cache.Shared {
-		t.Fatalf("G_S = %v, want S after push", d.GiantCache().Lookup(l))
+	if d.giant.Lookup(l) != cache.Shared {
+		t.Fatalf("G_S = %v, want S after push", d.giant.Lookup(l))
 	}
 	// CPU cache did not hold the line; it "simply ignores the update
 	// message" — data lands in host memory, not the CPU cache.
-	if d.CPUCache().Lookup(l).Valid() {
+	if d.cpu.Lookup(l).Valid() {
 		t.Fatal("CPU cache should not allocate on ignored update")
 	}
 	if len(*log) != 1 || (*log)[0].From != Accelerator || (*log)[0].To != CPU {
@@ -175,8 +163,8 @@ func TestCPUCacheAcceptsUpdateWhenResident(t *testing.T) {
 	l := params.Base.Line() + 3
 	d.Read(l, CPU) // CPU now holds the line
 	d.Write(l, Accelerator)
-	if d.CPUCache().Lookup(l) != cache.Shared {
-		t.Fatalf("CPU copy = %v, want S", d.CPUCache().Lookup(l))
+	if d.cpu.Lookup(l) != cache.Shared {
+		t.Fatalf("CPU copy = %v, want S", d.cpu.Lookup(l))
 	}
 }
 
@@ -189,12 +177,12 @@ func TestRepeatedUpdatesSameLine(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Write(l, CPU)
 	}
-	if d.Msgs(MsgFlushData) != 5 {
-		t.Fatalf("FlushData = %d, want 5", d.Msgs(MsgFlushData))
+	if d.msgs[MsgFlushData] != 5 {
+		t.Fatalf("FlushData = %d, want 5", d.msgs[MsgFlushData])
 	}
 	// Ownership is acquired once; later writes reuse the Shared copy.
-	if d.Msgs(MsgReadOwn) != 1 {
-		t.Fatalf("ReadOwn = %d, want 1", d.Msgs(MsgReadOwn))
+	if d.msgs[MsgReadOwn] != 1 {
+		t.Fatalf("ReadOwn = %d, want 1", d.msgs[MsgReadOwn])
 	}
 }
 
@@ -204,8 +192,8 @@ func TestNonDomainLinesUseStockMESI(t *testing.T) {
 	d, _, host, log := testDomain(Update)
 	l := host.Base.Line()
 	d.Write(l, CPU)
-	if d.CPUCache().Lookup(l) != cache.Modified {
-		t.Fatalf("state = %v, want M", d.CPUCache().Lookup(l))
+	if d.cpu.Lookup(l) != cache.Modified {
+		t.Fatalf("state = %v, want M", d.cpu.Lookup(l))
 	}
 	if len(*log) != 0 {
 		t.Fatal("host line write should not cross the link")
@@ -244,13 +232,13 @@ func TestFlushCPUPushesRemainingAndRestoresExclusive(t *testing.T) {
 	if len(hostWB) != 1 || hostWB[0].Addr != hl {
 		t.Fatalf("host writebacks = %+v", hostWB)
 	}
-	if d.CPUCache().ValidLines() != 0 {
+	if d.cpu.Contains(pl) || d.cpu.Contains(hl) {
 		t.Fatal("CPU cache not empty after flush")
 	}
 	// Fig 5: "If the CPU evicts C or flushes all the cache lines, C_S
 	// transits to I from S and G_S transits to E from S."
-	if d.GiantCache().Lookup(pl) != cache.Exclusive {
-		t.Fatalf("G_S = %v, want E after flush", d.GiantCache().Lookup(pl))
+	if d.giant.Lookup(pl) != cache.Exclusive {
+		t.Fatalf("G_S = %v, want E after flush", d.giant.Lookup(pl))
 	}
 }
 
@@ -267,15 +255,15 @@ func TestFlushCPUInvalidationModeTransfersDirtyDomainLines(t *testing.T) {
 
 func TestSetMode(t *testing.T) {
 	d, params, _, _ := testDomain(Update)
-	if d.Mode() != Update {
+	if d.mode != Update {
 		t.Fatal("mode")
 	}
-	d.SetMode(Invalidation)
+	d.mode = Invalidation
 	l := params.Base.Line()
 	d.Seed(l, Accelerator)
 	d.Write(l, CPU)
-	if d.CPUCache().Lookup(l) != cache.Modified {
-		t.Fatal("after SetMode(Invalidation), writes must follow MESI")
+	if d.cpu.Lookup(l) != cache.Modified {
+		t.Fatal("after switching to Invalidation, writes must follow MESI")
 	}
 }
 
@@ -283,11 +271,19 @@ func TestNewDomainDefaults(t *testing.T) {
 	m := mem.NewMap()
 	m.Allocate("p", mem.RegionGiantCache, 1<<20)
 	d := NewDomain(Config{Mode: Update, AddrMap: m})
-	if d.CPUCache() == nil || d.GiantCache() == nil {
+	if d.cpu == nil || d.giant == nil {
 		t.Fatal("defaults not installed")
 	}
-	if d.GiantCache().Config().SizeBytes != 1<<20 {
-		t.Fatalf("giant cache sized %d, want region size", d.GiantCache().Config().SizeBytes)
+	// The default giant cache holds exactly the mapped region: its lines
+	// fit without an eviction, and one more line evicts.
+	lines := mem.LineAddr(1 << 20 / mem.LineSize)
+	for l := mem.LineAddr(0); l < lines; l++ {
+		if _, evicted := d.giant.Insert(l, cache.Exclusive); evicted {
+			t.Fatalf("giant cache evicted at line %d, want room for the %d-line region", l, lines)
+		}
+	}
+	if _, evicted := d.giant.Insert(lines, cache.Exclusive); !evicted {
+		t.Fatal("giant cache holds more than the mapped region")
 	}
 }
 
@@ -304,9 +300,8 @@ func TestNewDomainNilMapPanics(t *testing.T) {
 // and checks single-writer / exclusive-means-exclusive invariants after
 // every step.
 func TestProtocolInvariantsRandomWalk(t *testing.T) {
-	for _, mode := range []Mode{Update, Invalidation} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	for name, mode := range map[string]Mode{"update": Update, "invalidation": Invalidation} {
+		t.Run(name, func(t *testing.T) {
 			d, params, host, _ := testDomain(mode)
 			rng := rand.New(rand.NewSource(7))
 			lines := make([]mem.LineAddr, 0, 40)
@@ -320,14 +315,12 @@ func TestProtocolInvariantsRandomWalk(t *testing.T) {
 			for step := 0; step < 20000; step++ {
 				l := lines[rng.Intn(len(lines))]
 				side := Side(rng.Intn(2))
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0:
 					d.Write(l, side)
 				case 1:
 					d.Read(l, side)
 				case 2:
-					d.Evict(l, side)
-				case 3:
 					if rng.Intn(50) == 0 {
 						d.FlushCPU()
 					}
@@ -354,11 +347,11 @@ func TestUpdateModeKeepsCopiesCoherent(t *testing.T) {
 	}
 	d.FlushCPU()
 	for l := range written {
-		if !d.GiantCache().Contains(l) {
+		if !d.giant.Contains(l) {
 			t.Fatalf("line %d missing from giant cache after flush", l)
 		}
-		if d.GiantCache().Lookup(l) != cache.Exclusive {
-			t.Fatalf("line %d = %v, want E", l, d.GiantCache().Lookup(l))
+		if d.giant.Lookup(l) != cache.Exclusive {
+			t.Fatalf("line %d = %v, want E", l, d.giant.Lookup(l))
 		}
 	}
 }

@@ -31,14 +31,14 @@ func TestPoisonPushFallsBackToOnDemandFetch(t *testing.T) {
 	d.Write(l, CPU) // update push CPU -> accelerator
 	d.PoisonPush(l, CPU)
 
-	if got := d.CPUCache().Lookup(l); got != cache.Modified {
+	if got := d.cpu.Lookup(l); got != cache.Modified {
 		t.Fatalf("writer state after poison = %v, want Modified", got)
 	}
-	if d.GiantCache().Contains(l) {
+	if d.giant.Contains(l) {
 		t.Fatal("peer kept a poisoned copy")
 	}
-	if d.PoisonedLines() != 1 {
-		t.Fatalf("poisoned lines = %d, want 1", d.PoisonedLines())
+	if len(d.poisonedLines) != 1 {
+		t.Fatalf("poisoned lines = %d, want 1", len(d.poisonedLines))
 	}
 	if err := d.CheckInvariants([]mem.LineAddr{l}); err != nil {
 		t.Fatalf("invariants violated after poison: %v", err)
@@ -56,7 +56,7 @@ func TestPoisonPushFallsBackToOnDemandFetch(t *testing.T) {
 	if re != 0 || po != 1 || rec != 1 {
 		t.Fatalf("fault counters = (%d,%d,%d), want (0,1,1)", re, po, rec)
 	}
-	if d.PoisonedLines() != 0 {
+	if len(d.poisonedLines) != 0 {
 		t.Fatal("recovered line still marked poisoned")
 	}
 	if err := d.CheckInvariants([]mem.LineAddr{l}); err != nil {
@@ -71,7 +71,7 @@ func TestRepushClearsPoison(t *testing.T) {
 	d.Write(l, CPU)
 	d.PoisonPush(l, CPU)
 	d.Write(l, CPU) // retransmitted update push succeeds this time
-	if d.PoisonedLines() != 0 {
+	if len(d.poisonedLines) != 0 {
 		t.Fatal("successful re-push left the line marked poisoned")
 	}
 	if d.Read(l, Accelerator) {
@@ -84,14 +84,14 @@ func TestRepushClearsPoison(t *testing.T) {
 func TestNoteRetransmitIsStatsOnly(t *testing.T) {
 	d, l, _ := poisonDomain(t)
 	d.Write(l, CPU)
-	cpuState := d.CPUCache().Lookup(l)
+	cpuState := d.cpu.Lookup(l)
 	d.NoteRetransmit(3)
 	d.NoteRetransmit(2)
 	re, po, rec := d.FaultCounters()
 	if re != 5 || po != 0 || rec != 0 {
 		t.Fatalf("fault counters = (%d,%d,%d), want (5,0,0)", re, po, rec)
 	}
-	if d.CPUCache().Lookup(l) != cpuState {
+	if d.cpu.Lookup(l) != cpuState {
 		t.Fatal("NoteRetransmit changed protocol state")
 	}
 }

@@ -110,6 +110,3 @@ func Failf(format string, args ...any) {
 		tb.Errorf("conformance violation: "+format, args...)
 	}
 }
-
-// Violations returns the number of violations reported since process start.
-func Violations() int64 { return violations.Load() }

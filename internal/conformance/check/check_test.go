@@ -28,9 +28,9 @@ func TestDisabledByDefault(t *testing.T) {
 		t.Fatal("checking enabled before any Enable call")
 	}
 	// Check must be a no-op: an always-failing invariant reports nothing.
-	before := Violations()
+	before := violations.Load()
 	Check(func() error { return errors.New("boom") })
-	if Violations() != before {
+	if violations.Load() != before {
 		t.Fatal("disabled Check evaluated its invariant")
 	}
 }
@@ -43,12 +43,12 @@ func TestEnableReportsViolations(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("Enable did not switch checking on")
 	}
-	before := Violations()
+	before := violations.Load()
 	Check(
 		func() error { return nil },
 		func() error { return errors.New("conservation broken") },
 	)
-	if got := Violations() - before; got != 1 {
+	if got := violations.Load() - before; got != 1 {
 		t.Fatalf("violations = %d, want 1", got)
 	}
 	if len(tb.failures) != 1 || !strings.Contains(tb.failures[0], "conformance violation") {

@@ -31,35 +31,9 @@ import (
 // whole testdata/golden tree.
 const GoldenSeed = 42
 
-// GoldenIDs returns every experiment id the golden suite pins: the full
-// generator registry except "all", which is by construction the
-// concatenation of the others and would only duplicate bytes on disk.
-func GoldenIDs() []string {
-	var ids []string
-	for _, id := range experiments.IDs() {
-		if id == "all" {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // Generate runs one experiment generator at the canonical seed.
 func Generate(id string) ([]*experiments.Table, error) {
 	return experiments.ByID(id, experiments.Options{Seed: GoldenSeed})
-}
-
-// Marshal serializes tables to the canonical golden encoding: indented JSON
-// with a trailing newline. encoding/json emits struct fields in declaration
-// order and escapes deterministically, so equal tables marshal to equal
-// bytes on every platform.
-func Marshal(tables []*experiments.Table) ([]byte, error) {
-	b, err := json.MarshalIndent(tables, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // Unmarshal decodes a golden file.

@@ -64,11 +64,11 @@ func harvest(t *testing.T) map[string][][]byte {
 
 	var plain, framed [][]byte
 	for _, p := range []*cxl.Packet{&full, &agg} {
-		wire, err := p.Encode()
+		wire, err := p.AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := p.EncodeFramed()
+		fr, err := p.AppendEncodeFramed(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestKernelTrainingWorkersBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := Marshal(tables)
+			fresh, err := marshal(tables)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"teco/internal/fabric"
 	"teco/internal/modelzoo"
 	"teco/internal/phases"
-	"teco/internal/sim"
 )
 
 // fabricFaultConfigs is the fault matrix every degeneracy row runs under.
@@ -18,9 +17,8 @@ func fabricFaultConfigs() map[string]Config {
 		"clean":    {},
 		"dba":      {DBA: true},
 		"ber":      {DBA: true, Faults: cxl.FaultConfig{Seed: 3, BER: 1e-7}},
-		"stalls":   {Faults: cxl.FaultConfig{Seed: 3, StallProb: 0.01, StallTime: 2 * sim.Microsecond}},
-		"degrade":  {DBA: true, Faults: cxl.FaultConfig{Seed: 3, BandwidthDegrade: 0.8}},
-		"mixed":    {DBA: true, Faults: cxl.FaultConfig{Seed: 5, BER: 5e-8, StallProb: 0.005, StallTime: sim.Microsecond}},
+		"degrade":  {DBA: true, Degrade: true, Faults: cxl.FaultConfig{Seed: 3, BER: 1e-4}},
+		"mixed":    {DBA: true, Faults: cxl.FaultConfig{Seed: 5, BER: 5e-8, RetryBudget: 2}},
 		"per-line": {DBA: true, PerLine: true},
 	}
 }

@@ -17,13 +17,13 @@ import (
 // retransmissions. Smaller aggregated packets fail less often and are
 // cheaper to resend — but every retried aggregated packet also re-pays the
 // merge-header round trip (the Disaggregator must refetch the stale line
-// from the giant cache to redo the merge, cfg.MergeRetryDelay), a cost a
-// full-line retry never sees. Above a crossover packet-error rate the merge
-// penalty dominates and aggregation loses; with the default latencies and
-// dirty_bytes=2 the crossover sits near a per-flit error probability of
-// ~2%, i.e. BER ≈ 4e-5.
+// from the giant cache to redo the merge, cxl.DefaultMergeRetryDelay), a
+// cost a full-line retry never sees. Above a crossover packet-error rate
+// the merge penalty dominates and aggregation loses; with the fault-model
+// latencies and dirty_bytes=2 the crossover sits near a per-flit error
+// probability of ~2%, i.e. BER ≈ 4e-5.
 func AggregatedUneconomical(fc cxl.FaultConfig, dirtyBytes int, bytesPerSecond float64) bool {
-	if !fc.Enabled() || fc.BER <= 0 {
+	if !fc.Enabled() {
 		return false
 	}
 	if dirtyBytes <= 0 {
@@ -37,13 +37,12 @@ func AggregatedUneconomical(fc cxl.FaultConfig, dirtyBytes int, bytesPerSecond f
 		// An unmodelable config cannot be priced; never degrade on it.
 		return false
 	}
-	cfg := f.Config()
 	sf := float64(sim.DurationForBytes(mem.LineSize, bytesPerSecond))
 	sa := float64(sim.DurationForBytes(int64(mem.LineSize/4*dirtyBytes), bytesPerSecond))
-	rf := f.ExpectedRetriesPerPacket(cxl.WirePacketBytes(0))
-	ra := f.ExpectedRetriesPerPacket(cxl.WirePacketBytes(dirtyBytes))
+	rf := f.PacketErrorProb(cxl.WirePacketBytes(0))
+	ra := f.PacketErrorProb(cxl.WirePacketBytes(dirtyBytes))
 	costFull := sf * (1 + rf)
-	costAgg := sa*(1+ra) + ra*float64(cfg.MergeRetryDelay)
+	costAgg := sa*(1+ra) + ra*float64(cxl.DefaultMergeRetryDelay)
 	return costAgg >= costFull
 }
 

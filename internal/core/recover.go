@@ -147,21 +147,11 @@ func buildSDCPlan(cfg SessionConfig, tr *realtrain.Trainer) map[int]sdcEvent {
 	return plan
 }
 
-// Resumed reports whether construction restored a checkpoint.
-func (s *Session) Resumed() bool { return s.resumed }
-
 // Trainer exposes the underlying trainer (read-only use by tests).
 func (s *Session) Trainer() *realtrain.Trainer { return s.tr }
 
 // Stats returns the accumulated recovery accounting.
 func (s *Session) Stats() phases.RecoveryStats { return s.stats }
-
-// StepResult packages the recovery accounting in the shared per-step result
-// shape, so the experiment tables can report checkpoint overhead next to
-// the link-level numbers.
-func (s *Session) StepResult() phases.StepResult {
-	return phases.StepResult{Variant: phases.TECOReduction, Recovery: s.stats}
-}
 
 // Checkpoint persists the current trainer state immediately.
 func (s *Session) Checkpoint() error {

@@ -151,7 +151,7 @@ func (e *Engine) foldFaults(res *phases.StepResult, exposed sim.Time, grad, prm 
 			ls := l.FaultStats()
 			fs = fs.Add(ls)
 			if ls.Poisoned > 0 {
-				per := l.Faults().Config().NakDelay + 2*l.ServiceTime(cxl.MsgBytes, 0) + l.ServiceTime(mem.LineSize, 0)
+				per := cxl.DefaultNakDelay + 2*l.ServiceTime(cxl.MsgBytes, 0) + l.ServiceTime(mem.LineSize, 0)
 				d += sim.Time(ls.Poisoned) * per
 				bytes += ls.Poisoned * (cxl.MsgBytes + mem.LineSize)
 			}
@@ -169,8 +169,6 @@ func (e *Engine) foldFaults(res *phases.StepResult, exposed sim.Time, grad, prm 
 		ReplayedBytes: fs.ReplayedBytes,
 		Poisoned:      fs.Poisoned,
 		Recovered:     fs.Poisoned,
-		Stalls:        fs.Stalls,
-		StallTime:     fs.StallTime,
 		Exposed:       exposed + gradRec + prmRec,
 	}
 }

@@ -87,8 +87,6 @@ func addStep(a, s phases.StepResult) phases.StepResult {
 	a.Fault.ReplayedBytes += s.Fault.ReplayedBytes
 	a.Fault.Poisoned += s.Fault.Poisoned
 	a.Fault.Recovered += s.Fault.Recovered
-	a.Fault.Stalls += s.Fault.Stalls
-	a.Fault.StallTime += s.Fault.StallTime
 	a.Fault.Exposed += s.Fault.Exposed
 	a.Fault.Degraded = a.Fault.Degraded || s.Fault.Degraded
 	return a

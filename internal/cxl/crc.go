@@ -77,14 +77,10 @@ func UpdateCRC16(crc uint16, p []byte) uint16 {
 // that consumes a replay-buffer slot and triggers NAK + retransmit.
 var ErrCRC = errors.New("cxl: CRC mismatch")
 
-// EncodeFramed serializes the packet with a trailing 2-byte CRC over the
-// wire image, as the link layer would frame it into CRC-protected flits.
-func (p *Packet) EncodeFramed() ([]byte, error) {
-	return p.AppendEncodeFramed(nil)
-}
-
-// AppendEncodeFramed is EncodeFramed into dst's spare capacity — the
-// allocation-free form for loops that frame one packet per cache line.
+// AppendEncodeFramed serializes the packet into dst's spare capacity with a
+// trailing 2-byte CRC over the wire image, as the link layer would frame it
+// into CRC-protected flits. Reusing dst keeps loops that frame one packet
+// per cache line allocation-free.
 func (p *Packet) AppendEncodeFramed(dst []byte) ([]byte, error) {
 	base := len(dst)
 	dst, err := p.AppendEncode(dst)
@@ -96,16 +92,10 @@ func (p *Packet) AppendEncodeFramed(dst []byte) ([]byte, error) {
 	return append(dst, tail[:]...), nil
 }
 
-// DecodeFramed verifies the trailing CRC and decodes the packet. A CRC
-// failure returns ErrCRC: the receiver must NAK, never deliver the data.
-func DecodeFramed(buf []byte) (Packet, error) {
-	var p Packet
-	err := DecodeFramedInto(&p, buf)
-	return p, err
-}
-
-// DecodeFramedInto is DecodeFramed reusing p's payload capacity (see
-// DecodeInto). p is zeroed on any error.
+// DecodeFramedInto verifies the trailing CRC and decodes the packet into p,
+// reusing p's payload capacity (see DecodeInto). A CRC failure returns
+// ErrCRC: the receiver must NAK, never deliver the data. p is zeroed on any
+// error.
 func DecodeFramedInto(p *Packet, buf []byte) error {
 	if len(buf) < 2 {
 		*p = Packet{}

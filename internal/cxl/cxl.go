@@ -92,11 +92,9 @@ func (l *Link) ServiceTime(n int, extra sim.Time) sim.Time {
 }
 
 // InjectFaults attaches a fault model built from cfg and returns it. A
-// disabled config (zero error rate, no stalls, no degradation) attaches
-// nothing and the link stays bit-identical to the fault-free model. A
-// persistent BandwidthDegrade factor in (0,1) immediately retrains the link
-// to the degraded rate. An invalid config is returned as an error and
-// leaves the link untouched.
+// disabled config (zero error rate) attaches nothing and the link stays
+// bit-identical to the fault-free model. An invalid config is returned as
+// an error and leaves the link untouched.
 func (l *Link) InjectFaults(cfg FaultConfig) (*FaultModel, error) {
 	if !cfg.Enabled() {
 		if err := cfg.Validate(); err != nil {
@@ -110,10 +108,7 @@ func (l *Link) InjectFaults(cfg FaultConfig) (*FaultModel, error) {
 		return nil, err
 	}
 	l.faults = fm
-	if f := cfg.BandwidthDegrade; f > 0 && f < 1 {
-		l.bytesPerSecond *= f
-	}
-	return l.faults, nil
+	return fm, nil
 }
 
 // Faults returns the attached fault model (nil on a pristine link).
@@ -156,30 +151,16 @@ func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, agg
 	}
 
 	if f := l.faults; f != nil {
-		cfg := f.cfg
-		// Controller-queue stall: serialization cannot start until the
-		// controller recovers.
-		if f.stallHit() {
-			res.Stalled = cfg.StallTime
-			l.fstats.Stalls++
-			l.fstats.StallTime += cfg.StallTime
-			start += cfg.StallTime
-			done = start + svc
-		}
 		cleanDone := done
 		pErr := f.PacketErrorProb(pktBytes)
-		spread := f.burstSpread(pktBytes)
 		nak := 2 * l.ServiceTime(MsgBytes, 0)
 		outstanding := res.Packets
 		for round := 1; outstanding > 0; round++ {
-			corrupted := f.draw(outstanding, pErr) * spread
-			if corrupted > outstanding {
-				corrupted = outstanding
-			}
+			corrupted := f.draw(outstanding, pErr)
 			if corrupted == 0 {
 				break
 			}
-			if round > cfg.RetryBudget {
+			if round > f.cfg.RetryBudget {
 				// Replay exhausted: deliver poisoned instead of
 				// silently handing over corrupt data.
 				res.Poisoned = corrupted
@@ -199,21 +180,18 @@ func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, agg
 			}
 			// A round bigger than the replay buffer drains in waves,
 			// each wave paying another NAK round trip.
-			waves := (corrupted + int64(cfg.ReplaySlots) - 1) / int64(cfg.ReplaySlots)
-			if waves < 1 {
-				waves = 1
-			}
+			waves := (corrupted + DefaultReplaySlots - 1) / DefaultReplaySlots
 			shift := uint(round - 1)
 			if shift > 16 {
 				shift = 16
 			}
 			resend := l.ServiceTime(int(replayBytes), 0)
-			penalty := cfg.NakDelay + sim.Time(waves-1)*nak + (cfg.RetryBackoff << shift) + resend
+			penalty := DefaultNakDelay + sim.Time(waves-1)*nak + (DefaultRetryBackoff << shift) + resend
 			if aggregated {
 				// Every retried aggregated packet re-sends the merge
 				// header round trip: the Disaggregator refetches the
 				// stale line to redo the merge.
-				penalty += sim.Time(corrupted) * cfg.MergeRetryDelay
+				penalty += sim.Time(corrupted) * DefaultMergeRetryDelay
 			}
 			done += penalty
 			l.busy += resend
@@ -287,8 +265,7 @@ func (l *Link) CheckInvariants() error {
 			l.bytesSent, l.packets, l.busy, l.stall)
 	}
 	f := l.fstats
-	if f.Retries < 0 || f.ReplayedBytes < 0 || f.Poisoned < 0 || f.Stalls < 0 ||
-		f.StallTime < 0 || f.RetryTime < 0 {
+	if f.Retries < 0 || f.ReplayedBytes < 0 || f.Poisoned < 0 || f.RetryTime < 0 {
 		return fmt.Errorf("cxl: negative fault accounting %+v", f)
 	}
 	if l.cleanFreeAt > l.freeAt {
@@ -366,8 +343,8 @@ func (l *Link) Stats() (bytes int64, packets int64, busy, stall sim.Time) {
 
 // Reset clears counters and queue state (a new training run on the same
 // hardware). Fault and retry counters are cleared alongside the byte and
-// stall accounting; the attached fault model (and any degraded bandwidth)
-// persists — the hardware is still the same lossy link.
+// stall accounting; the attached fault model persists — the hardware is
+// still the same lossy link.
 func (l *Link) Reset() {
 	l.freeAt = 0
 	l.cleanFreeAt = 0
@@ -414,9 +391,6 @@ func (p *Packet) PayloadLen() int {
 	return mem.LineSize / 4 * int(p.DirtyBytes)
 }
 
-// WireBytes returns the total on-wire size (header + payload).
-func (p *Packet) WireBytes() int { return headerSize + p.PayloadLen() }
-
 // WirePacketBytes returns the on-wire packet size (header + payload) for a
 // full-line packet (dirtyBytes <= 0) or a DBA-aggregated packet carrying
 // dirtyBytes per 4-byte word — the framing granularity the link-layer
@@ -432,16 +406,11 @@ func WirePacketBytes(dirtyBytes int) int {
 // its header flags.
 var ErrPayloadMismatch = errors.New("cxl: payload length does not match flags")
 
-// Encode serializes the packet. A payload length inconsistent with the
-// header flags is a caller error reported as ErrPayloadMismatch.
-func (p *Packet) Encode() ([]byte, error) {
-	return p.AppendEncode(nil)
-}
-
 // AppendEncode serializes the packet into dst's spare capacity (growing it
 // only when needed) and returns the extended slice — the allocation-free
 // form the functional replay path uses to reuse one flit buffer across
-// millions of lines.
+// millions of lines. A payload length inconsistent with the header flags is
+// a caller error reported as ErrPayloadMismatch.
 func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	if len(p.Payload) != p.PayloadLen() {
 		return nil, fmt.Errorf("%w: payload %dB, want %dB", ErrPayloadMismatch, len(p.Payload), p.PayloadLen())
@@ -462,15 +431,6 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 
 // ErrShortPacket reports a truncated packet buffer.
 var ErrShortPacket = errors.New("cxl: short packet")
-
-// Decode parses a packet from buf.
-func Decode(buf []byte) (Packet, error) {
-	var p Packet
-	if err := DecodeInto(&p, buf); err != nil {
-		return Packet{}, err
-	}
-	return p, nil
-}
 
 // DecodeInto parses a packet from buf into p, reusing p.Payload's capacity
 // when it suffices so a receive loop decodes without per-packet allocation.

@@ -153,14 +153,14 @@ func TestPacketEncodeDecodeFullLine(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	p := Packet{Addr: 0x123456789A, Payload: payload}
-	buf, err := p.Encode()
+	buf, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != p.WireBytes() {
-		t.Fatalf("wire bytes = %d, want %d", len(buf), p.WireBytes())
+	if len(buf) != WirePacketBytes(0) {
+		t.Fatalf("wire bytes = %d, want %d", len(buf), WirePacketBytes(0))
 	}
-	q, err := Decode(buf)
+	q, err := decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestPacketEncodeDecodeAggregated(t *testing.T) {
 	if p.PayloadLen() != 32 {
 		t.Fatalf("aggregated payload len = %d, want 32", p.PayloadLen())
 	}
-	wire, err := p.Encode()
+	wire, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(wire)
+	q, err := decode(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,36 +196,36 @@ func TestPacketHalvesWireSize(t *testing.T) {
 	if agg.PayloadLen()*2 != full.PayloadLen() {
 		t.Fatal("DBA with dirty_bytes=2 must halve the payload")
 	}
-	if agg.WireBytes() >= full.WireBytes() {
+	if WirePacketBytes(int(agg.DirtyBytes)) >= WirePacketBytes(0) {
 		t.Fatal("aggregated packet must be smaller on the wire")
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(make([]byte, 4)); err == nil {
+	if _, err := decode(make([]byte, 4)); err == nil {
 		t.Fatal("short header must error")
 	}
 	p := Packet{Addr: 7, Payload: make([]byte, 64)}
-	buf, err := p.Encode()
+	buf, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(buf[:20]); err == nil {
+	if _, err := decode(buf[:20]); err == nil {
 		t.Fatal("truncated payload must error")
 	}
 	// Corrupt dirty-byte length: aggregated flag with length 0.
 	buf[7] = 1 << 7
-	if _, err := Decode(buf); err == nil {
+	if _, err := decode(buf); err == nil {
 		t.Fatal("invalid dirty length must error")
 	}
 }
 
 func TestEncodeErrorsOnMismatchedPayload(t *testing.T) {
 	p := Packet{Addr: 1, Payload: make([]byte, 10)}
-	if _, err := p.Encode(); !errors.Is(err, ErrPayloadMismatch) {
+	if _, err := p.AppendEncode(nil); !errors.Is(err, ErrPayloadMismatch) {
 		t.Fatalf("err = %v, want ErrPayloadMismatch", err)
 	}
-	if _, err := p.EncodeFramed(); !errors.Is(err, ErrPayloadMismatch) {
+	if _, err := p.AppendEncodeFramed(nil); !errors.Is(err, ErrPayloadMismatch) {
 		t.Fatalf("framed err = %v, want ErrPayloadMismatch", err)
 	}
 }
@@ -239,11 +239,11 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		p := Packet{Addr: addr, Aggregated: true, DirtyBytes: uint8(n)}
 		p.Payload = make([]byte, p.PayloadLen())
 		rand.New(rand.NewSource(seed)).Read(p.Payload)
-		wire, err := p.Encode()
+		wire, err := p.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
-		q, err := Decode(wire)
+		q, err := decode(wire)
 		if err != nil {
 			return false
 		}

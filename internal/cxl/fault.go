@@ -20,10 +20,11 @@ import (
 	"teco/internal/sim"
 )
 
-// Fault-model defaults. The latencies are first-order CXL controller
-// figures, not calibrated constants: the NAK notification and the
-// giant-cache stale-line refetch a retried merge needs are both round trips
-// through the device, O(100 ns).
+// Fault-model constants. Only the retry budget is configurable
+// (FaultConfig.RetryBudget); the latencies and the replay-buffer depth are
+// fixed. The latencies are first-order CXL controller figures, not
+// calibrated: the NAK notification and the giant-cache stale-line refetch a
+// retried merge needs are both round trips through the device, O(100 ns).
 const (
 	// DefaultRetryBudget is the number of retransmit rounds before a
 	// packet is delivered poisoned.
@@ -38,103 +39,37 @@ const (
 	// the Disaggregator must re-fetch the stale line and re-run the merge,
 	// re-sending the merge header round trip (giant-cache access).
 	DefaultMergeRetryDelay = 100 * sim.Nanosecond
-	// DefaultStallTime is the duration of one injected controller-queue
-	// stall.
-	DefaultStallTime = sim.Microsecond
 	// DefaultReplaySlots is the replay (retry) buffer depth in packets;
 	// a retransmit round larger than the buffer drains in waves.
 	DefaultReplaySlots = 32
 )
 
 // FaultConfig configures deterministic link fault injection. The zero value
-// is a pristine link: no errors, no stalls, no degradation.
+// is a pristine link: no errors.
 type FaultConfig struct {
 	// Seed drives every random draw; two runs with the same seed and
 	// config produce identical retry counts and timings.
 	Seed int64
 	// BER is the per-bit probability of a wire error.
 	BER float64
-	// BurstFlits is the mean error-burst length in flits. 1 (or 0) means
-	// independent single-flit errors; larger values concentrate the same
-	// BER into bursts that corrupt runs of consecutive flits.
-	BurstFlits int
-	// StallProb is the per-flow probability of a controller-queue stall
-	// of StallTime before serialization starts.
-	StallProb float64
-	// StallTime is the injected stall duration (default 1 us).
-	StallTime sim.Time
-	// BandwidthDegrade models persistent link degradation (lane or speed
-	// downtraining) as a bandwidth factor in (0,1). 0 or 1 means none.
-	BandwidthDegrade float64
 	// RetryBudget is the number of retransmit rounds before a packet is
 	// delivered poisoned (default 8).
 	RetryBudget int
-	// RetryBackoff is the base backoff before each retransmit round,
-	// doubling per round (default 50 ns).
-	RetryBackoff sim.Time
-	// NakDelay is the NAK notification round trip per retransmit round
-	// (default 100 ns).
-	NakDelay sim.Time
-	// MergeRetryDelay is the per-packet stale-line refetch cost of
-	// retrying an aggregated payload (default 100 ns).
-	MergeRetryDelay sim.Time
-	// ReplaySlots is the replay-buffer depth in packets (default 32).
-	ReplaySlots int
 }
 
 // Enabled reports whether the config injects any fault at all. A disabled
 // config leaves the link's timing bit-identical to the fault-free model.
-func (c FaultConfig) Enabled() bool {
-	return c.BER > 0 || c.StallProb > 0 || (c.BandwidthDegrade > 0 && c.BandwidthDegrade < 1)
-}
+func (c FaultConfig) Enabled() bool { return c.BER > 0 }
 
 // Validate checks the configuration ranges.
 func (c FaultConfig) Validate() error {
 	if c.BER < 0 || c.BER >= 1 {
 		return fmt.Errorf("cxl: BER %g outside [0,1)", c.BER)
 	}
-	if c.StallProb < 0 || c.StallProb > 1 {
-		return fmt.Errorf("cxl: stall probability %g outside [0,1]", c.StallProb)
-	}
-	if c.BandwidthDegrade < 0 || c.BandwidthDegrade > 1 {
-		return fmt.Errorf("cxl: bandwidth degrade factor %g outside [0,1]", c.BandwidthDegrade)
-	}
 	if c.RetryBudget < 0 {
 		return fmt.Errorf("cxl: negative retry budget %d", c.RetryBudget)
 	}
-	if c.RetryBackoff < 0 || c.NakDelay < 0 || c.MergeRetryDelay < 0 || c.StallTime < 0 {
-		return fmt.Errorf("cxl: negative fault latency")
-	}
-	if c.BurstFlits < 0 || c.ReplaySlots < 0 {
-		return fmt.Errorf("cxl: negative burst length or replay depth")
-	}
 	return nil
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (c FaultConfig) withDefaults() FaultConfig {
-	if c.BurstFlits <= 0 {
-		c.BurstFlits = 1
-	}
-	if c.StallTime == 0 {
-		c.StallTime = DefaultStallTime
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = DefaultRetryBudget
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
-	if c.NakDelay == 0 {
-		c.NakDelay = DefaultNakDelay
-	}
-	if c.MergeRetryDelay == 0 {
-		c.MergeRetryDelay = DefaultMergeRetryDelay
-	}
-	if c.ReplaySlots == 0 {
-		c.ReplaySlots = DefaultReplaySlots
-	}
-	return c
 }
 
 // FaultModel is the seeded random process deciding which flits go bad. It
@@ -154,7 +89,9 @@ func NewFaultModel(cfg FaultConfig) (*FaultModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.RetryBudget == 0 {
+		cfg.RetryBudget = DefaultRetryBudget
+	}
 	return &FaultModel{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
@@ -175,65 +112,20 @@ func MustFaultModel(cfg FaultConfig) *FaultModel {
 // Config returns the model's configuration with defaults applied.
 func (f *FaultModel) Config() FaultConfig { return f.cfg }
 
-// FlitErrorProb returns the per-flit corruption probability.
-func (f *FaultModel) FlitErrorProb() float64 { return f.flitErrProb }
-
 // PacketErrorProb returns the probability that a wire packet of pktBytes is
-// corrupted (CRC failure of at least one of its flits). Burst errors reduce
-// the number of independent error events by the burst length.
+// corrupted (CRC failure of at least one of its flits): the expected
+// first-round retransmissions per packet, which degradation policies use to
+// price packet shapes against each other.
 func (f *FaultModel) PacketErrorProb(pktBytes int) float64 {
-	return PacketErrorProb(f.flitErrProb, f.cfg.BurstFlits, pktBytes)
-}
-
-// PacketErrorProb is the pure computation behind FaultModel.PacketErrorProb,
-// reusable by degradation policies that reason about hypothetical packet
-// shapes: the probability that a pktBytes packet fails its CRC given a
-// per-flit error probability and a mean burst length.
-func PacketErrorProb(flitErrProb float64, burstFlits, pktBytes int) float64 {
-	if flitErrProb <= 0 || pktBytes <= 0 {
+	if f.flitErrProb <= 0 || pktBytes <= 0 {
 		return 0
 	}
-	if burstFlits <= 0 {
-		burstFlits = 1
-	}
 	flits := (pktBytes + FlitPayloadBytes - 1) / FlitPayloadBytes
-	// Error *events* start bursts; the per-flit event rate preserves the
-	// configured BER mass.
-	event := flitErrProb / float64(burstFlits)
-	p := -math.Expm1(float64(flits) * math.Log1p(-event))
+	p := -math.Expm1(float64(flits) * math.Log1p(-f.flitErrProb))
 	if p > 1 {
 		p = 1
 	}
 	return p
-}
-
-// ExpectedRetriesPerPacket returns the expected first-round retransmissions
-// per wire packet of pktBytes: the packet error probability times the burst
-// spread. Degradation policies use this to price packet shapes against each
-// other.
-func (f *FaultModel) ExpectedRetriesPerPacket(pktBytes int) float64 {
-	return f.PacketErrorProb(pktBytes) * float64(f.burstSpread(pktBytes))
-}
-
-// burstSpread returns how many packets one burst event corrupts.
-func (f *FaultModel) burstSpread(pktBytes int) int64 {
-	if f.cfg.BurstFlits <= 1 {
-		return 1
-	}
-	flitsPerPkt := (pktBytes + FlitPayloadBytes - 1) / FlitPayloadBytes
-	spread := int64((f.cfg.BurstFlits + flitsPerPkt - 1) / flitsPerPkt)
-	if spread < 1 {
-		spread = 1
-	}
-	return spread
-}
-
-// stallHit rolls the controller-stall Bernoulli for one flow.
-func (f *FaultModel) stallHit() bool {
-	if f.cfg.StallProb <= 0 {
-		return false
-	}
-	return f.rng.Float64() < f.cfg.StallProb
 }
 
 // draw samples Binomial(k, p) deterministically. Exact Bernoulli rolls are
@@ -311,10 +203,6 @@ type LinkFaultStats struct {
 	// Poisoned counts packets whose retry budget was exhausted and that
 	// were delivered poisoned.
 	Poisoned int64
-	// Stalls counts injected controller-queue stalls; StallTime is their
-	// cumulative duration.
-	Stalls    int64
-	StallTime sim.Time
 	// RetryTime is the cumulative flow-completion delay caused by
 	// retransmit rounds (NAK round trips, backoff, resends, replay-buffer
 	// drain waves).
@@ -330,8 +218,6 @@ func (s LinkFaultStats) Add(o LinkFaultStats) LinkFaultStats {
 	s.Retries += o.Retries
 	s.ReplayedBytes += o.ReplayedBytes
 	s.Poisoned += o.Poisoned
-	s.Stalls += o.Stalls
-	s.StallTime += o.StallTime
 	s.RetryTime += o.RetryTime
 	if o.ReplayHighWater > s.ReplayHighWater {
 		s.ReplayHighWater = o.ReplayHighWater
@@ -354,6 +240,4 @@ type FlowResult struct {
 	Retries       int64
 	ReplayedBytes int64
 	Poisoned      int64
-	// Stalled is the injected controller stall charged to this flow.
-	Stalled sim.Time
 }

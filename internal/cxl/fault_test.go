@@ -24,7 +24,7 @@ func TestBitFlipDetectionOrShapePreservation(t *testing.T) {
 	payload := make([]byte, 32)
 	rng.Read(payload)
 	p := Packet{Addr: 123456, Aggregated: true, DirtyBytes: 2, Payload: payload}
-	wire, err := p.Encode()
+	wire, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestBitFlipDetectionOrShapePreservation(t *testing.T) {
 		mut := make([]byte, len(wire))
 		copy(mut, wire)
 		mut[bit/8] ^= 1 << (bit % 8)
-		q, err := Decode(mut)
+		q, err := decode(mut)
 		if err != nil {
 			continue
 		}
@@ -49,18 +49,18 @@ func TestFramedCRCDetectsEveryBitFlip(t *testing.T) {
 	payload := make([]byte, 32)
 	rand.New(rand.NewSource(8)).Read(payload)
 	p := Packet{Addr: 99, Aggregated: true, DirtyBytes: 2, Payload: payload}
-	frame, err := p.EncodeFramed()
+	frame, err := p.AppendEncodeFramed(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeFramed(frame); err != nil {
+	if _, err := decodeFramed(frame); err != nil {
 		t.Fatalf("clean frame rejected: %v", err)
 	}
 	for bit := 0; bit < len(frame)*8; bit++ {
 		mut := make([]byte, len(frame))
 		copy(mut, frame)
 		mut[bit/8] ^= 1 << (bit % 8)
-		if _, err := DecodeFramed(mut); !errors.Is(err, ErrCRC) {
+		if _, err := decodeFramed(mut); !errors.Is(err, ErrCRC) {
 			t.Fatalf("bit %d: err = %v, want ErrCRC", bit, err)
 		}
 	}
@@ -68,12 +68,12 @@ func TestFramedCRCDetectsEveryBitFlip(t *testing.T) {
 
 func TestTruncationAlwaysErrors(t *testing.T) {
 	p := Packet{Addr: 5, Payload: make([]byte, mem.LineSize)}
-	wire, err := p.Encode()
+	wire, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(wire); cut++ {
-		if _, err := Decode(wire[:cut]); err == nil {
+		if _, err := decode(wire[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -1,69 +1,13 @@
 package cxl
 
-import "fmt"
-
 // Flit-level framing. CXL moves data in 68-byte flits: 64 bytes of slots
 // plus a 2-byte CRC and 2-byte header — which is where the paper's "CXL
 // consumes ~94.3% of PCIe bandwidth" comes from (64/68 = 94.1%; the quoted
-// 94.3% includes protocol-level accounting). The Link Layer "combines one
-// or multiple 32-byte payloads into one CXL packet depending on the CXL
-// transfer size" (§V-B): two DBA-aggregated half-lines share one flit pair.
+// 94.3% includes protocol-level accounting). The retry engine prices a
+// packet's corruption probability per flit.
 const (
 	// FlitBytes is the on-wire flit size.
 	FlitBytes = 68
 	// FlitPayloadBytes is the usable slot capacity per flit.
 	FlitPayloadBytes = 64
 )
-
-// FlitEfficiency returns the payload fraction of raw link bandwidth the
-// flit framing permits.
-func FlitEfficiency() float64 { return float64(FlitPayloadBytes) / float64(FlitBytes) }
-
-// Packer packs payloads (32-byte aggregated half-lines or 64-byte full
-// lines) into flits, tracking occupancy so consecutive DBA payloads share
-// flits — the Link Layer behaviour that keeps DBA's volume saving intact on
-// the wire.
-type Packer struct {
-	flits int64
-	// fill is the occupied byte count of the currently open flit.
-	fill  int
-	bytes int64
-}
-
-// Add packs one payload of n bytes (1..FlitPayloadBytes) and returns the
-// number of new flits opened.
-func (p *Packer) Add(n int) int {
-	if n <= 0 || n > FlitPayloadBytes {
-		panic(fmt.Sprintf("cxl: payload of %d bytes per flit group", n))
-	}
-	p.bytes += int64(n)
-	opened := 0
-	if p.fill == 0 || p.fill+n > FlitPayloadBytes {
-		// Open a fresh flit.
-		p.flits++
-		opened = 1
-		p.fill = 0
-	}
-	p.fill += n
-	if p.fill == FlitPayloadBytes {
-		p.fill = 0
-	}
-	return opened
-}
-
-// Flits returns the number of flits emitted so far.
-func (p *Packer) Flits() int64 { return p.flits }
-
-// WireBytes returns total on-wire bytes (flits * FlitBytes).
-func (p *Packer) WireBytes() int64 { return p.flits * FlitBytes }
-
-// PayloadBytes returns total payload bytes packed.
-func (p *Packer) PayloadBytes() int64 { return p.bytes }
-
-// Efficiency returns payload/wire bytes achieved so far.
-func (p *Packer) Efficiency() float64 {
-	if p.flits == 0 {
-		return 0
-	}
-	return float64(p.bytes) / float64(p.WireBytes())
-}

@@ -2,7 +2,6 @@ package cxl
 
 import (
 	"testing"
-	"testing/quick"
 
 	"teco/internal/modelzoo"
 )
@@ -11,97 +10,12 @@ import (
 // bandwidth" emulation constant is the flit framing overhead: 64 payload
 // bytes per 68-byte flit.
 func TestFlitEfficiencyDerivesPaperConstant(t *testing.T) {
-	eff := FlitEfficiency()
+	eff := float64(FlitPayloadBytes) / float64(FlitBytes)
 	if eff < 0.94 || eff > 0.945 {
 		t.Fatalf("flit efficiency = %.4f, want ~0.941 (paper models 0.943)", eff)
 	}
 	if diff := modelzoo.CXLEfficiency - eff; diff < 0 || diff > 0.01 {
 		t.Fatalf("modelled efficiency %.4f should sit just above the flit bound %.4f",
 			modelzoo.CXLEfficiency, eff)
-	}
-}
-
-func TestPackerFullLines(t *testing.T) {
-	var p Packer
-	for i := 0; i < 100; i++ {
-		if opened := p.Add(64); opened != 1 {
-			t.Fatalf("full line must open exactly one flit, got %d", opened)
-		}
-	}
-	if p.Flits() != 100 {
-		t.Fatalf("flits = %d", p.Flits())
-	}
-	if p.Efficiency() < 0.94 {
-		t.Fatalf("efficiency = %v", p.Efficiency())
-	}
-}
-
-// TestPackerDBAHalvesFlits: two 32-byte DBA payloads share a flit, so DBA
-// halves the flit count — the volume saving survives framing.
-func TestPackerDBAHalvesFlits(t *testing.T) {
-	var full, dba Packer
-	for i := 0; i < 1000; i++ {
-		full.Add(64)
-	}
-	for i := 0; i < 1000; i++ {
-		dba.Add(32)
-	}
-	if dba.Flits()*2 != full.Flits() {
-		t.Fatalf("DBA flits %d, want half of %d", dba.Flits(), full.Flits())
-	}
-	if dba.PayloadBytes()*2 != full.PayloadBytes() {
-		t.Fatal("payload accounting")
-	}
-}
-
-func TestPackerOddSizes(t *testing.T) {
-	var p Packer
-	p.Add(48)
-	// 48 + 48 > 64: second payload opens a new flit.
-	if opened := p.Add(48); opened != 1 {
-		t.Fatal("overflow must open a new flit")
-	}
-	if p.Flits() != 2 {
-		t.Fatalf("flits = %d", p.Flits())
-	}
-}
-
-func TestPackerPanics(t *testing.T) {
-	var p Packer
-	for _, n := range []int{0, -1, 65} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Add(%d) should panic", n)
-				}
-			}()
-			p.Add(n)
-		}()
-	}
-}
-
-func TestPackerEmptyEfficiency(t *testing.T) {
-	var p Packer
-	if p.Efficiency() != 0 {
-		t.Fatal("empty packer efficiency")
-	}
-}
-
-// Property: flit count is always enough to carry the payload, and never
-// more than one flit per payload.
-func TestPackerBoundsProperty(t *testing.T) {
-	f := func(sizes []uint8) bool {
-		var p Packer
-		count := 0
-		for _, s := range sizes {
-			n := int(s)%FlitPayloadBytes + 1
-			p.Add(n)
-			count++
-		}
-		minFlits := (p.PayloadBytes() + FlitPayloadBytes - 1) / FlitPayloadBytes
-		return p.Flits() >= minFlits && p.Flits() <= int64(count)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,10 +2,24 @@ package cxl
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"teco/internal/mem"
 )
+
+// decode and decodeFramed decode into a fresh Packet.
+func decode(buf []byte) (Packet, error) {
+	var p Packet
+	err := DecodeInto(&p, buf)
+	return p, err
+}
+
+func decodeFramed(buf []byte) (Packet, error) {
+	var p Packet
+	err := DecodeFramedInto(&p, buf)
+	return p, err
+}
 
 // fuzzSeeds returns representative wire images: valid full-line and
 // aggregated packets, their framed variants, plus the truncation and
@@ -21,11 +35,11 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	var seeds [][]byte
 	for _, p := range []*Packet{&full, &agg} {
-		wire, err := p.Encode()
+		wire, err := p.AppendEncode(nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		framed, err := p.EncodeFramed()
+		framed, err := p.AppendEncodeFramed(nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -37,15 +51,38 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzDecode asserts Decode never panics on arbitrary input, and that any
-// packet it accepts is internally consistent and survives an Encode→Decode
+// decodeReused decodes buf the way the replay loop does — into a Packet
+// still carrying an earlier, larger payload — and fails unless the result
+// equals a decode into a zero Packet, and unless an accepted payload landed
+// in the earlier payload's capacity.
+func decodeReused(t *testing.T, buf []byte, into func(*Packet, []byte) error) (Packet, error) {
+	var fresh Packet
+	errFresh := into(&fresh, buf)
+	prev := bytes.Repeat([]byte{0xEE}, 2*mem.LineSize)
+	reused := Packet{Addr: 0xDEAD, Aggregated: true, DirtyBytes: 3, Payload: prev[:3*mem.LineSize/4]}
+	errReused := into(&reused, buf)
+	if (errFresh == nil) != (errReused == nil) || (errFresh != nil && errFresh.Error() != errReused.Error()) {
+		t.Fatalf("decode into a used Packet: err %v, into a zero Packet: %v", errReused, errFresh)
+	}
+	if !reflect.DeepEqual(reused, fresh) {
+		t.Fatalf("decode into a used Packet %+v, into a zero Packet %+v", reused, fresh)
+	}
+	if errReused == nil && &reused.Payload[0] != &prev[0] {
+		t.Fatal("decode into a used Packet did not reuse its payload capacity")
+	}
+	return fresh, errFresh
+}
+
+// FuzzDecode asserts DecodeInto never panics on arbitrary input, decodes
+// into a reused Packet exactly as into a zero one, and that any packet it
+// accepts is internally consistent and survives an AppendEncode→DecodeInto
 // round trip bit-exactly.
 func FuzzDecode(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		p, err := Decode(buf)
+		p, err := decodeReused(t, buf, DecodeInto)
 		if err != nil {
 			return
 		}
@@ -55,37 +92,37 @@ func FuzzDecode(f *testing.F) {
 		if p.Aggregated && (p.DirtyBytes == 0 || p.DirtyBytes > 4) {
 			t.Fatalf("accepted invalid dirty-byte length %d", p.DirtyBytes)
 		}
-		wire, err := p.Encode()
+		wire, err := p.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("re-encode of accepted packet failed: %v", err)
 		}
-		q, err := Decode(wire)
+		q, err := decode(wire)
 		if err != nil {
 			t.Fatalf("round-trip decode failed: %v", err)
 		}
-		if q.Addr != p.Addr || q.Aggregated != p.Aggregated ||
-			q.DirtyBytes != p.DirtyBytes || !bytes.Equal(q.Payload, p.Payload) {
+		if !reflect.DeepEqual(q, p) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", q, p)
 		}
 	})
 }
 
-// FuzzDecodeFramed asserts the CRC-framed decode path never panics and
-// never delivers data from a frame whose CRC does not match.
+// FuzzDecodeFramed asserts the CRC-framed decode path never panics, decodes
+// into a reused Packet exactly as into a zero one, and never delivers data
+// from a frame whose CRC does not match.
 func FuzzDecodeFramed(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		p, err := DecodeFramed(buf)
+		p, err := decodeReused(t, buf, DecodeFramedInto)
 		if err != nil {
 			return
 		}
-		refr, err := p.EncodeFramed()
+		refr, err := p.AppendEncodeFramed(nil)
 		if err != nil {
 			t.Fatalf("re-frame of accepted packet failed: %v", err)
 		}
-		if _, err := DecodeFramed(refr); err != nil {
+		if _, err := decodeFramed(refr); err != nil {
 			t.Fatalf("round-trip framed decode failed: %v", err)
 		}
 	})

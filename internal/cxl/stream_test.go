@@ -205,51 +205,33 @@ func TestStreamCoalescedAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendEncodeMatchesEncode checks the append-style framing against the
-// allocating forms byte-for-byte, and that reuse does not allocate.
+// TestAppendEncodeMatchesEncode checks that framing appended after bytes
+// already in the buffer equals framing into an empty one, and that reuse
+// does not allocate.
 func TestAppendEncodeMatchesEncode(t *testing.T) {
 	pkts := []Packet{
 		{Addr: 0x1234, Payload: make([]byte, mem.LineSize)},
 		{Addr: 0xffff, Aggregated: true, DirtyBytes: 2, Payload: make([]byte, mem.LineSize/4*2)},
 	}
+	prefix := []byte("prefix")
 	for i := range pkts {
 		for j := range pkts[i].Payload {
 			pkts[i].Payload[j] = byte(i*31 + j)
 		}
-		plain, err := pkts[i].Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		appended, err := pkts[i].AppendEncode(make([]byte, 0, 256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(plain) != string(appended) {
-			t.Fatalf("packet %d: AppendEncode differs from Encode", i)
-		}
-		framed, err := pkts[i].EncodeFramed()
-		if err != nil {
-			t.Fatal(err)
-		}
-		framedApp, err := pkts[i].AppendEncodeFramed(make([]byte, 0, 256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(framed) != string(framedApp) {
-			t.Fatalf("packet %d: AppendEncodeFramed differs from EncodeFramed", i)
-		}
-		var into Packet
-		into.Payload = make([]byte, 0, mem.LineSize)
-		if err := DecodeInto(&into, plain); err != nil {
-			t.Fatal(err)
-		}
-		rt, err := Decode(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if into.Addr != rt.Addr || into.Aggregated != rt.Aggregated ||
-			into.DirtyBytes != rt.DirtyBytes || string(into.Payload) != string(rt.Payload) {
-			t.Fatalf("packet %d: DecodeInto differs from Decode", i)
+		for name, enc := range map[string]func(*Packet, []byte) ([]byte, error){
+			"AppendEncode": (*Packet).AppendEncode, "AppendEncodeFramed": (*Packet).AppendEncodeFramed,
+		} {
+			fresh, err := enc(&pkts[i], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended, err := enc(&pkts[i], append(make([]byte, 0, 256), prefix...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(appended) != string(prefix)+string(fresh) {
+				t.Fatalf("packet %d: %s after a prefix differs from %s into an empty buffer", i, name, name)
+			}
 		}
 	}
 

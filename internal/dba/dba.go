@@ -44,28 +44,6 @@ type Register struct {
 	DirtyBytes uint8
 }
 
-// Encode packs the register into its 4-bit hardware representation.
-func (r Register) Encode() uint8 {
-	v := r.DirtyBytes & 0x7
-	if r.Active {
-		v |= 1 << 3
-	}
-	return v
-}
-
-// DecodeRegister unpacks a 4-bit register value.
-func DecodeRegister(v uint8) Register {
-	return Register{Active: v&(1<<3) != 0, DirtyBytes: v & 0x7}
-}
-
-// Validate checks the register holds a usable configuration.
-func (r Register) Validate() error {
-	if r.Active && (r.DirtyBytes == 0 || r.DirtyBytes > 4) {
-		return fmt.Errorf("dba: active register with invalid dirty-byte length %d", r.DirtyBytes)
-	}
-	return nil
-}
-
 // PayloadBytes returns the per-line payload size under this register: 64
 // bytes when inactive, WordsPerLine*DirtyBytes when active (32 bytes for
 // the canonical dirty_bytes=2).
@@ -76,17 +54,11 @@ func (r Register) PayloadBytes() int {
 	return WordsPerLine * int(r.DirtyBytes)
 }
 
-// Aggregate implements the CPU-side Aggregator (Fig 7a): for each 4-byte
-// word of the 64-byte line, take the least-significant n bytes and
-// concatenate them. The paper implements this with simple logic gates; the
-// Go version is the functional equivalent.
-func Aggregate(line []byte, n int) []byte {
-	return AppendAggregate(make([]byte, 0, WordsPerLine*n), line, n)
-}
-
-// AppendAggregate is Aggregate writing into dst's spare capacity, for
-// callers that aggregate one line per iteration and want a steady-state
-// zero-allocation loop.
+// AppendAggregate implements the CPU-side Aggregator (Fig 7a): for each
+// 4-byte word of the 64-byte line, take the least-significant n bytes and
+// append them to dst. The paper implements this with simple logic gates;
+// the Go version is the functional equivalent. Appending into dst's spare
+// capacity keeps a one-line-per-iteration loop allocation-free.
 func AppendAggregate(dst, line []byte, n int) []byte {
 	if len(line) != mem.LineSize {
 		panic(fmt.Sprintf("dba: aggregate needs a %d-byte line, got %d", mem.LineSize, len(line)))
@@ -101,29 +73,13 @@ func AppendAggregate(dst, line []byte, n int) []byte {
 	return dst
 }
 
-// Disaggregate implements the accelerator-side Disaggregator (Fig 7b): it
-// reads the stale 64-byte line from the giant cache, overwrites the
-// least-significant n bytes of every word with the aggregated payload, and
-// returns the reconstructed line. old is not modified.
+// DisaggregateInto implements the accelerator-side Disaggregator (Fig 7b):
+// it overwrites the least-significant n bytes of every word of the stale
+// 64-byte line old with the aggregated payload and writes the reconstructed
+// line into dst (which must hold a full cache line; it may not alias old).
 //
 // This is the paper's three-step logic — reset n bytes per word, shift each
 // payload group to its word position, OR the two — expressed byte-wise.
-func Disaggregate(old, payload []byte, n int) []byte {
-	if len(old) != mem.LineSize {
-		panic(fmt.Sprintf("dba: disaggregate needs a %d-byte line, got %d", mem.LineSize, len(old)))
-	}
-	if n <= 0 || n > WordSize {
-		panic(fmt.Sprintf("dba: invalid dirty-byte length %d", n))
-	}
-	if len(payload) != WordsPerLine*n {
-		panic(fmt.Sprintf("dba: payload %dB, want %dB", len(payload), WordsPerLine*n))
-	}
-	return disaggregateInto(make([]byte, mem.LineSize), old, payload, n)
-}
-
-// DisaggregateInto is Disaggregate reconstructing the line into dst (which
-// must hold a full cache line), avoiding the per-line allocation. dst may
-// not alias old.
 func DisaggregateInto(dst, old, payload []byte, n int) []byte {
 	if len(old) != mem.LineSize {
 		panic(fmt.Sprintf("dba: disaggregate needs a %d-byte line, got %d", mem.LineSize, len(old)))
@@ -172,12 +128,6 @@ func checkMerged(dst, old, payload []byte, n int) {
 	})
 }
 
-// Merge applies Disaggregate in place on dst.
-func Merge(dst, payload []byte, n int) {
-	res := Disaggregate(dst, payload, n)
-	copy(dst, res)
-}
-
 // Controller decides when DBA turns on, mirroring TECO's check_activation()
 // API (paper §V-A and Listing 1): DBA activates once the training step
 // reaches ActAfterSteps. The default of 500 is the paper's default.
@@ -223,9 +173,6 @@ func (c *Controller) CheckActivation(step int) bool {
 	}
 	return c.Register.Active
 }
-
-// Active reports the current activation state.
-func (c *Controller) Active() bool { return c.Register.Active }
 
 // Restore rewinds the controller to a checkpointed activation state:
 // activatedAt < 0 means DBA had not yet switched on, any other value

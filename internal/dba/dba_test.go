@@ -11,37 +11,6 @@ import (
 	"teco/internal/mem"
 )
 
-func TestRegisterEncodeDecode(t *testing.T) {
-	// The paper's canonical value: active + 2 dirty bytes = 1010b.
-	r := Register{Active: true, DirtyBytes: 2}
-	if r.Encode() != 0b1010 {
-		t.Fatalf("encode = %04b, want 1010", r.Encode())
-	}
-	if got := DecodeRegister(0b1010); got != r {
-		t.Fatalf("decode = %+v", got)
-	}
-	if (Register{}).Encode() != 0 {
-		t.Fatal("inactive zero register must encode to 0")
-	}
-	for v := uint8(0); v < 16; v++ {
-		if DecodeRegister(v).Encode() != v {
-			t.Fatalf("register value %04b does not round-trip", v)
-		}
-	}
-}
-
-func TestRegisterValidate(t *testing.T) {
-	if err := (Register{Active: true, DirtyBytes: 2}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Register{Active: true, DirtyBytes: 0}).Validate(); err == nil {
-		t.Fatal("active with 0 dirty bytes must be invalid")
-	}
-	if err := (Register{Active: false, DirtyBytes: 0}).Validate(); err != nil {
-		t.Fatal("inactive register is always valid")
-	}
-}
-
 func TestRegisterPayloadBytes(t *testing.T) {
 	if (Register{}).PayloadBytes() != 64 {
 		t.Fatal("inactive => full line")
@@ -68,7 +37,7 @@ func TestAggregateTakesLeastSignificantBytes(t *testing.T) {
 	for i := range line {
 		line[i] = byte(i)
 	}
-	got := Aggregate(line, 2)
+	got := AppendAggregate(nil, line, 2)
 	if len(got) != 32 {
 		t.Fatalf("payload = %d bytes", len(got))
 	}
@@ -91,8 +60,8 @@ func TestDisaggregateMerge(t *testing.T) {
 	oldLine := makeLine(oldVals)
 	newLine := makeLine(newVals)
 
-	payload := Aggregate(newLine, 2)
-	rec := Disaggregate(oldLine, payload, 2)
+	payload := AppendAggregate(nil, newLine, 2)
+	rec := DisaggregateInto(make([]byte, mem.LineSize), oldLine, payload, 2)
 
 	// The reconstructed line must carry the new low bytes and the old
 	// high bytes of every word.
@@ -126,7 +95,7 @@ func TestLosslessWhenChangeConfinedProperty(t *testing.T) {
 				newLine[w*4+b] = byte(rng.Intn(256))
 			}
 		}
-		rec := Disaggregate(oldLine, Aggregate(newLine, n), n)
+		rec := DisaggregateInto(make([]byte, mem.LineSize), oldLine, AppendAggregate(nil, newLine, n), n)
 		return bytes.Equal(rec, newLine)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -145,7 +114,7 @@ func TestMergeSemanticsProperty(t *testing.T) {
 		newLine := make([]byte, mem.LineSize)
 		rng.Read(oldLine)
 		rng.Read(newLine)
-		rec := Disaggregate(oldLine, Aggregate(newLine, n), n)
+		rec := DisaggregateInto(make([]byte, mem.LineSize), oldLine, AppendAggregate(nil, newLine, n), n)
 		for w := 0; w < WordsPerLine; w++ {
 			for b := 0; b < 4; b++ {
 				want := oldLine[w*4+b]
@@ -167,39 +136,48 @@ func TestMergeSemanticsProperty(t *testing.T) {
 func TestDirtyBytes4IsFullLine(t *testing.T) {
 	line := make([]byte, mem.LineSize)
 	rand.New(rand.NewSource(1)).Read(line)
-	payload := Aggregate(line, 4)
+	payload := AppendAggregate(nil, line, 4)
 	if !bytes.Equal(payload, line) {
 		t.Fatal("n=4 aggregation must be the identity")
 	}
 	zero := make([]byte, mem.LineSize)
-	if !bytes.Equal(Disaggregate(zero, payload, 4), line) {
+	if !bytes.Equal(DisaggregateInto(make([]byte, mem.LineSize), zero, payload, 4), line) {
 		t.Fatal("n=4 disaggregation must fully overwrite")
 	}
 }
 
+// TestMergeInPlace: MergeWords, the in-place merge the trainer runs on
+// float32 words, agrees with the Disaggregator's line merge.
 func TestMergeInPlace(t *testing.T) {
 	oldLine := make([]byte, mem.LineSize)
 	newLine := make([]byte, mem.LineSize)
 	rng := rand.New(rand.NewSource(9))
 	rng.Read(oldLine)
 	rng.Read(newLine)
-	dst := make([]byte, mem.LineSize)
-	copy(dst, oldLine)
-	Merge(dst, Aggregate(newLine, 2), 2)
-	want := Disaggregate(oldLine, Aggregate(newLine, 2), 2)
-	if !bytes.Equal(dst, want) {
-		t.Fatal("Merge disagrees with Disaggregate")
+	dst := make([]float32, WordsPerLine)
+	src := make([]float32, WordsPerLine)
+	for w := range dst {
+		dst[w] = math.Float32frombits(binary.LittleEndian.Uint32(oldLine[w*WordSize:]))
+		src[w] = math.Float32frombits(binary.LittleEndian.Uint32(newLine[w*WordSize:]))
+	}
+	MergeWords(dst, src, 2, 1)
+	want := DisaggregateInto(make([]byte, mem.LineSize), oldLine, AppendAggregate(nil, newLine, 2), 2)
+	for w := range dst {
+		if got := math.Float32bits(dst[w]); got != binary.LittleEndian.Uint32(want[w*WordSize:]) {
+			t.Fatalf("word %d: MergeWords %08x disagrees with DisaggregateInto", w, got)
+		}
 	}
 }
 
 func TestAggregatePanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { Aggregate(make([]byte, 10), 2) },
-		func() { Aggregate(make([]byte, 64), 0) },
-		func() { Aggregate(make([]byte, 64), 5) },
-		func() { Disaggregate(make([]byte, 64), make([]byte, 5), 2) },
-		func() { Disaggregate(make([]byte, 10), make([]byte, 32), 2) },
-		func() { Disaggregate(make([]byte, 64), make([]byte, 32), 9) },
+		func() { AppendAggregate(nil, make([]byte, 10), 2) },
+		func() { AppendAggregate(nil, make([]byte, 64), 0) },
+		func() { AppendAggregate(nil, make([]byte, 64), 5) },
+		func() { DisaggregateInto(make([]byte, mem.LineSize), make([]byte, 64), make([]byte, 5), 2) },
+		func() { DisaggregateInto(make([]byte, mem.LineSize), make([]byte, 10), make([]byte, 32), 2) },
+		func() { DisaggregateInto(make([]byte, mem.LineSize), make([]byte, 64), make([]byte, 32), 9) },
+		func() { DisaggregateInto(make([]byte, 10), make([]byte, 64), make([]byte, 32), 2) },
 	} {
 		func() {
 			defer func() {
@@ -231,7 +209,7 @@ func TestControllerActivation(t *testing.T) {
 	if c.ActivatedAt() != 500 {
 		t.Fatalf("activatedAt = %d", c.ActivatedAt())
 	}
-	if !c.Active() || !c.CheckActivation(501) {
+	if !c.Register.Active || !c.CheckActivation(501) {
 		t.Fatal("DBA must stay active")
 	}
 }

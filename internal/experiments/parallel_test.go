@@ -64,10 +64,11 @@ func TestRecoverySweepIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestRunCacheDedup asserts the memoization actually collapses duplicate
-// runs and shared pre-training phases, and that NoMemo bypasses it.
+// runs and shared pre-training phases, and that NoMemo bypasses it. The
+// config is used by no other test, so the miss counters' deltas are this
+// test's alone.
 func TestRunCacheDedup(t *testing.T) {
-	resetRunCache()
-	defer resetRunCache()
+	runs, pres := runMisses.Load(), preMisses.Load()
 	cfg := realtrain.Config{Steps: 8, PreSteps: 6, Hidden: 16, Seed: 21, SampleEvery: 4}
 	dbaCfg := cfg
 	dbaCfg.DBA = true
@@ -76,30 +77,30 @@ func TestRunCacheDedup(t *testing.T) {
 	opt := Options{Seed: 21}
 	r1 := runTrain(opt, cfg)
 	r2 := runTrain(opt, cfg)
-	if runMisses.Load() != 1 {
-		t.Fatalf("duplicate request executed: %d misses", runMisses.Load())
+	if runMisses.Load()-runs != 1 {
+		t.Fatalf("duplicate request executed: %d misses", runMisses.Load()-runs)
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("cache returned a different result")
 	}
 	// A different fine-tune variant is a new run but the same pre-phase.
 	runTrain(opt, dbaCfg)
-	if runMisses.Load() != 2 {
-		t.Fatalf("distinct config not executed: %d misses", runMisses.Load())
+	if runMisses.Load()-runs != 2 {
+		t.Fatalf("distinct config not executed: %d misses", runMisses.Load()-runs)
 	}
-	if preMisses.Load() != 1 {
-		t.Fatalf("pre-training not shared: %d pre misses", preMisses.Load())
+	if preMisses.Load()-pres != 1 {
+		t.Fatalf("pre-training not shared: %d pre misses", preMisses.Load()-pres)
 	}
 	// Requests at a different worker count share the cached result
 	// (bit-identity makes that sound).
 	runTrain(Options{Seed: 21, Workers: 8}, cfg)
-	if runMisses.Load() != 2 {
-		t.Fatalf("worker count split the cache: %d misses", runMisses.Load())
+	if runMisses.Load()-runs != 2 {
+		t.Fatalf("worker count split the cache: %d misses", runMisses.Load()-runs)
 	}
 	// NoMemo forces a fresh execution and leaves the cache untouched.
 	r3 := runTrain(Options{Seed: 21, NoMemo: true}, cfg)
-	if runMisses.Load() != 2 {
-		t.Fatalf("NoMemo polluted the cache: %d misses", runMisses.Load())
+	if runMisses.Load()-runs != 2 {
+		t.Fatalf("NoMemo polluted the cache: %d misses", runMisses.Load()-runs)
 	}
 	r3.Config.Workers = r1.Config.Workers
 	if !reflect.DeepEqual(r1, r3) {

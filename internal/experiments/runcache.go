@@ -77,17 +77,6 @@ func preEntry(k preKey) *cacheEntry[*realtrain.PreState] {
 	return e
 }
 
-// resetRunCache drops every memoized run and pre-state (tests and the
-// benchmark harness use it to measure cold-cache behavior).
-func resetRunCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	runTab = map[runKey]*cacheEntry[realtrain.Result]{}
-	preTab = map[preKey]*cacheEntry[*realtrain.PreState]{}
-	runMisses.Store(0)
-	preMisses.Store(0)
-}
-
 // pretrained returns the (memoized) pre-training state for cfg's pre-phase.
 func pretrained(cfg realtrain.Config) *realtrain.PreState {
 	c := cfg.WithDefaults()

@@ -15,9 +15,11 @@ import (
 	"teco/internal/sim"
 )
 
-// Timed-plane defaults. HopLatency has no default on purpose: a zero hop
-// keeps a one-port switch bit-identical to a bare link (the conformance
-// equality), and the experiments opt into a realistic hop explicitly.
+// Timed-plane constants. HopLatency is a SwitchConfig field with no default
+// on purpose: a zero hop keeps a one-port switch bit-identical to a bare
+// link (the conformance equality), and the experiments opt into a
+// realistic hop explicitly. Failure detection and rerouting always use the
+// link-down timeout and failover budget below.
 const (
 	// DefaultHopLatency is the store-and-forward latency of one switch
 	// hop that the fabric experiments charge (ingress + crossbar +
@@ -60,11 +62,6 @@ type SwitchConfig struct {
 	// PortFaultConfig(Faults, i), so port 0 keeps the template's seed
 	// and every port draws from an independent reproducible stream.
 	Faults cxl.FaultConfig
-	// LinkDownTimeout, FailoverRetries, FailoverBackoff tune failure
-	// detection and rerouting; zero values select the defaults above.
-	LinkDownTimeout sim.Time
-	FailoverRetries int
-	FailoverBackoff sim.Time
 }
 
 // PortFaultConfig derives port i's fault config from the template: the
@@ -174,15 +171,6 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 	if cfg.HostPorts == 0 {
 		cfg.HostPorts = cfg.Ports
 	}
-	if cfg.LinkDownTimeout <= 0 {
-		cfg.LinkDownTimeout = DefaultLinkDownTimeout
-	}
-	if cfg.FailoverRetries <= 0 {
-		cfg.FailoverRetries = DefaultFailoverRetries
-	}
-	if cfg.FailoverBackoff <= 0 {
-		cfg.FailoverBackoff = DefaultFailoverBackoff
-	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
@@ -214,17 +202,11 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 	return sw, nil
 }
 
-// Ports returns the logical port count; PhysPorts includes spares.
-func (sw *Switch) Ports() int     { return sw.cfg.Ports }
+// PhysPorts returns the physical port count, spares included.
 func (sw *Switch) PhysPorts() int { return len(sw.ports) }
 
 // Link exposes physical port i's link (fault stats, recovery pricing).
 func (sw *Switch) Link(i int) *cxl.Link { return sw.ports[i].link }
-
-// PortUp reports whether logical port lp currently has a live route.
-func (sw *Switch) PortUp(lp int) bool {
-	return sw.ports[sw.route[lp]].up
-}
 
 // KillPort takes down the physical port currently routing logical port
 // lp's traffic. Subsequent sends on lp pay link-down detection and either
@@ -258,7 +240,7 @@ func (sw *Switch) DownPorts() int {
 // bounded, seeded-jitter exponential backoff. It returns the time at which
 // a route was secured (rerouted=true) or the sender gave up.
 func (sw *Switch) failover(lp int, now sim.Time) (sim.Time, bool) {
-	now += sw.cfg.LinkDownTimeout
+	now += DefaultLinkDownTimeout
 	for attempt := 0; ; attempt++ {
 		if alt := sw.spareFor(); alt >= 0 {
 			sw.ports[alt].bound = lp
@@ -267,7 +249,7 @@ func (sw *Switch) failover(lp int, now sim.Time) (sim.Time, bool) {
 			telemetry.failovers.Add(1)
 			return now, true
 		}
-		if attempt >= sw.cfg.FailoverRetries {
+		if attempt >= DefaultFailoverRetries {
 			return now, false
 		}
 		sw.stats.FailoverRetries++
@@ -276,12 +258,12 @@ func (sw *Switch) failover(lp int, now sim.Time) (sim.Time, bool) {
 		if shift > 16 {
 			shift = 16
 		}
-		back := sw.cfg.FailoverBackoff << uint(shift)
+		back := DefaultFailoverBackoff << uint(shift)
 		if sw.rng == nil {
 			sw.rng = rand.New(rand.NewSource(sw.cfg.Faults.Seed ^ 0x5DEECE66D))
 		}
 		back += sim.Time(sw.rng.Int63n(int64(back)/2 + 1))
-		now += back + sw.cfg.LinkDownTimeout
+		now += back + DefaultLinkDownTimeout
 	}
 }
 
@@ -372,15 +354,6 @@ func (sw *Switch) FenceCleanPort(lp int, ready sim.Time) sim.Time {
 
 // Stats returns the switch accounting so far.
 func (sw *Switch) Stats() SwitchStats { return sw.stats }
-
-// FaultStats aggregates the per-port link fault counters.
-func (sw *Switch) FaultStats() cxl.LinkFaultStats {
-	var fs cxl.LinkFaultStats
-	for _, p := range sw.ports {
-		fs = fs.Add(p.link.FaultStats())
-	}
-	return fs
-}
 
 // CheckInvariants verifies switch conservation: no flit lost or duplicated
 // (every payload byte accepted on a port crossed the spine exactly once),

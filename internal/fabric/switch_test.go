@@ -33,21 +33,25 @@ func schedule() []push {
 // replay exactly. This is what lets StepFabric claim equality with Step.
 func TestSwitchDegeneratesToBareLink(t *testing.T) {
 	check.Enable(t)
-	configs := map[string]cxl.FaultConfig{
+	// degrade is a port trained down to 70% of the CXL bandwidth.
+	configs := map[string]struct {
+		fc        cxl.FaultConfig
+		bandwidth float64
+	}{
 		"clean":   {},
-		"ber":     {Seed: 7, BER: 1e-6},
-		"stalls":  {Seed: 7, StallProb: 0.05, StallTime: 2 * sim.Microsecond},
-		"degrade": {Seed: 7, BandwidthDegrade: 0.7},
-		"mixed":   {Seed: 7, BER: 5e-7, StallProb: 0.02, StallTime: sim.Microsecond, BandwidthDegrade: 0.9},
+		"ber":     {fc: cxl.FaultConfig{Seed: 7, BER: 1e-6}},
+		"degrade": {bandwidth: 0.7 * cxl.EffectiveBandwidth()},
+		"mixed":   {fc: cxl.FaultConfig{Seed: 7, BER: 5e-7, RetryBudget: 2}, bandwidth: 0.9 * cxl.EffectiveBandwidth()},
 	}
-	for name, fc := range configs {
+	for name, c := range configs {
+		fc := c.fc
 		t.Run(name, func(t *testing.T) {
-			sw, err := NewSwitch(SwitchConfig{Ports: 1, Faults: fc})
+			sw, err := NewSwitch(SwitchConfig{Ports: 1, Faults: fc, Bandwidth: c.bandwidth})
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng := sim.New()
-			link := cxl.NewLink(eng, 0, 0)
+			link := cxl.NewLink(eng, c.bandwidth, 0)
 			if fc.Enabled() {
 				if _, err := link.InjectFaults(fc); err != nil {
 					t.Fatal(err)
@@ -73,7 +77,7 @@ func TestSwitchDegeneratesToBareLink(t *testing.T) {
 				if got, want := sw.FenceCleanPort(0, at), link.FenceClean(at); got != want {
 					t.Fatalf("clean fence: switch %v, bare link %v", got, want)
 				}
-				a, b := sw.FaultStats(), link.FaultStats()
+				a, b := sw.ports[0].link.FaultStats(), link.FaultStats()
 				if a != b {
 					t.Fatalf("fault draws diverged: switch %+v, bare link %+v", a, b)
 				}
@@ -163,7 +167,7 @@ func TestSwitchFailover(t *testing.T) {
 	if err := sw.KillPort(0); err != nil {
 		t.Fatal(err)
 	}
-	if sw.PortUp(0) {
+	if sw.ports[sw.route[0]].up {
 		t.Fatal("killed port still up")
 	}
 	res, err := sw.Send(0, 0, 4096, 64, 0, cxl.WirePacketBytes(0), false)
@@ -173,7 +177,7 @@ func TestSwitchFailover(t *testing.T) {
 	if res.Done < DefaultLinkDownTimeout {
 		t.Fatalf("failed-over send finished at %v, before the detection timeout %v", res.Done, DefaultLinkDownTimeout)
 	}
-	if !sw.PortUp(0) {
+	if !sw.ports[sw.route[0]].up {
 		t.Fatal("port 0 has no live route after failover")
 	}
 	st := sw.Stats()

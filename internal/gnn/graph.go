@@ -155,13 +155,3 @@ func (g *Graph) Propagate(in [][]float32, out [][]float32) {
 		}
 	}
 }
-
-// Edges returns the number of directed adjacency entries (including
-// self-loops) — the propagation work per layer.
-func (g *Graph) Edges() int {
-	n := 0
-	for _, idx := range g.adjIdx {
-		n += len(idx)
-	}
-	return n
-}

@@ -37,11 +37,6 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
-// CompressBound returns the maximum compressed size for n input bytes.
-func CompressBound(n int) int {
-	return n + n/255 + 16
-}
-
 // Compress appends the LZ4 block encoding of src to dst and returns the
 // extended buffer. Empty input encodes to an empty block.
 func Compress(dst, src []byte) []byte {

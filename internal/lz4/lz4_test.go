@@ -67,8 +67,8 @@ func TestIncompressibleRandom(t *testing.T) {
 	data := make([]byte, 100000)
 	rand.New(rand.NewSource(1)).Read(data)
 	c := roundTrip(t, data)
-	if len(c) > CompressBound(len(data)) {
-		t.Fatalf("compressed %d > bound %d", len(c), CompressBound(len(data)))
+	if bound := len(data) + len(data)/255 + 16; len(c) > bound {
+		t.Fatalf("compressed %d > bound %d", len(c), bound)
 	}
 	if Ratio(data) > 0.01 {
 		t.Fatalf("random data should not compress; ratio %v", Ratio(data))
@@ -206,11 +206,5 @@ func TestStructuredRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCompressBound(t *testing.T) {
-	if CompressBound(0) < 1 || CompressBound(1000) <= 1000 {
-		t.Fatal("bound must exceed input")
 	}
 }

@@ -272,11 +272,6 @@ func (s *System) KineticEnergy() float64 {
 	return ke / 2
 }
 
-// Temperature returns the instantaneous reduced temperature.
-func (s *System) Temperature() float64 {
-	return 2 * s.KineticEnergy() / (3 * float64(s.N))
-}
-
 // TotalEnergy returns kinetic + potential from the last force evaluation.
 func (s *System) TotalEnergy() float64 { return s.KineticEnergy() + s.Potential }
 
@@ -307,9 +302,3 @@ func (s *System) VerletStep(dt float32, forceEval func()) {
 		s.Vel[i].Z += half * s.Force[i].Z
 	}
 }
-
-// PosBytes returns the position transfer volume (3 FP32 per particle).
-func (s *System) PosBytes() int64 { return int64(s.N) * 12 }
-
-// ForceBytes returns the force transfer volume.
-func (s *System) ForceBytes() int64 { return int64(s.N) * 12 }

@@ -36,9 +36,14 @@ func TestZeroNetMomentum(t *testing.T) {
 	}
 }
 
+// temperature is the instantaneous reduced temperature.
+func temperature(s *System) float64 {
+	return 2 * s.KineticEnergy() / (3 * float64(s.N))
+}
+
 func TestInitialTemperature(t *testing.T) {
 	s := NewSystem(Config{Temperature: 1.44, Seed: 3})
-	T := s.Temperature()
+	T := temperature(s)
 	if T < 1.2 || T > 1.7 {
 		t.Fatalf("initial temperature %v, want ~1.44", T)
 	}
@@ -149,9 +154,9 @@ func TestMeltingHappens(t *testing.T) {
 	// temperature should drop from its initial value as potential energy
 	// rises (classic LJ melt behaviour).
 	s := NewSystem(Config{Seed: 9})
-	t0 := s.Temperature()
+	t0 := temperature(s)
 	RunOffloaded(s, 150, 0.004, 4)
-	t1 := s.Temperature()
+	t1 := temperature(s)
 	if math.Abs(t1-t0) < 1e-3 {
 		t.Fatalf("temperature unchanged (%v -> %v); dynamics frozen?", t0, t1)
 	}
@@ -206,10 +211,12 @@ func TestStepTimingAccounting(t *testing.T) {
 	}
 }
 
+// TestTransferVolumes: a baseline step moves every position and every
+// force, 3 FP32 words each per particle.
 func TestTransferVolumes(t *testing.T) {
 	s := NewSystem(Config{CellsPerSide: 3, Seed: 1})
-	if s.PosBytes() != int64(s.N)*12 || s.ForceBytes() != int64(s.N)*12 {
-		t.Fatal("volumes")
+	if got := SimulateStep(s.N, Baseline).LinkBytes; got != 2*int64(s.N)*12 {
+		t.Fatalf("link bytes = %d, want %d", got, 2*int64(s.N)*12)
 	}
 }
 

@@ -96,9 +96,6 @@ func SimulateStep(n int, mode Mode) StepTiming {
 		if fx > t.Kernel {
 			t.ForceXfer = fx - t.Kernel
 		}
-		if fx > t.Kernel {
-			t.ForceXfer = fx - t.Kernel
-		}
 		movedPos := posBytes
 		if mode == CXLWithDBA {
 			movedPos = posBytes * MDDirtyBytes / 4

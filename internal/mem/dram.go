@@ -2,58 +2,20 @@ package mem
 
 import "teco/internal/sim"
 
-// DRAM is a bandwidth/latency model of a memory device. It stands in for
-// Ramulator in the paper's overhead analysis (§VIII-D): the Disaggregator's
-// extra read-modify-write per updated cache line is charged against this
-// model, and the conclusion — that GDDR/HBM bandwidth dwarfs PCIe so the
-// amplification is invisible end-to-end — is checked in tests.
+// DRAM is a bandwidth/latency model of a memory device: the fast and far
+// tiers the tiering cost model prices migrations and far accesses against.
 type DRAM struct {
 	Name string
 	// BytesPerSecond is sustained sequential bandwidth.
 	BytesPerSecond float64
 	// AccessLatency is the idle-row access latency per request.
 	AccessLatency sim.Time
-	// reads/writes count 64-byte line accesses.
-	reads, writes int64
 }
-
-// LineTransferTime returns the bus occupancy of moving one cache line.
-func (d *DRAM) LineTransferTime() sim.Time {
-	return sim.DurationForBytes(LineSize, d.BytesPerSecond)
-}
-
-// Read charges one line read and returns its service time.
-func (d *DRAM) Read() sim.Time {
-	d.reads++
-	return d.AccessLatency + d.LineTransferTime()
-}
-
-// Write charges one line write and returns its service time.
-func (d *DRAM) Write() sim.Time {
-	d.writes++
-	return d.AccessLatency + d.LineTransferTime()
-}
-
-// Reads returns the number of line reads charged.
-func (d *DRAM) Reads() int64 { return d.reads }
-
-// Writes returns the number of line writes charged.
-func (d *DRAM) Writes() int64 { return d.writes }
-
-// Reset clears access counters.
-func (d *DRAM) Reset() { d.reads, d.writes = 0, 0 }
 
 // StreamTime returns the time to stream n bytes at sustained bandwidth
 // (latency amortized away), used for bulk kernel traffic.
 func (d *DRAM) StreamTime(n int64) sim.Time {
 	return sim.DurationForBytes(n, d.BytesPerSecond)
-}
-
-// V100HBM2 returns the accelerator memory model: the paper quotes "total
-// 900GB/s with 8 memory controllers" for the V100 (§VIII-D; the text calls
-// it GDDR5 but quotes the V100's HBM2 aggregate bandwidth).
-func V100HBM2() *DRAM {
-	return &DRAM{Name: "V100-HBM2", BytesPerSecond: 900e9, AccessLatency: 100 * sim.Nanosecond}
 }
 
 // HostDDR4 returns the host memory model: 8 controllers of DDR4-2666-class

@@ -1,6 +1,8 @@
 // Package mem models the physical address map shared by the CPU and the
 // accelerator, including the giant-cache region that TECO maps into the CXL
-// coherent domain via a resizable Base Address Register (paper §IV-A1).
+// coherent domain. The paper exposes that region through a resizable Base
+// Address Register (§IV-A1); the map allocates it directly, line-aligned,
+// without BAR sizing.
 //
 // Addresses are byte addresses in a flat 64-bit physical space. All coherent
 // traffic moves in 64-byte cache lines, matching both the gem5-avx cache
@@ -55,19 +57,6 @@ const (
 	RegionDeviceLocal
 )
 
-func (k RegionKind) String() string {
-	switch k {
-	case RegionHostDRAM:
-		return "host-dram"
-	case RegionGiantCache:
-		return "giant-cache"
-	case RegionDeviceLocal:
-		return "device-local"
-	default:
-		return fmt.Sprintf("RegionKind(%d)", int(k))
-	}
-}
-
 // Region is a named, line-aligned interval of the address map.
 type Region struct {
 	Name  string
@@ -81,9 +70,6 @@ func (r Region) End() Addr { return r.Base + Addr(r.Bytes) }
 
 // Contains reports whether a falls inside the region.
 func (r Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
-
-// Lines returns the number of cache lines in the region.
-func (r Region) Lines() int64 { return LinesIn(r.Bytes) }
 
 // Map is the full address map. It doubles as the TECO "address registers"
 // (paper §V-B): the Aggregator consults it to decide whether a written-back
@@ -139,6 +125,3 @@ func (m *Map) GiantCacheBytes() int64 {
 	}
 	return n
 }
-
-// TotalBytes returns the number of bytes allocated so far.
-func (m *Map) TotalBytes() int64 { return int64(m.next) }

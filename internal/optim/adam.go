@@ -70,15 +70,8 @@ func MustAdam(n int, cfg AdamConfig) *Adam {
 	return a
 }
 
-// Config returns the effective (defaulted) configuration.
-func (a *Adam) Config() AdamConfig { return a.cfg }
-
 // StepCount returns the number of Step calls so far.
 func (a *Adam) StepCount() int { return a.step }
-
-// StateBytes returns the optimizer-state footprint in bytes (2 FP32 words
-// per parameter), the quantity ZeRO-Offload offloads to CPU memory.
-func (a *Adam) StateBytes() int64 { return int64(len(a.m)) * 8 }
 
 // Step applies one ADAM update: params <- params - lr * m̂ / (sqrt(v̂)+eps).
 // params and grads must have the optimizer's length; a mismatch (the
@@ -193,15 +186,12 @@ func (a *Adam) Restore(m, v []float32, step int) error {
 	return nil
 }
 
-// FirstNonFinite returns the index of the first NaN or Inf in x, or -1.
-// The trainer scans parameters and optimizer moments with it after each
+// FirstNonFiniteWorkers returns the index of the first NaN or Inf in x, or
+// -1. The trainer scans parameters and optimizer moments with it after each
 // ADAM step: a NaN produced by ADAM on corrupted bytes is a silent-data-
-// corruption signal that must trigger rollback, not propagate.
-func FirstNonFinite(x []float32) int { return FirstNonFiniteWorkers(x, 1) }
-
-// FirstNonFiniteWorkers is FirstNonFinite over chunked goroutines. The
-// parallel path takes the minimum over per-chunk first hits, so the index
-// returned is the serial one at every worker count.
+// corruption signal that must trigger rollback, not propagate. The scan
+// runs over chunked goroutines and takes the minimum over per-chunk first
+// hits, so the index returned is the serial one at every worker count.
 func FirstNonFiniteWorkers(x []float32, workers int) int {
 	return parallel.FirstIndex(workers, len(x), func(i int) bool {
 		f := float64(x[i])

@@ -9,12 +9,12 @@ import (
 
 func TestDefaults(t *testing.T) {
 	a := MustAdam(4, AdamConfig{})
-	cfg := a.Config()
+	cfg := a.cfg
 	if cfg.LR != 1e-3 || cfg.Beta1 != 0.9 || cfg.Beta2 != 0.999 || cfg.Eps != 1e-8 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	if a.StateBytes() != 32 {
-		t.Fatalf("state bytes = %d", a.StateBytes())
+	if len(a.m)+len(a.v) != 8 {
+		t.Fatalf("state words = %d, want 2 per parameter", len(a.m)+len(a.v))
 	}
 }
 
@@ -76,13 +76,13 @@ func TestRestoreRoundTrip(t *testing.T) {
 }
 
 func TestFirstNonFinite(t *testing.T) {
-	if i := FirstNonFinite([]float32{1, 2, 3}); i != -1 {
+	if i := FirstNonFiniteWorkers([]float32{1, 2, 3}, 1); i != -1 {
 		t.Fatalf("clean vector reported index %d", i)
 	}
-	if i := FirstNonFinite([]float32{1, float32(math.NaN()), 3}); i != 1 {
+	if i := FirstNonFiniteWorkers([]float32{1, float32(math.NaN()), 3}, 1); i != 1 {
 		t.Fatalf("NaN index = %d, want 1", i)
 	}
-	if i := FirstNonFinite([]float32{float32(math.Inf(-1))}); i != 0 {
+	if i := FirstNonFiniteWorkers([]float32{float32(math.Inf(-1))}, 1); i != 0 {
 		t.Fatalf("Inf index = %d, want 0", i)
 	}
 }

@@ -59,7 +59,7 @@ func BenchmarkFusedAdamScan(b *testing.B) {
 				if err := a.Step(params, grads); err != nil {
 					b.Fatal(err)
 				}
-				if i := FirstNonFinite(params); i >= 0 {
+				if i := FirstNonFiniteWorkers(params, 1); i >= 0 {
 					b.Fatalf("non-finite at %d", i)
 				}
 				parallel.ForChunksIndexed(1, n, func(c, lo, hi int) { crc[c] = checkpoint.GuardSum(params[lo:hi]) })

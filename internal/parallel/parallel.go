@@ -62,16 +62,6 @@ func HotResolve(workers int) int {
 	}
 }
 
-// Seed derives an independent per-point RNG seed from a base seed and the
-// point index with a SplitMix64 mix, so concurrent sweep points draw from
-// disjoint, reproducible streams regardless of execution order.
-func Seed(base int64, i int) int64 {
-	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // Run executes fn(ctx, i) for every i in [0, n) on at most `workers`
 // goroutines and returns the results indexed by i. The first error (by
 // point index, not completion time) cancels the derived context, stops
@@ -235,9 +225,6 @@ func (g *Gate) Enter(ctx context.Context) error {
 // Leave releases a slot claimed by Enter.
 func (g *Gate) Leave() { <-g.slots }
 
-// InFlight returns the number of currently held slots.
-func (g *Gate) InFlight() int { return len(g.slots) }
-
 // Queued returns the number of callers blocked waiting for a slot.
 func (g *Gate) Queued() int { return int(g.queued.Load()) }
 
@@ -367,38 +354,6 @@ func MapChunks[T any](workers, n int, fn func(lo, hi int) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// Do runs the given closures on at most `workers` goroutines and waits for
-// all of them — the task-granular fan-out the data-parallel group uses to
-// stage its replicas' shards concurrently.
-func Do(workers int, fns ...func()) {
-	workers = HotResolve(workers)
-	if workers > len(fns) {
-		workers = len(fns)
-	}
-	if workers <= 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(fns) {
-					return
-				}
-				fns[i]()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // FirstIndex returns the smallest i in [0, n) with pred(i) true, or -1.

@@ -58,8 +58,7 @@ func TestStepResultCheckViolations(t *testing.T) {
 		{"negative link volume", func(r *StepResult) { r.ParamLinkBytes = -1 }},
 		{"negative fault counter", func(r *StepResult) { r.Fault.Retries = -1 }},
 		{"recovered exceeds poisoned", func(r *StepResult) { r.Fault.Recovered = 1 }},
-		{"negative stall time", func(r *StepResult) { r.Fault.StallTime = -1 }},
-		{"stall time without stalls", func(r *StepResult) { r.Fault.StallTime = sim.Microsecond }},
+		{"negative exposed fault latency", func(r *StepResult) { r.Fault.Exposed = -1 }},
 		{"negative recovery counter", func(r *StepResult) { r.Recovery.CkptWrites = -1 }},
 		{"rollbacks exceed detections", func(r *StepResult) { r.Recovery.Rollbacks = 1 }},
 		{"checkpoint bytes without writes", func(r *StepResult) { r.Recovery.CkptBytes = 64 }},
@@ -78,7 +77,7 @@ func TestStepResultCheckAcceptsConsistentFaults(t *testing.T) {
 	r := StepResult{
 		Breakdown: Breakdown{Fwd: sim.Millisecond, Grad: sim.Microsecond},
 		Fault: FaultStats{Retries: 3, ReplayedBytes: 192, Poisoned: 2, Recovered: 2,
-			Stalls: 1, StallTime: sim.Microsecond, Exposed: sim.Nanosecond},
+			Exposed: sim.Nanosecond},
 		Recovery: RecoveryStats{CkptWrites: 2, CkptBytes: 1 << 16,
 			SDCDetected: 1, Rollbacks: 1, ReplayedSteps: 4},
 	}

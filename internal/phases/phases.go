@@ -124,10 +124,6 @@ type FaultStats struct {
 	// Recovered counts poisoned lines the coherence protocol re-fetched
 	// on demand instead of consuming corrupt data.
 	Recovered int64
-	// Stalls counts injected controller-queue stalls; StallTime is their
-	// cumulative duration.
-	Stalls    int64
-	StallTime sim.Time
 	// Exposed is the retry/recovery latency on the step's critical path:
 	// the difference between the faulted and fault-free fence times plus
 	// the on-demand poison-recovery round trips.
@@ -139,8 +135,7 @@ type FaultStats struct {
 
 // Any reports whether any fault activity was recorded.
 func (f FaultStats) Any() bool {
-	return f.Retries != 0 || f.Poisoned != 0 || f.Stalls != 0 ||
-		f.Exposed != 0 || f.Degraded
+	return f.Retries != 0 || f.Poisoned != 0 || f.Exposed != 0 || f.Degraded
 }
 
 // FabricStats summarizes switched-fabric activity during one step of the
@@ -339,17 +334,14 @@ func (r StepResult) Check() error {
 		return fmt.Errorf("phases: negative link volume (param=%d grad=%d)", r.ParamLinkBytes, r.GradLinkBytes)
 	}
 	f := r.Fault
-	if f.Retries < 0 || f.ReplayedBytes < 0 || f.Poisoned < 0 || f.Recovered < 0 || f.Stalls < 0 {
+	if f.Retries < 0 || f.ReplayedBytes < 0 || f.Poisoned < 0 || f.Recovered < 0 {
 		return fmt.Errorf("phases: negative fault counter %+v", f)
 	}
 	if f.Recovered > f.Poisoned {
 		return fmt.Errorf("phases: recovered %d lines of %d poisoned", f.Recovered, f.Poisoned)
 	}
-	if f.StallTime < 0 || f.Exposed < 0 {
-		return fmt.Errorf("phases: negative fault latency (stall=%v exposed=%v)", f.StallTime, f.Exposed)
-	}
-	if f.Stalls == 0 && f.StallTime != 0 {
-		return fmt.Errorf("phases: %v stall time with zero stalls", f.StallTime)
+	if f.Exposed < 0 {
+		return fmt.Errorf("phases: negative exposed fault latency %v", f.Exposed)
 	}
 	rec := r.Recovery
 	if rec.CkptWrites < 0 || rec.CkptBytes < 0 || rec.SDCDetected < 0 || rec.Rollbacks < 0 ||

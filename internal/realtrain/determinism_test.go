@@ -63,12 +63,12 @@ func requireBitEqual(t *testing.T, label string, a, b []float32) {
 func requireSameRun(t *testing.T, label string, ref, got *Trainer, refRes, gotRes Result) {
 	t.Helper()
 	requireBitEqual(t, label+"/master", ref.MasterParams(), got.MasterParams())
-	requireBitEqual(t, label+"/compute", ref.ComputeParams(), got.ComputeParams())
-	rm, rv := ref.Moments()
-	gm, gv := got.Moments()
+	requireBitEqual(t, label+"/compute", ref.compute, got.compute)
+	rm, rv := ref.ad.Moments()
+	gm, gv := got.ad.Moments()
 	requireBitEqual(t, label+"/adam.m", rm, gm)
 	requireBitEqual(t, label+"/adam.v", rv, gv)
-	if !reflect.DeepEqual(ref.Samples(), got.Samples()) {
+	if !reflect.DeepEqual(ref.samples, got.samples) {
 		t.Fatalf("%s: sample trajectories diverge", label)
 	}
 	gotRes.Config.Workers = refRes.Config.Workers

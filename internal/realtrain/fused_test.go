@@ -25,7 +25,7 @@ func TestFusedNaNIndexMatchesStandaloneScan(t *testing.T) {
 	// turns both parameters non-finite. Recompute checksums as if the
 	// corruption happened inside a legitimate write window, so only the
 	// post-step NaN scan can catch it.
-	_, v := tr.Moments()
+	_, v := tr.ad.Moments()
 	for _, idx := range []int{911, 13} {
 		mask := math.Float32bits(v[idx]) ^ 0x7FC00000
 		if err := tr.CorruptWord("adam.v", idx, mask); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"teco/internal/dba"
 	"teco/internal/tensor"
 )
 
@@ -181,14 +182,16 @@ func TestImmediateDBAHurtsMore(t *testing.T) {
 	}
 }
 
+// TestMergeDirtyBytes: the trainer's merge, dba.MergeWords, keeps the
+// compute copy's high bytes and takes the master's low n bytes per word.
 func TestMergeDirtyBytes(t *testing.T) {
 	compute := []float32{math.Float32frombits(0xAABBCCDD)}
 	master := []float32{math.Float32frombits(0x11223344)}
-	mergeDirtyBytes(compute, master, 2)
+	dba.MergeWords(compute, master, 2, 1)
 	if got := math.Float32bits(compute[0]); got != 0xAABB3344 {
 		t.Fatalf("merge = %08x", got)
 	}
-	mergeDirtyBytes(compute, master, 4)
+	dba.MergeWords(compute, master, 4, 1)
 	if math.Float32bits(compute[0]) != 0x11223344 {
 		t.Fatal("n=4 must copy fully")
 	}
@@ -197,7 +200,7 @@ func TestMergeDirtyBytes(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	mergeDirtyBytes(compute, master, 5)
+	dba.MergeWords(compute, master, 5, 1)
 }
 
 func TestMergeMatchesDBADisaggregate(t *testing.T) {
@@ -212,7 +215,7 @@ func TestMergeMatchesDBADisaggregate(t *testing.T) {
 	}
 	oldT := tensor.FromSlice("old", append([]float32(nil), compute...))
 	newT := tensor.FromSlice("new", append([]float32(nil), master...))
-	mergeDirtyBytes(compute, master, 2)
+	dba.MergeWords(compute, master, 2, 1)
 
 	// Hardware path: EncodeLine -> Aggregate -> Disaggregate.
 	oldLine := oldT.EncodeLine(0)

@@ -59,11 +59,11 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		if !bitsEqual(ref.MasterParams(), res.MasterParams()) {
 			t.Fatalf("snapshot at %d: master params diverged", at)
 		}
-		if !bitsEqual(ref.ComputeParams(), res.ComputeParams()) {
+		if !bitsEqual(ref.compute, res.compute) {
 			t.Fatalf("snapshot at %d: compute copy diverged", at)
 		}
-		rm, rv := ref.Moments()
-		sm, sv := res.Moments()
+		rm, rv := ref.ad.Moments()
+		sm, sv := res.ad.Moments()
 		if !bitsEqual(rm, sm) || !bitsEqual(rv, sv) {
 			t.Fatalf("snapshot at %d: ADAM moments diverged", at)
 		}
@@ -165,7 +165,7 @@ func TestNaNScanCatchesPoisonedMoment(t *testing.T) {
 	// propagates it into the parameter, where the post-step scan must
 	// catch it. Recompute checksums as if the corruption slipped past the
 	// CRC guard (e.g. it happened inside the optimizer's own write).
-	_, v := tr.Moments()
+	_, v := tr.ad.Moments()
 	mask := math.Float32bits(v[7]) ^ 0x7FC00000
 	if err := tr.CorruptWord("adam.v", 7, mask); err != nil {
 		t.Fatal(err)

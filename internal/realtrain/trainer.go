@@ -479,15 +479,6 @@ func (t *Trainer) Done() bool { return t.step >= t.cfg.Steps }
 // callers; the recovery tests compare it bit-wise across runs).
 func (t *Trainer) MasterParams() []float32 { return t.master }
 
-// ComputeParams returns the live accelerator compute copy.
-func (t *Trainer) ComputeParams() []float32 { return t.compute }
-
-// Moments returns the live ADAM moment vectors.
-func (t *Trainer) Moments() (m, v []float32) { return t.ad.Moments() }
-
-// Samples returns the loss-trajectory samples recorded so far.
-func (t *Trainer) Samples() []StepSample { return t.samples }
-
 // VerifyIntegrity runs the full SDC guard sweep regardless of SDCChecks:
 // checksum validation (when recorded) plus a non-finite scan of master
 // parameters and both moment vectors. The session calls it after every
@@ -770,12 +761,6 @@ func Run(cfg Config) Result {
 		}
 	}
 	return t.Result()
-}
-
-// mergeDirtyBytes applies the Disaggregator semantics word-by-word — the
-// serial convenience wrapper over dba.MergeWords the unit tests exercise.
-func mergeDirtyBytes(compute, master []float32, n int) {
-	dba.MergeWords(compute, master, n, 1)
 }
 
 // AggregateDistributions sums the per-sample distributions of a run.

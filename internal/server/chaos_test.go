@@ -133,7 +133,7 @@ func TestChaosKillRestartCycles(t *testing.T) {
 		id := chaosIDs[cycle%len(chaosIDs)]
 		seed := int64(cycle % 7)
 		check(id, seed, seedRef(id, seed))
-		st := s.Cache().Stats()
+		st := s.cache.Stats()
 		total.Hits += st.Hits
 		total.Misses += st.Misses
 		total.Puts += st.Puts

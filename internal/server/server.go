@@ -184,9 +184,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the underlying result cache (chaos harness, stats).
-func (s *Server) Cache() *diskcache.Cache { return s.cache }
-
 // Stats snapshots every counter.
 func (s *Server) Stats() Stats {
 	return Stats{

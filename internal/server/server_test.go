@@ -291,7 +291,7 @@ func TestPanickingGeneratorIs500(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Error != errInternal.Error() {
 		t.Fatalf("panicking generator: body %q, want error %q and no panic value", w.Body.Bytes(), errInternal)
 	}
-	if n := s.Cache().Len(); n != 0 {
+	if n := s.cache.Len(); n != 0 {
 		t.Fatalf("%d entries stored for the panicking key", n)
 	}
 	resp, code := getRun(t, s.Handler(), "id=table1&seed=9")

@@ -27,19 +27,6 @@ const (
 	Pinned
 )
 
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case Pinned:
-		return "pin"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // ParsePolicy maps the flag spelling to a Policy; "" is LRU.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
@@ -166,14 +153,8 @@ func NewResidency(sizes []int64, capacity int64, policy Policy, pinned int) (*Re
 	return r, nil
 }
 
-// Slots returns the slot count.
-func (r *Residency) Slots() int { return len(r.sizes) }
-
 // Capacity returns the effective byte capacity.
 func (r *Residency) Capacity() int64 { return r.capacity }
-
-// Pins returns the pinned slot count in effect.
-func (r *Residency) Pins() int { return r.pinned }
 
 // Resident reports whether slot i is in the fast tier.
 func (r *Residency) Resident(i int) bool { return r.resident[i] }

@@ -30,14 +30,6 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q): err=%v", bad, err)
 		}
 	}
-	if got := Policy(99).String(); !strings.Contains(got, "99") {
-		t.Fatalf("unknown policy String() = %q", got)
-	}
-	for p, s := range map[Policy]string{LRU: "lru", FIFO: "fifo", Pinned: "pin"} {
-		if p.String() != s {
-			t.Fatalf("%d.String() = %q, want %q", p, p.String(), s)
-		}
-	}
 }
 
 // TestNewResidencyErrors pins every constructor rejection: malformed slot
@@ -66,15 +58,15 @@ func TestNewResidencyErrors(t *testing.T) {
 // ignored outside the Pinned policy; oversized capacities collapse to the
 // total.
 func TestNewResidencyClamps(t *testing.T) {
-	if r := mustResidency(t, []int64{10, 20}, 0, LRU, 5); r.Pins() != 0 {
-		t.Fatalf("LRU kept %d pins", r.Pins())
+	if r := mustResidency(t, []int64{10, 20}, 0, LRU, 5); r.pinned != 0 {
+		t.Fatalf("LRU kept %d pins", r.pinned)
 	}
-	if r := mustResidency(t, []int64{10, 20}, 1<<40, Pinned, -2); r.Pins() != 0 {
-		t.Fatalf("negative pin request kept %d pins", r.Pins())
+	if r := mustResidency(t, []int64{10, 20}, 1<<40, Pinned, -2); r.pinned != 0 {
+		t.Fatalf("negative pin request kept %d pins", r.pinned)
 	}
 	r := mustResidency(t, []int64{10, 20}, 1<<40, Pinned, 7)
-	if r.Pins() != 2 || r.Capacity() != 30 {
-		t.Fatalf("pins=%d capacity=%d, want 2/30", r.Pins(), r.Capacity())
+	if r.pinned != 2 || r.Capacity() != 30 {
+		t.Fatalf("pins=%d capacity=%d, want 2/30", r.pinned, r.Capacity())
 	}
 	// All slots pinned: everything resident from construction, no errors.
 	if !r.Resident(0) || !r.Resident(1) || r.ResidentBytes() != 30 {
@@ -186,8 +178,8 @@ func TestResidencyPrefetchHitAccounting(t *testing.T) {
 	if got := r.Heat(); got[1] != 2 || got[0] != 0 {
 		t.Fatalf("heat map: %v", got)
 	}
-	if r.Slots() != 2 {
-		t.Fatalf("slots = %d", r.Slots())
+	if len(r.sizes) != 2 {
+		t.Fatalf("slots = %d", len(r.sizes))
 	}
 }
 

@@ -36,19 +36,6 @@ const (
 	Static
 )
 
-func (p Policy) String() string {
-	switch p {
-	case Heat:
-		return "heat"
-	case Recency:
-		return "lru"
-	case Static:
-		return "static"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // ParsePolicy maps the flag spelling to a Policy; "" is Heat.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
@@ -161,17 +148,8 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Slots returns the slot count.
-func (c *Controller) Slots() int { return len(c.sizes) }
-
-// Size returns slot i's byte size.
-func (c *Controller) Size(i int) int64 { return c.sizes[i] }
-
 // Capacity returns the fast tier's effective byte capacity.
 func (c *Controller) Capacity() int64 { return c.res.Capacity() }
-
-// FastResident reports whether slot i is currently in the fast tier.
-func (c *Controller) FastResident(i int) bool { return c.res.Resident(i) }
 
 // Placement returns a copy of the current per-slot placement (true = fast).
 func (c *Controller) Placement() []bool {

