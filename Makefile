@@ -12,7 +12,8 @@ all: build vet test
 # of the benchmark module (its own go.mod, so ./... does not reach it), the
 # fabric kill-one-port timing proofs, short native fuzz runs over the CXL
 # packet decoder, the checkpoint snapshot decoder, the result-cache entry
-# decoder and the daemon's request decoding, and — when the tools are installed — staticcheck and govulncheck
+# decoder and the daemon's request decoding, the goldens with amd64's FMA
+# math.Exp path switched off, and — when the tools are installed — staticcheck and govulncheck
 # (CI always runs them; locally they are skipped if absent).
 check:
 	$(GO) vet ./...
@@ -25,6 +26,7 @@ check:
 	$(GO) test -run '^$$' -fuzz='FuzzDecodeEntry$$' -fuzztime=10s ./internal/diskcache
 	$(GO) test -run '^$$' -fuzz='FuzzParseRequest$$' -fuzztime=10s ./internal/server
 	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestArenaReuse' ./internal/kernels
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TestGolden$$' ./internal/conformance
 	$(GO) test -run xxx -bench 'TrainStep|MatmulBlocked|FusedAdamScan' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi

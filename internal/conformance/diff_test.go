@@ -6,90 +6,31 @@ import (
 	"teco/internal/experiments"
 )
 
-func TestSplitNumber(t *testing.T) {
-	cases := []struct {
-		in     string
-		v      float64
-		suffix string
-		ok     bool
-	}{
-		{"42.24%", 42.24, "%", true},
-		{"1.82x", 1.82, "x", true},
-		{"-0.5ms", -0.5, "ms", true},
-		{"128", 128, "", true},
-		{"3.5GB", 3.5, "GB", true},
-		{"GPT2", 0, "", false},
-		{"-", 0, "", false},
-		{"", 0, "", false},
-	}
-	for _, c := range cases {
-		v, suffix, ok := splitNumber(c.in)
-		if v != c.v || suffix != c.suffix || ok != c.ok {
-			t.Errorf("splitNumber(%q) = (%v, %q, %v), want (%v, %q, %v)",
-				c.in, v, suffix, ok, c.v, c.suffix, c.ok)
-		}
-	}
+func tbl(id string, notes []string, rows ...[]string) *experiments.Table {
+	return &experiments.Table{ID: id, Title: "t", Header: []string{"A", "B"}, Rows: rows, Notes: notes}
 }
 
-func TestCellsAgree(t *testing.T) {
-	cases := []struct {
-		a, b string
-		tol  float64
-		want bool
-	}{
-		{"1.82x", "1.82x", 0, true},     // byte equal always agrees
-		{"1.82x", "1.83x", 0, false},    // zero tolerance is exact
-		{"1.82x", "1.83x", 0.02, true},  // within 2%
-		{"1.82x", "2.00x", 0.02, false}, // beyond 2%
-		{"1.82x", "1.82%", 0.02, false}, // unit suffix must match
-		{"0.00%", "0.01%", 0.02, true},  // absolute floor (tol itself) near zero
-		{"0.0%", "0.1%", 0.02, false},   // drift past the absolute floor
-		{"GPT2", "GPT-2", 0.02, false},  // non-numeric cells stay exact
-	}
-	for _, c := range cases {
-		if got := cellsAgree(c.a, c.b, c.tol); got != c.want {
-			t.Errorf("cellsAgree(%q, %q, %v) = %v, want %v", c.a, c.b, c.tol, got, c.want)
-		}
-	}
-}
-
-func TestNotesAgree(t *testing.T) {
-	a := "average penalty 56.6% (paper: 56.6% average, up to 99.7%)"
-	b := "average penalty 56.8% (paper: 56.6% average, up to 99.5%)"
-	if !notesAgree(a, b, 0.02) {
-		t.Errorf("numerically-close notes rejected")
-	}
-	if notesAgree(a, b, 0) {
-		t.Errorf("zero tolerance accepted drifted note")
-	}
-	if notesAgree(a, "different text 56.6%", 0.5) {
-		t.Errorf("text skeleton mismatch accepted")
-	}
-}
-
-func tbl(id string, rows ...[]string) *experiments.Table {
-	return &experiments.Table{ID: id, Title: "t", Header: []string{"A", "B"}, Rows: rows}
-}
-
+// TestDiffStructureAlwaysExact: structure and values alike, every
+// difference is a mismatch — on fig10, a training-derived table, a drift in
+// the fourth decimal or in a note fails.
 func TestDiffStructureAlwaysExact(t *testing.T) {
-	g := tbl("fig10", []string{"1", "0.5000"})
-	// Row count changes fail even on a tolerance-carrying table.
-	f := tbl("fig10", []string{"1", "0.5000"}, []string{"2", "0.4000"})
-	if errs := Diff([]*experiments.Table{g}, []*experiments.Table{f}); len(errs) == 0 {
-		t.Error("row-count drift passed the diff")
+	note := []string{"average penalty 56.6% (paper: 56.6% average, up to 99.7%)"}
+	g := tbl("fig10", note, []string{"1", "0.5000"})
+	for name, f := range map[string]*experiments.Table{
+		"row count":       tbl("fig10", note, []string{"1", "0.5000"}, []string{"2", "0.4000"}),
+		"cell drift":      tbl("fig10", note, []string{"1", "0.5050"}),
+		"last-digit cell": tbl("fig10", note, []string{"1", "0.5001"}),
+		"unit suffix":     tbl("fig10", note, []string{"1", "0.5000%"}),
+		"note drift":      tbl("fig10", []string{"average penalty 56.8% (paper: 56.6% average, up to 99.7%)"}, []string{"1", "0.5000"}),
+		"note count":      tbl("fig10", nil, []string{"1", "0.5000"}),
+		"identity":        tbl("table1", note, []string{"1", "0.5000"}),
+	} {
+		if errs := Diff([]*experiments.Table{g}, []*experiments.Table{f}); len(errs) == 0 {
+			t.Errorf("%s: drift passed the diff", name)
+		}
 	}
-	// Value drift inside tolerance passes; outside fails.
-	f2 := tbl("fig10", []string{"1", "0.5050"})
-	if errs := Diff([]*experiments.Table{g}, []*experiments.Table{f2}); len(errs) != 0 {
-		t.Errorf("in-tolerance drift failed: %v", errs)
-	}
-	f3 := tbl("fig10", []string{"1", "0.9000"})
-	if errs := Diff([]*experiments.Table{g}, []*experiments.Table{f3}); len(errs) == 0 {
-		t.Error("out-of-tolerance drift passed")
-	}
-	// A table without a tolerance entry is byte-exact.
-	g4, f4 := tbl("table1", []string{"1", "0.5000"}), tbl("table1", []string{"1", "0.5001"})
-	if errs := Diff([]*experiments.Table{g4}, []*experiments.Table{f4}); len(errs) == 0 {
-		t.Error("drift on a zero-tolerance table passed")
+	same := tbl("fig10", note, []string{"1", "0.5000"})
+	if errs := Diff([]*experiments.Table{g}, []*experiments.Table{same}); len(errs) != 0 {
+		t.Errorf("equal tables reported: %v", errs)
 	}
 }

@@ -42,7 +42,7 @@ func AggregatedUneconomical(fc cxl.FaultConfig, dirtyBytes int, bytesPerSecond f
 	rf := f.PacketErrorProb(cxl.WirePacketBytes(0))
 	ra := f.PacketErrorProb(cxl.WirePacketBytes(dirtyBytes))
 	costFull := sf * (1 + rf)
-	costAgg := sa*(1+ra) + ra*float64(cxl.DefaultMergeRetryDelay)
+	costAgg := float64(sa*(1+ra)) + float64(ra*float64(cxl.DefaultMergeRetryDelay))
 	return costAgg >= costFull
 }
 

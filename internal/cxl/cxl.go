@@ -332,9 +332,6 @@ func (l *Link) FenceClean(ready sim.Time) sim.Time {
 	return ready
 }
 
-// Drained returns the time the link finishes all enqueued traffic.
-func (l *Link) Drained() sim.Time { return l.freeAt }
-
 // Stats returns (payload bytes sent, packets, cumulative busy time,
 // cumulative producer stall caused by the pending queue).
 func (l *Link) Stats() (bytes int64, packets int64, busy, stall sim.Time) {

@@ -110,8 +110,8 @@ func TestFence(t *testing.T) {
 	if got := l.Fence(done + 10); got != done+10 {
 		t.Fatal("fence must not travel back in time")
 	}
-	if l.Drained() != done {
-		t.Fatal("Drained mismatch")
+	if l.freeAt != done {
+		t.Fatal("drain point mismatch")
 	}
 }
 
@@ -126,7 +126,7 @@ func TestStatsAndReset(t *testing.T) {
 	}
 	l.Reset()
 	b, p, busy, stall := l.Stats()
-	if b != 0 || p != 0 || busy != 0 || stall != 0 || l.Drained() != 0 {
+	if b != 0 || p != 0 || busy != 0 || stall != 0 || l.freeAt != 0 {
 		t.Fatal("reset incomplete")
 	}
 }

@@ -157,12 +157,13 @@ func (f *FaultModel) draw(k int64, p float64) int64 {
 		var c int64
 		for u > cdf && c < k {
 			c++
-			pm *= mean / float64(c)
+			pm = float64(pm * (mean / float64(c)))
 			cdf += pm
 		}
 		return c
 	default:
-		c := int64(math.Round(mean + f.rng.NormFloat64()*math.Sqrt(mean*(1-p))))
+		// mean is a product; converting it keeps it out of a fused multiply-add.
+		c := int64(math.Round(float64(mean) + float64(f.rng.NormFloat64()*math.Sqrt(mean*(1-p)))))
 		if c < 0 {
 			c = 0
 		}

@@ -85,15 +85,6 @@ func NewStream(link *Link, perLine bool) *Stream {
 // Link returns the underlying link.
 func (s *Stream) Link() *Link { return s.link }
 
-// PerLine reports whether the stream runs the per-line reference path.
-func (s *Stream) PerLine() bool { return s.perLine }
-
-// Stats returns the stream's simulation counters.
-func (s *Stream) Stats() StreamStats { return s.stats }
-
-// Fired returns the number of line events executed by the private engine.
-func (s *Stream) Fired() uint64 { return s.eng.Fired() }
-
 // PushRun pushes one homogeneous run of `lines` cache lines carrying n
 // payload bytes total, becoming ready at `ready`. extra, pktBytes and
 // aggregated have SendFlow's meaning (aggregation logic delay, retry framing

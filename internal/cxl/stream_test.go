@@ -76,17 +76,17 @@ func TestStreamModesBitIdentical(t *testing.T) {
 			t.Errorf("BER %g: link stats diverge: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
 				ber, cb, cp, cbusy, cstall, pb, pp, pbusy, pstall)
 		}
-		if coLink.Drained() != plLink.Drained() || coLink.FenceClean(0) != plLink.FenceClean(0) {
+		if coLink.freeAt != plLink.freeAt || coLink.FenceClean(0) != plLink.FenceClean(0) {
 			t.Errorf("BER %g: drain/clean-drain diverge: %v/%v vs %v/%v",
-				ber, coLink.Drained(), coLink.FenceClean(0), plLink.Drained(), plLink.FenceClean(0))
+				ber, coLink.freeAt, coLink.FenceClean(0), plLink.freeAt, plLink.FenceClean(0))
 		}
 		if coLink.FaultStats() != plLink.FaultStats() {
 			t.Errorf("BER %g: fault stats diverge: %+v vs %+v", ber, coLink.FaultStats(), plLink.FaultStats())
 		}
-		if ber == 0 && pls.Stats().LineEvents == 0 {
+		if ber == 0 && pls.stats.LineEvents == 0 {
 			t.Error("per-line mode fired no line events on a pristine link")
 		}
-		if ber > 0 && pls.Stats().FaultFallback == 0 {
+		if ber > 0 && pls.stats.FaultFallback == 0 {
 			t.Errorf("BER %g: per-line mode never fell back at the fault boundary", ber)
 		}
 	}
@@ -153,11 +153,11 @@ func TestStreamPerLineLastEventIsClosedForm(t *testing.T) {
 	if res.Done != want {
 		t.Fatalf("per-line Done %v, want closed form %v", res.Done, want)
 	}
-	if got := s.Stats().LineEvents; got != lines {
+	if got := s.stats.LineEvents; got != lines {
 		t.Fatalf("fired %d line events, want %d", got, lines)
 	}
-	if s.Fired() != uint64(lines) {
-		t.Fatalf("engine fired %d, want %d", s.Fired(), lines)
+	if s.eng.Fired() != uint64(lines) {
+		t.Fatalf("engine fired %d, want %d", s.eng.Fired(), lines)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestStreamPerLineWindowing(t *testing.T) {
 	if res.Done != link.ServiceTime(n, 0) {
 		t.Fatalf("windowed Done %v, want %v", res.Done, link.ServiceTime(n, 0))
 	}
-	if got := s.Stats().LineEvents; got != lines {
+	if got := s.stats.LineEvents; got != lines {
 		t.Fatalf("fired %d line events, want %d", got, lines)
 	}
 }
@@ -195,7 +195,7 @@ func TestStreamCoalescedAllocs(t *testing.T) {
 	ready = 0
 	// Warm the event pool and heap.
 	pl.PushRun(0, 64*64, 64, 0, WirePacketBytes(0), false)
-	ready = pl.Link().Drained()
+	ready = pl.Link().freeAt
 	allocs = testing.AllocsPerRun(1000, func() {
 		r := pl.PushRun(ready, 64*16, 16, 0, WirePacketBytes(0), false)
 		ready = r.Done

@@ -381,7 +381,7 @@ func Fig13(opt Options) *Table {
 		act := acts[i]
 		r := runTrain(opt, realtrain.Config{Steps: total, Seed: opt.Seed, DBA: true, ActAfterSteps: act})
 		// Average step time: CXL-only before activation, DBA after.
-		avg := (float64(cxlStep)*float64(act) + float64(dbaStep)*float64(total-act)) / float64(total)
+		avg := (float64(float64(cxlStep)*float64(act)) + float64(float64(dbaStep)*float64(total-act))) / float64(total)
 		sp := float64(base.Total()) / avg
 		return []string{fmt.Sprint(act), f2(r.Perplexity), pct(r.FinalAcc), f2(sp) + "x"}
 	}) {

@@ -77,7 +77,7 @@ func TimeToLoss(opt Options) *Table {
 		return 0, false
 	}
 	for i := 1; i <= 4; i++ {
-		level := start + (end-start)*float64(i)/4
+		level := start + float64((end-start)*float64(i)/4)
 		bt, okB := firstAt(bSteps, bLoss, level, baseClock)
 		rt, okR := firstAt(rSteps, rLoss, level, tecoClock)
 		if !okB || !okR {

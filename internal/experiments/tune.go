@@ -47,11 +47,11 @@ func TuneActAfterSteps(opt Options) *Table {
 			act = tuneSteps
 		}
 		r := runTrain(opt, realtrain.Config{Steps: tuneSteps, Seed: seed, DBA: true, ActAfterSteps: act})
-		avg := (float64(cxlStep)*float64(act) + float64(dbaStep)*float64(tuneSteps-act)) / tuneSteps
+		avg := (float64(float64(cxlStep)*float64(act)) + float64(float64(dbaStep)*float64(tuneSteps-act))) / tuneSteps
 		sp := float64(base.Total()) / avg
 		// Quality dominates; speed breaks ties (the paper's "strikes a
 		// balance" criterion).
-		score := r.FinalAcc + 0.05*sp
+		score := r.FinalAcc + float64(0.05*sp)
 		history = append(history, point{act, r.FinalAcc, sp, score})
 		return score
 	}

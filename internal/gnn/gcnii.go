@@ -138,7 +138,7 @@ func (m *GCNII) forward(params []float32, g *Graph) *forwardState {
 			zi, pi := z[i], pre[i]
 			// M = Z((1-b)I + bW): m_j = (1-b) z_j + Σ_k (b z_k) W[k,j].
 			for j := range zi {
-				v := (1-a)*prop[i][j] + a*st.h0[i][j]
+				v := float32((1-a)*prop[i][j]) + float32(a*st.h0[i][j])
 				zi[j] = v
 				pi[j] = (1 - b) * v
 				bz[j] = b * v
@@ -209,7 +209,7 @@ func (m *GCNII) LossAndGrad(params []float32, g *Graph, grads []float32) float64
 		}
 		loss += -math.Log(p)
 		for c := range dz {
-			dz[c] = st.probs[i][c] * inv
+			dz[c] = float32(st.probs[i][c] * inv)
 			if c == y {
 				dz[c] -= inv
 			}
@@ -252,7 +252,7 @@ func (m *GCNII) LossAndGrad(params []float32, g *Graph, grads []float32) float64
 		for i := 0; i < g.N; i++ {
 			for j := 0; j < H; j++ {
 				dH[i][j] = (1 - a) * dProp[i][j]
-				dH0[i][j] += a * dZ[i][j]
+				dH0[i][j] += float32(a * dZ[i][j])
 			}
 		}
 	}

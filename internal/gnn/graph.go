@@ -79,7 +79,7 @@ func NewGraph(cfg GraphConfig) *Graph {
 		g.Labels[i] = c
 		g.Features[i] = make([]float32, cfg.Feat)
 		for d := range g.Features[i] {
-			g.Features[i][d] = centroids[c][d] + 1.5*float32(rng.NormFloat64())
+			g.Features[i][d] = centroids[c][d] + float32(1.5*float32(rng.NormFloat64()))
 		}
 	}
 

@@ -39,7 +39,7 @@ func (m *GCNII) refForward(params []float32, g *Graph) *refState {
 		for j := 0; j < m.Hidden; j++ {
 			s := bin[j]
 			for d := 0; d < m.Feat; d++ {
-				s += x[d] * win[d*m.Hidden+j]
+				s += float32(x[d] * win[d*m.Hidden+j])
 			}
 			st.encPre[i][j] = s
 			if s > 0 {
@@ -57,7 +57,7 @@ func (m *GCNII) refForward(params []float32, g *Graph) *refState {
 		z := alloc(g.N, m.Hidden)
 		for i := 0; i < g.N; i++ {
 			for j := 0; j < m.Hidden; j++ {
-				z[i][j] = (1-a)*prop[i][j] + a*st.h0[i][j]
+				z[i][j] = float32((1-a)*prop[i][j]) + float32(a*st.h0[i][j])
 			}
 		}
 		pre := alloc(g.N, m.Hidden)
@@ -69,7 +69,7 @@ func (m *GCNII) refForward(params []float32, g *Graph) *refState {
 				// M = Z((1-b)I + bW): (1-b) z_j + b (z . W[:,j]).
 				s := (1 - b) * zi[j]
 				for k := 0; k < m.Hidden; k++ {
-					s += b * zi[k] * w[k*m.Hidden+j]
+					s += float32(b * zi[k] * w[k*m.Hidden+j])
 				}
 				pre[i][j] = s
 				if s > 0 {
@@ -90,7 +90,7 @@ func (m *GCNII) refForward(params []float32, g *Graph) *refState {
 		for c := 0; c < m.Classes; c++ {
 			s := bout[c]
 			for j := 0; j < m.Hidden; j++ {
-				s += hi[j] * wout[j*m.Classes+c]
+				s += float32(hi[j] * wout[j*m.Classes+c])
 			}
 			st.logits[i][c] = s
 		}
@@ -126,14 +126,14 @@ func (m *GCNII) refLossAndGrad(params []float32, g *Graph, grads []float32) (flo
 		}
 		loss += -math.Log(p)
 		for c := 0; c < m.Classes; c++ {
-			dz := st.probs[i][c] * inv
+			dz := float32(st.probs[i][c] * inv)
 			if c == y {
 				dz -= inv
 			}
 			gbout[c] += dz
 			for j := 0; j < m.Hidden; j++ {
-				gwout[j*m.Classes+c] += last[i][j] * dz
-				dH[i][j] += wout[j*m.Classes+c] * dz
+				gwout[j*m.Classes+c] += float32(last[i][j] * dz)
+				dH[i][j] += float32(wout[j*m.Classes+c] * dz)
 			}
 		}
 	}
@@ -167,8 +167,8 @@ func (m *GCNII) refLossAndGrad(params []float32, g *Graph, grads []float32) (flo
 				zk := zi[k]
 				dzk := float32(0)
 				for j := 0; j < m.Hidden; j++ {
-					gw[k*m.Hidden+j] += b * zk * dm[j]
-					dzk += b * w[k*m.Hidden+j] * dm[j]
+					gw[k*m.Hidden+j] += float32(b * zk * dm[j])
+					dzk += float32(b * w[k*m.Hidden+j] * dm[j])
 				}
 				dzi[k] += dzk
 			}
@@ -178,7 +178,7 @@ func (m *GCNII) refLossAndGrad(params []float32, g *Graph, grads []float32) (flo
 		for i := 0; i < g.N; i++ {
 			for j := 0; j < m.Hidden; j++ {
 				dH[i][j] = (1 - a) * dProp[i][j]
-				dH0[i][j] += a * dZ[i][j]
+				dH0[i][j] += float32(a * dZ[i][j])
 			}
 		}
 	}
@@ -199,7 +199,7 @@ func (m *GCNII) refLossAndGrad(params []float32, g *Graph, grads []float32) (flo
 			d := dH0[i][j]
 			gbin[j] += d
 			for dd := 0; dd < m.Feat; dd++ {
-				gwin[dd*m.Hidden+j] += x[dd] * d
+				gwin[dd*m.Hidden+j] += float32(x[dd] * d)
 			}
 		}
 	}

@@ -25,12 +25,14 @@
 //
 // Products are written operand-order-free (IEEE-754 multiplication is
 // commutative down to the bit, so x[i]·w[i,j] and w[i,j]·x[i] are the same
-// value); additions are never reassociated. No kernel uses math.FMA, and
-// none is written as a single fused multiply-add expression, so Go's FMA
-// fusing latitude (spec: "an implementation may combine multiple
-// floating-point operations into a single fused operation ... within a
-// single expression") never applies: every product is rounded to float32
-// before it is added, on every architecture.
+// value); additions are never reassociated. No kernel fuses a multiply-add:
+// the Go spec lets an implementation fuse a*b+c, even across statements,
+// and arm64, ppc64le, riscv64 and s390x do. Its one barrier is an explicit
+// conversion, so every product that feeds an addition is written
+// float32(a*b). amd64 never fuses, and the conversion leaves its code
+// unchanged. TestNoFusedMultiplyAdd (fma_test.go at the repository root)
+// is the proof: it cross-builds the shipped binaries for those four
+// architectures and fails on any fused op in this repository's code.
 //
 // All kernels are allocation-free and safe for concurrent use on disjoint
 // output slices.
@@ -60,10 +62,10 @@ func AddMatVec(acc, x, w []float32, rows, cols int) {
 		r3 := w[(i+3)*cols : (i+4)*cols]
 		for j, w0 := range r0 {
 			s := acc[j]
-			s += x0 * w0
-			s += x1 * r1[j]
-			s += x2 * r2[j]
-			s += x3 * r3[j]
+			s += float32(x0 * w0)
+			s += float32(x1 * r1[j])
+			s += float32(x2 * r2[j])
+			s += float32(x3 * r3[j])
 			acc[j] = s
 		}
 	}
@@ -71,7 +73,7 @@ func AddMatVec(acc, x, w []float32, rows, cols int) {
 		xi := x[i]
 		row := w[i*cols : (i+1)*cols]
 		for j, wv := range row {
-			acc[j] += xi * wv
+			acc[j] += float32(xi * wv)
 		}
 	}
 }
@@ -96,13 +98,13 @@ func DotRowsInto(dst, y, w []float32, rows, cols int) {
 		var s float32
 		j := 0
 		for ; j+4 <= cols; j += 4 {
-			s += y[j] * row[j]
-			s += y[j+1] * row[j+1]
-			s += y[j+2] * row[j+2]
-			s += y[j+3] * row[j+3]
+			s += float32(y[j] * row[j])
+			s += float32(y[j+1] * row[j+1])
+			s += float32(y[j+2] * row[j+2])
+			s += float32(y[j+3] * row[j+3])
 		}
 		for ; j < cols; j++ {
-			s += y[j] * row[j]
+			s += float32(y[j] * row[j])
 		}
 		dst[i] = s
 	}
@@ -122,8 +124,8 @@ func backProj(gw, dx, x, dy, w []float32, rows, cols int, set bool) {
 		gwrow := gw[i*cols : (i+1)*cols]
 		var s float32
 		for j, dyj := range dy {
-			gwrow[j] += xi * dyj
-			s += dyj * wrow[j]
+			gwrow[j] += float32(xi * dyj)
+			s += float32(dyj * wrow[j])
 		}
 		if set {
 			dx[i] = s
@@ -157,7 +159,7 @@ func OuterAdd(gw, x, dy []float32, rows, cols int) {
 		xi := x[i]
 		row := gw[i*cols : (i+1)*cols]
 		for j, dyj := range dy {
-			row[j] += xi * dyj
+			row[j] += float32(xi * dyj)
 		}
 	}
 }
@@ -167,6 +169,6 @@ func OuterAdd(gw, x, dy []float32, rows, cols int) {
 func Axpy(dst []float32, a float32, src []float32) {
 	src = src[:len(dst)]
 	for j, v := range src {
-		dst[j] += a * v
+		dst[j] += float32(a * v)
 	}
 }

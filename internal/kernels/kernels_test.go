@@ -44,7 +44,7 @@ func naiveAddMatVec(acc, x, w []float32, rows, cols int) {
 	for j := 0; j < cols; j++ {
 		s := acc[j]
 		for i := 0; i < rows; i++ {
-			s += x[i] * w[i*cols+j]
+			s += float32(x[i] * w[i*cols+j])
 		}
 		acc[j] = s
 	}
@@ -54,7 +54,7 @@ func naiveDotRowsInto(dst, y, w []float32, rows, cols int) {
 	for i := 0; i < rows; i++ {
 		var s float32
 		for j := 0; j < cols; j++ {
-			s += y[j] * w[i*cols+j]
+			s += float32(y[j] * w[i*cols+j])
 		}
 		dst[i] = s
 	}
@@ -65,8 +65,8 @@ func naiveBackProj(gw, dx, x, dy, w []float32, rows, cols int, set bool) {
 		xi := x[i]
 		var s float32
 		for j := 0; j < cols; j++ {
-			gw[i*cols+j] += xi * dy[j]
-			s += w[i*cols+j] * dy[j] // operand order flipped on purpose: IEEE mul commutes
+			gw[i*cols+j] += float32(xi * dy[j])
+			s += float32(w[i*cols+j] * dy[j]) // operand order flipped on purpose: IEEE mul commutes
 		}
 		if set {
 			dx[i] = s
@@ -79,7 +79,7 @@ func naiveBackProj(gw, dx, x, dy, w []float32, rows, cols int, set bool) {
 func naiveOuterAdd(gw, x, dy []float32, rows, cols int) {
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			gw[i*cols+j] += x[i] * dy[j]
+			gw[i*cols+j] += float32(x[i] * dy[j])
 		}
 	}
 }
@@ -163,7 +163,7 @@ func TestKernelBitIdentity(t *testing.T) {
 			axN := append([]float32(nil), accInit...)
 			Axpy(axK, x[0], y)
 			for j := range axN {
-				axN[j] += x[0] * y[j]
+				axN[j] += float32(x[0] * y[j])
 			}
 			eqBits(t, "Axpy", axK, axN)
 		})

@@ -195,7 +195,7 @@ func RunOffloaded(s *System, steps int, dt float32, dirtyBytes int) (drift float
 func (s *System) toScaled(dst, pos []Vec3) {
 	inv := 1 / s.Box
 	for i, p := range pos {
-		dst[i] = Vec3{X: 1 + s.wrap(p.X)*inv, Y: 1 + s.wrap(p.Y)*inv, Z: 1 + s.wrap(p.Z)*inv}
+		dst[i] = Vec3{X: 1 + float32(s.wrap(p.X)*inv), Y: 1 + float32(s.wrap(p.Y)*inv), Z: 1 + float32(s.wrap(p.Z)*inv)}
 	}
 }
 

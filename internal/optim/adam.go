@@ -156,8 +156,8 @@ func (a *Adam) updateChunk(params, grads []float32, scale float32, c1, c2 float6
 			// Decoupled (AdamW-style) weight decay.
 			params[i] -= float32(lr * wd * float64(params[i]))
 		}
-		m := b1*float64(a.m[i]) + (1-b1)*g
-		v := b2*float64(a.v[i]) + (1-b2)*g*g
+		m := float64(b1*float64(a.m[i])) + float64((1-b1)*g)
+		v := float64(b2*float64(a.v[i])) + float64((1-b2)*g*g)
 		a.m[i] = float32(m)
 		a.v[i] = float32(v)
 		mhat := m / c1
@@ -203,7 +203,7 @@ func FirstNonFiniteWorkers(x []float32, workers int) int {
 func GlobalNorm(grads []float32) float64 {
 	var s float64
 	for _, g := range grads {
-		s += float64(g) * float64(g)
+		s += float64(float64(g) * float64(g))
 	}
 	return math.Sqrt(s)
 }

@@ -192,7 +192,7 @@ func (m *Attention) LossAndGrad(params []float32, ds *Dataset, batch []int, grad
 		// exactly the order of the old c-outer loop).
 		dz := sc.arena.Alloc(m.Classes)
 		for c := 0; c < m.Classes; c++ {
-			dzc := st.probs[c] * inv
+			dzc := float32(st.probs[c] * inv)
 			if c == y {
 				dzc -= inv
 			}
@@ -224,7 +224,7 @@ func (m *Attention) LossAndGrad(params []float32, ds *Dataset, batch []int, grad
 		for t := 0; t < T; t++ {
 			var dot float32
 			for u := 0; u < T; u++ {
-				dot += dA[t][u] * st.attn[t][u]
+				dot += float32(dA[t][u] * st.attn[t][u])
 			}
 			for u := 0; u < T; u++ {
 				dsc := st.attn[t][u] * (dA[t][u] - dot) * scale

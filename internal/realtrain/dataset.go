@@ -113,7 +113,7 @@ func NewDataset(cfg DatasetConfig) *Dataset {
 			for c := range teacher {
 				var s float32
 				for d := range x {
-					s += teacher[c][d] * x[d]
+					s += float32(teacher[c][d] * x[d])
 				}
 				if s > bestV {
 					best, bestV = c, s

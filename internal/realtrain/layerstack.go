@@ -288,7 +288,7 @@ func (m *LayerStack) backBlock(params, grads []float32, l int, bs *stackBlockSta
 	for t := 0; t < T; t++ {
 		var dot float32
 		for u := 0; u < T; u++ {
-			dot += dA[t][u] * bs.attn[t][u]
+			dot += float32(dA[t][u] * bs.attn[t][u])
 		}
 		for u := 0; u < T; u++ {
 			dsc := bs.attn[t][u] * (dA[t][u] - dot) * scale
@@ -337,7 +337,7 @@ func (m *LayerStack) LossAndGrad(params []float32, ds *Dataset, batch []int, gra
 		// Classifier backward.
 		dz := arena.Alloc(m.Classes)
 		for c := 0; c < m.Classes; c++ {
-			dzc := st.probs[c] * inv
+			dzc := float32(st.probs[c] * inv)
 			if c == y {
 				dzc -= inv
 			}

@@ -221,8 +221,8 @@ func (m *MLP) LossAndGrad(params []float32, ds *Dataset, batch []int, grads []fl
 			var s float32
 			for _, j := range act {
 				dhj := dh[j]
-				gw1row[j] += xd * dhj
-				s += w1row[j] * dhj
+				gw1row[j] += float32(xd * dhj)
+				s += float32(w1row[j] * dhj)
 			}
 			dx[d] = s
 		}
@@ -230,7 +230,7 @@ func (m *MLP) LossAndGrad(params []float32, ds *Dataset, batch []int, grads []fl
 		for _, t := range tok {
 			base := t * m.Dim
 			for d := 0; d < m.Dim; d++ {
-				gemb[base+d] += dx[d] * tokInv
+				gemb[base+d] += float32(dx[d] * tokInv)
 			}
 		}
 	}

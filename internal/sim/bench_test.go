@@ -6,27 +6,15 @@ type nopHandler struct{ n int64 }
 
 func (h *nopHandler) Fire(now Time) { h.n++ }
 
-// BenchmarkPooledScheduling measures the steady-state pooled event loop:
-// schedule + fire through the free list, closure-free. This is the event
-// engine's hot path under per-line stream simulation.
+// BenchmarkPooledScheduling measures the steady-state event loop: schedule
+// + fire through the free list. This is the event engine's hot path under
+// per-line stream simulation.
 func BenchmarkPooledScheduling(b *testing.B) {
 	e := New()
 	h := &nopHandler{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.AtHandler(Time(i), h)
-		e.Step()
-	}
-}
-
-// BenchmarkClosureScheduling measures the original closure-based At path
-// for comparison (one closure allocation per event).
-func BenchmarkClosureScheduling(b *testing.B) {
-	e := New()
-	var n int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.At(Time(i), func() { n++ })
 		e.Step()
 	}
 }

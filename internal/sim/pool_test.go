@@ -21,7 +21,7 @@ func (h *countHandler) Fire(now Time) {
 	}
 	if h.left > 0 {
 		h.left--
-		h.eng.AfterHandler(h.respan, h)
+		h.eng.AtHandler(now+h.respan, h)
 	}
 }
 
@@ -75,11 +75,11 @@ func TestPooledSchedulingAllocs(t *testing.T) {
 	h := &countHandler{eng: eng}
 	// Warm-up: grow the heap backing array and the free list.
 	for i := 0; i < 1024; i++ {
-		eng.AtHandler(eng.Now()+Time(i), h)
+		eng.AtHandler(eng.now+Time(i), h)
 	}
 	eng.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		eng.AtHandler(eng.Now()+Nanosecond, h)
+		eng.AtHandler(eng.now+Nanosecond, h)
 		eng.Step()
 	})
 	if allocs != 0 {
@@ -93,7 +93,7 @@ func TestPooledSchedulingAllocs(t *testing.T) {
 func TestPooledRescheduleFromHandler(t *testing.T) {
 	eng := New()
 	h := &countHandler{eng: eng, respan: Nanosecond, left: 1000}
-	eng.AfterHandler(Nanosecond, h)
+	eng.AtHandler(eng.now+Nanosecond, h)
 	end := eng.Run()
 	if h.fired != 1001 {
 		t.Fatalf("fired %d, want 1001", h.fired)
@@ -103,7 +103,7 @@ func TestPooledRescheduleFromHandler(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.left = 1
-		eng.AfterHandler(Nanosecond, h)
+		eng.AtHandler(eng.now+Nanosecond, h)
 		eng.Run()
 	})
 	if allocs != 0 {
@@ -111,23 +111,9 @@ func TestPooledRescheduleFromHandler(t *testing.T) {
 	}
 }
 
-// TestPooledAndClosureEventsInterleave checks the two scheduling forms share
-// one timeline and FIFO sequence space.
-func TestPooledAndClosureEventsInterleave(t *testing.T) {
-	eng := New()
-	var order []int
-	eng.At(5, func() { order = append(order, 1) })
-	eng.AtHandler(5, &orderHandler{&order, 2})
-	eng.At(5, func() { order = append(order, 3) })
-	eng.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("mixed events fired in order %v, want [1 2 3]", order)
-	}
-}
-
 func TestAtHandlerPastPanics(t *testing.T) {
 	eng := New()
-	eng.At(10, func() {})
+	eng.AtHandler(10, &countHandler{eng: eng})
 	eng.Run()
 	defer func() {
 		if recover() == nil {

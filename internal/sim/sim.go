@@ -80,37 +80,26 @@ func DurationForBytes(n int64, bytesPerSecond float64) Time {
 	return FromSeconds(float64(n) / bytesPerSecond)
 }
 
-// Handler is the closure-free form of an event callback. Hot paths that
-// schedule millions of events (the per-line stream simulator) implement it
-// on a long-lived struct and schedule with AtHandler/AfterHandler, which
-// recycle the Event through the engine's free list: steady-state scheduling
-// then performs zero allocations (asserted by TestPooledSchedulingAllocs).
+// Handler is an event callback. Hot paths that schedule millions of events
+// (the per-line stream simulator) implement it on a long-lived struct;
+// AtHandler recycles the event through the engine's free list, so
+// steady-state scheduling performs zero allocations (asserted by
+// TestPooledSchedulingAllocs).
 type Handler interface {
 	// Fire is invoked when the event's time arrives; now is the firing
 	// time. The handler may schedule further events.
 	Fire(now Time)
 }
 
-// Event is a scheduled callback.
-type Event struct {
-	at    Time
-	seq   uint64 // tie-breaker: FIFO among simultaneous events
-	fn    func()
-	h     Handler // set instead of fn for pooled events
-	index int     // heap index, -1 when popped/cancelled
-	// pooled events return to the engine free list when they fire; they
-	// are linked through next while free.
-	pooled bool
-	next   *Event
+// event is a scheduled handler, linked through next while on the free list.
+type event struct {
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among simultaneous events
+	h    Handler
+	next *event
 }
 
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
-
-// When returns the scheduled firing time.
-func (e *Event) When() Time { return e.at }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -119,22 +108,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -148,15 +128,12 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 	fired  uint64
-	// free is the head of the pooled-event free list (see AtHandler).
-	free *Event
+	// free is the head of the event free list (see AtHandler).
+	free *event
 }
 
 // New returns an empty engine at time zero.
 func New() *Engine { return &Engine{} }
-
-// Now returns the current simulated time.
-func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far (for tests/metrics).
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -164,31 +141,11 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of scheduled events not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn at absolute time t. Scheduling in the past panics: that is
-// always a modelling bug, not a recoverable condition.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
-}
-
-// After schedules fn at now+d.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
-
-// AtHandler schedules h.Fire at absolute time t on a pooled event. The event
-// is recycled into the engine's free list when it fires, so steady-state
-// scheduling allocates nothing; because the event's lifetime ends inside
-// Step, no handle is returned and pooled events cannot be cancelled. Like
-// At, scheduling in the past panics.
+// AtHandler schedules h.Fire at absolute time t. The event is recycled into
+// the engine's free list when it fires, so steady-state scheduling
+// allocates nothing; because the event's lifetime ends inside Step, no
+// handle is returned and events cannot be cancelled. Scheduling in the past
+// panics: that is always a modelling bug, not a recoverable condition.
 func (e *Engine) AtHandler(t Time, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -198,29 +155,11 @@ func (e *Engine) AtHandler(t Time, h Handler) {
 		e.free = ev.next
 		ev.next = nil
 	} else {
-		ev = &Event{pooled: true}
+		ev = &event{}
 	}
 	ev.at, ev.seq, ev.h = t, e.seq, h
 	e.seq++
 	heap.Push(&e.events, ev)
-}
-
-// AfterHandler schedules h.Fire at now+d on a pooled event.
-func (e *Engine) AfterHandler(d Time, h Handler) {
-	if d < 0 {
-		d = 0
-	}
-	e.AtHandler(e.now+d, h)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
-		return
-	}
-	heap.Remove(&e.events, ev.index)
-	ev.index = -2
 }
 
 // Step fires the earliest pending event. It reports false when the queue is
@@ -229,23 +168,19 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*Event)
+	ev := heap.Pop(&e.events).(*event)
 	if check.Enabled() && ev.at < e.now {
 		check.Failf("sim: event time %v before clock %v (monotonicity)", ev.at, e.now)
 	}
 	e.now = ev.at
 	e.fired++
-	if ev.pooled {
-		// Recycle before firing so the handler can reschedule without
-		// growing the pool.
-		h, at := ev.h, ev.at
-		ev.h = nil
-		ev.next = e.free
-		e.free = ev
-		h.Fire(at)
-		return true
-	}
-	ev.fn()
+	// Recycle before firing so the handler can reschedule without growing
+	// the pool.
+	h := ev.h
+	ev.h = nil
+	ev.next = e.free
+	e.free = ev
+	h.Fire(e.now)
 	return true
 }
 
@@ -258,13 +193,10 @@ func (e *Engine) Run() Time {
 
 // CheckInvariants validates the engine's internal consistency and returns
 // the first violation, if any: the pending-event heap must be a min-heap on
-// (time, seq) with correct back-indices, and no pending event may be
-// scheduled before the current clock.
+// (time, seq), and no pending event may be scheduled before the current
+// clock.
 func (e *Engine) CheckInvariants() error {
 	for i, ev := range e.events {
-		if ev.index != i {
-			return fmt.Errorf("sim: event at heap slot %d carries index %d", i, ev.index)
-		}
 		if ev.at < e.now {
 			return fmt.Errorf("sim: pending event at %v before clock %v", ev.at, e.now)
 		}
@@ -275,15 +207,4 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// RunUntil fires events with timestamps <= deadline, then advances the clock
-// to the deadline if it has not yet passed it.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
 }

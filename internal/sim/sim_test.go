@@ -64,18 +64,24 @@ func TestDurationForBytes(t *testing.T) {
 	}
 }
 
+// fn adapts a closure to Handler for the tests below.
+type fn func(now Time)
+
+func (f fn) Fire(now Time) { f(now) }
+
 func TestEngineOrdering(t *testing.T) {
 	eng := New()
-	var order []int
-	eng.At(30, func() { order = append(order, 3) })
-	eng.At(10, func() { order = append(order, 1) })
-	eng.At(20, func() { order = append(order, 2) })
-	eng.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+	var order []Time
+	record := fn(func(now Time) { order = append(order, now) })
+	eng.AtHandler(30, record)
+	eng.AtHandler(10, record)
+	eng.AtHandler(20, record)
+	end := eng.Run()
+	if len(order) != 3 || order[0] != 10 || order[1] != 20 || order[2] != 30 {
 		t.Fatalf("order = %v", order)
 	}
-	if eng.Now() != 30 {
-		t.Fatalf("final time = %v", eng.Now())
+	if end != 30 || eng.Fired() != 3 || eng.Pending() != 0 {
+		t.Fatalf("final time %v, fired %d, pending %d", end, eng.Fired(), eng.Pending())
 	}
 }
 
@@ -83,8 +89,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	eng := New()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		eng.At(5, func() { order = append(order, i) })
+		eng.AtHandler(5, fn(func(Time) { order = append(order, i) }))
 	}
 	eng.Run()
 	for i, v := range order {
@@ -97,14 +102,14 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	eng := New()
 	hits := 0
-	var chain func()
-	chain = func() {
+	var chain fn
+	chain = func(now Time) {
 		hits++
 		if hits < 5 {
-			eng.After(10, chain)
+			eng.AtHandler(now+10, chain)
 		}
 	}
-	eng.After(10, chain)
+	eng.AtHandler(10, chain)
 	end := eng.Run()
 	if hits != 5 {
 		t.Fatalf("hits = %d", hits)
@@ -114,55 +119,17 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	eng := New()
-	fired := false
-	ev := eng.At(10, func() { fired = true })
-	eng.Cancel(ev)
-	eng.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	// Double-cancel and cancel-after-fire must be no-ops.
-	eng.Cancel(ev)
-	ev2 := eng.At(eng.Now()+1, func() {})
-	eng.Run()
-	eng.Cancel(ev2)
-}
-
+// TestSchedulingInPastPanics schedules behind the clock from inside a
+// handler, the way a modelling bug would.
 func TestSchedulingInPastPanics(t *testing.T) {
 	eng := New()
-	eng.At(10, func() {})
-	eng.Run()
+	eng.AtHandler(10, fn(func(now Time) { eng.AtHandler(now-1, fn(func(Time) {})) }))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	eng.At(5, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	eng := New()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		eng.At(at, func() { fired = append(fired, at) })
-	}
-	eng.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v, want 2 events", fired)
-	}
-	if eng.Now() != 25 {
-		t.Fatalf("now = %v, want 25", eng.Now())
-	}
-	eng.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("fired = %v, want all 4", fired)
-	}
+	eng.Run()
 }
 
 // Property: for any set of (time, id) pairs, the engine fires them in
@@ -172,8 +139,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		eng := New()
 		var fired []Time
 		for _, ti := range times {
-			at := Time(ti)
-			eng.At(at, func() { fired = append(fired, at) })
+			eng.AtHandler(Time(ti), fn(func(now Time) { fired = append(fired, now) }))
 		}
 		eng.Run()
 		if len(fired) != len(times) {
@@ -194,12 +160,12 @@ func TestEngineManyRandomEvents(t *testing.T) {
 	ok := true
 	for i := 0; i < n; i++ {
 		at := Time(rng.Int63n(1_000_000))
-		eng.At(at, func() {
-			if eng.Now() < last {
+		eng.AtHandler(at, fn(func(now Time) {
+			if now < last || now != eng.now {
 				ok = false
 			}
-			last = eng.Now()
-		})
+			last = now
+		}))
 	}
 	eng.Run()
 	if !ok {

@@ -85,7 +85,7 @@ func (g *gp) fit() error {
 	g.mean /= float64(n)
 	g.std = 0
 	for _, y := range g.ys {
-		g.std += (y - g.mean) * (y - g.mean)
+		g.std += float64((y - g.mean) * (y - g.mean))
 	}
 	g.std = math.Sqrt(g.std/float64(n)) + 1e-12
 	yt := make([]float64, n)
@@ -120,19 +120,19 @@ func (g *gp) predict(x float64) (mu, varr float64) {
 	}
 	var m float64
 	for i := range k {
-		m += k[i] * g.alpha[i]
+		m += float64(k[i] * g.alpha[i])
 	}
 	// v = L^-1 k ; var = k(x,x) - v.v
 	v := forwardSolve(g.chol, k)
 	var vv float64
 	for _, t := range v {
-		vv += t * t
+		vv += float64(t * t)
 	}
 	varr = g.kernel(x, x) - vv
 	if varr < 1e-12 {
 		varr = 1e-12
 	}
-	return g.mean + g.std*m, g.std * g.std * varr
+	return g.mean + float64(g.std*m), g.std * g.std * varr
 }
 
 // cholesky returns the lower-triangular factor of a symmetric
@@ -147,7 +147,7 @@ func cholesky(a [][]float64) ([][]float64, error) {
 		for j := 0; j <= i; j++ {
 			sum := a[i][j]
 			for k := 0; k < j; k++ {
-				sum -= l[i][k] * l[j][k]
+				sum -= float64(l[i][k] * l[j][k])
 			}
 			if i == j {
 				if sum <= 0 {
@@ -169,7 +169,7 @@ func forwardSolve(l [][]float64, b []float64) []float64 {
 	for i := 0; i < n; i++ {
 		sum := b[i]
 		for k := 0; k < i; k++ {
-			sum -= l[i][k] * v[k]
+			sum -= float64(l[i][k] * v[k])
 		}
 		v[i] = sum / l[i][i]
 	}
@@ -184,7 +184,7 @@ func cholSolve(l [][]float64, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		sum := v[i]
 		for k := i + 1; k < n; k++ {
-			sum -= l[k][i] * x[k]
+			sum -= float64(l[k][i] * x[k])
 		}
 		x[i] = sum / l[i][i]
 	}
@@ -202,7 +202,7 @@ func expectedImprovement(mu, varr, best float64) float64 {
 		return 0
 	}
 	z := (mu - best) / sd
-	return (mu-best)*normCDF(z) + sd*normPDF(z)
+	return float64((mu-best)*normCDF(z)) + float64(sd*normPDF(z))
 }
 
 // Maximize runs Bayesian optimization of f over [cfg.Lo, cfg.Hi].
@@ -230,7 +230,7 @@ func Maximize(f Objective, cfg Config) (Result, error) {
 	// kernel degeneracy).
 	for i := 0; i < cfg.InitPoints; i++ {
 		frac := (float64(i) + 0.5) / float64(cfg.InitPoints)
-		x := cfg.Lo + frac*(cfg.Hi-cfg.Lo)
+		x := cfg.Lo + float64(frac*(cfg.Hi-cfg.Lo))
 		eval(x)
 	}
 
@@ -243,9 +243,9 @@ func Maximize(f Objective, cfg Config) (Result, error) {
 		for i := 0; i < 256; i++ {
 			var x float64
 			if i < 192 {
-				x = cfg.Lo + (float64(i)+0.5)/192*(cfg.Hi-cfg.Lo)
+				x = cfg.Lo + float64((float64(i)+0.5)/192*(cfg.Hi-cfg.Lo))
 			} else {
-				x = cfg.Lo + rng.Float64()*(cfg.Hi-cfg.Lo)
+				x = cfg.Lo + float64(rng.Float64()*(cfg.Hi-cfg.Lo))
 			}
 			mu, varr := g.predict(x)
 			ei := expectedImprovement(mu, varr, res.BestY)
