@@ -27,7 +27,7 @@ func TestEngineMatchesTraceReplay(t *testing.T) {
 			// Replay the same ADAM writeback schedule chunk by chunk (the
 			// engine's own granularity) over a fresh link.
 			cpu := cpusim.Xeon6120()
-			link := cxl.NewLink(sim.New(), e.LinkBandwidth, e.QueueCap)
+			link := cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap)
 			payloadPerLine := mem.LineSize
 			var extra sim.Time
 			if useDBA {
@@ -37,7 +37,7 @@ func TestEngineMatchesTraceReplay(t *testing.T) {
 			var finish sim.Time
 			for _, c := range cpu.UpdateSchedule(m) {
 				payload := c.Bytes * int64(payloadPerLine) / mem.LineSize
-				_, done := link.Send(c.ReadyAt, int(payload), extra)
+				done := link.SendFlow(c.ReadyAt, int(payload), extra, 0, false).Done
 				if done > finish {
 					finish = done
 				}
@@ -104,12 +104,12 @@ func TestGradExposureMatchesReplay(t *testing.T) {
 			e := MustEngine(Config{})
 			r := e.Step(m, batch)
 
-			link := cxl.NewLink(sim.New(), e.LinkBandwidth, e.QueueCap)
+			link := cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap)
 			bwdStart := gpu.ForwardTime(m, batch)
 			bwdEnd := bwdStart + gpu.BackwardTime(m, batch)
 			var finish sim.Time
 			for _, ch := range gpu.GradientSchedule(m, batch) {
-				_, done := link.Send(bwdStart+ch.ReadyAt, int(ch.Bytes), 0)
+				done := link.SendFlow(bwdStart+ch.ReadyAt, int(ch.Bytes), 0, 0, false).Done
 				if done > finish {
 					finish = done
 				}

@@ -86,8 +86,8 @@ func (e *Engine) directionFaults(offset int64) cxl.FaultConfig {
 
 // pointToPoint builds a bare link and stream for one direction from a
 // config NewEngine has already validated.
-func (e *Engine) pointToPoint(eng *sim.Engine, seedOffset int64) transport {
-	l := cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap)
+func (e *Engine) pointToPoint(seedOffset int64) transport {
+	l := cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap)
 	if fc := e.directionFaults(seedOffset); fc.Enabled() {
 		if _, err := l.InjectFaults(fc); err != nil {
 			panic(err)
@@ -113,8 +113,7 @@ func (e *Engine) fabricSwitch(fc FabricConfig, seedOffset int64) (*fabric.Switch
 // transports builds the gradient (up) and parameter (down) directions.
 func (e *Engine) transports(fc FabricConfig) (up, down transport, err error) {
 	if fc.pointToPoint() {
-		eng := sim.New()
-		return e.pointToPoint(eng, 1), e.pointToPoint(eng, 2), nil
+		return e.pointToPoint(1), e.pointToPoint(2), nil
 	}
 	if up.sw, err = e.fabricSwitch(fc, 1); err == nil {
 		down.sw, err = e.fabricSwitch(fc, 2)

@@ -12,7 +12,7 @@ import (
 // The far-tier plane is the timing half shared by per-layer offload
 // scheduling (StepLayered) and heterogeneous-memory tiering (RunTiered):
 // layer-granular slots living behind their own fetch/writeback link pair,
-// walked over the compute plane's phases. It runs on a private engine, so
+// walked over the compute plane's phases. It runs on a private link pair, so
 // far-tier traffic shares no queue with the coherence streams of the step
 // it rides on. Residency — which slots the fast tier holds — stays with the
 // caller (staging.Residency directly, or through tiering.Controller), whose
@@ -97,10 +97,9 @@ type farTier struct {
 }
 
 func (e *Engine) newFarTier(sizes []int64) *farTier {
-	eng := sim.New()
 	return &farTier{
-		fetch:    cxl.NewStream(cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap), e.Config.PerLine),
-		wb:       cxl.NewStream(cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap), e.Config.PerLine),
+		fetch:    cxl.NewStream(cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap), e.Config.PerLine),
+		wb:       cxl.NewStream(cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap), e.Config.PerLine),
 		sizes:    sizes,
 		inflight: make([]sim.Time, len(sizes)),
 		wire:     cxl.WirePacketBytes(0),

@@ -185,8 +185,7 @@ func (e *Engine) perLinePayload(useDBA bool) int {
 // paper measures this costing +56.6% training time on average.
 func (e *Engine) stepInvalidation(m modelzoo.Model, batch int) phases.StepResult {
 	// Seeds 2·seed+3/+4: the ablation's links draw their own streams.
-	eng := sim.New()
-	prm, grad := e.pointToPoint(eng, 3), e.pointToPoint(eng, 4)
+	prm, grad := e.pointToPoint(3), e.pointToPoint(4)
 
 	fwd := e.GPU.ForwardTime(m, batch)
 	bwd := e.GPU.BackwardTime(m, batch)

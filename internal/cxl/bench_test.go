@@ -1,16 +1,12 @@
 package cxl
 
-import (
-	"testing"
-
-	"teco/internal/sim"
-)
+import "testing"
 
 // benchLines is one homogeneous 1024-line run (a 64KiB layer chunk) per op.
 const benchLines = 1024
 
 func benchStream(b *testing.B, perLine bool) {
-	link := NewLink(sim.New(), 0, 0)
+	link := NewLink(nil, 0, 0)
 	s := NewStream(link, perLine)
 	n := benchLines * 64
 	s.PushRun(0, n, benchLines, 0, 0, false) // warm the event pool

@@ -37,7 +37,6 @@ func EffectiveBandwidth() float64 { return PCIe3x16BytesPerSecond * Efficiency }
 // after another in a stream manner", §VIII-A). The pending queue bounds how
 // far the producer may run ahead of the link.
 type Link struct {
-	eng            *sim.Engine
 	bytesPerSecond float64
 	queueCap       int
 
@@ -65,9 +64,10 @@ type Link struct {
 	cleanFreeAt sim.Time
 }
 
-// NewLink builds a link bound to eng. bytesPerSecond <= 0 selects the
-// default effective CXL bandwidth; queueCap <= 0 selects DefaultQueueCap.
-func NewLink(eng *sim.Engine, bytesPerSecond float64, queueCap int) *Link {
+// NewLink builds a link. bytesPerSecond <= 0 selects the default effective
+// CXL bandwidth; queueCap <= 0 selects DefaultQueueCap. The engine argument
+// is ignored and may be nil (the bench module's cxl probe still passes one).
+func NewLink(_ *sim.Engine, bytesPerSecond float64, queueCap int) *Link {
 	if bytesPerSecond <= 0 {
 		bytesPerSecond = EffectiveBandwidth()
 	}
@@ -75,7 +75,6 @@ func NewLink(eng *sim.Engine, bytesPerSecond float64, queueCap int) *Link {
 		queueCap = DefaultQueueCap
 	}
 	return &Link{
-		eng:            eng,
 		bytesPerSecond: bytesPerSecond,
 		queueCap:       queueCap,
 		finishRing:     make([]sim.Time, queueCap),
@@ -117,25 +116,18 @@ func (l *Link) Faults() *FaultModel { return l.faults }
 // FaultStats returns the link's cumulative fault/recovery accounting.
 func (l *Link) FaultStats() LinkFaultStats { return l.fstats }
 
-// Send enqueues a packet of n payload bytes that becomes ready at time
-// `ready` (producer-side timestamp; may be in the simulated future). extra
-// is added to the serialization time (aggregation logic delay). It returns
-// the admission time (when a queue slot was available — the producer is
-// back-pressured until then) and the completion time (when the last byte is
-// on the far side).
-func (l *Link) Send(ready sim.Time, n int, extra sim.Time) (admit, done sim.Time) {
-	r := l.SendFlow(ready, n, extra, 0, false)
-	return r.Admit, r.Done
-}
-
-// SendFlow enqueues a flow of n payload bytes framed as wire packets of
-// pktBytes each (pktBytes <= 0 treats the whole flow as one packet), and
-// runs the link-layer retry/replay engine over it when a fault model is
-// attached: each retransmit round draws the corrupted-packet count, charges
-// a NAK round trip plus exponential backoff plus the resend serialization
-// (and, for aggregated flows, the per-packet merge-header round trip), and
-// packets still failing after the retry budget are delivered poisoned.
-// On a pristine link the result is identical to Send.
+// SendFlow enqueues a flow of n payload bytes that becomes ready at `ready`
+// (producer-side; may be in the simulated future), with extra added to its
+// serialization time (aggregation logic delay). The result's Admit is when
+// a queue slot was free (the producer is back-pressured until then) and
+// Done is when the last byte is on the far side. The flow is framed as wire
+// packets of pktBytes each (pktBytes <= 0 treats the whole flow as one
+// packet). With a fault model attached, the link-layer retry/replay engine
+// runs over it: each retransmit round draws the corrupted-packet count,
+// charges a NAK round trip plus exponential backoff plus the resend
+// serialization (and, for aggregated flows, the per-packet merge-header round
+// trip), and packets still failing after the retry budget are delivered
+// poisoned.
 func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, aggregated bool) FlowResult {
 	admit, start := l.admitRun(ready)
 	svc := l.ServiceTime(n, extra)

@@ -19,8 +19,7 @@ func TestEffectiveBandwidth(t *testing.T) {
 }
 
 func TestServiceTime(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 16e9, 0)
+	l := NewLink(nil, 16e9, 0)
 	// 64 B at 16 GB/s = 4 ns — the paper's §VIII-D per-line latency.
 	st := l.ServiceTime(mem.LineSize, 0)
 	if st < 3900*sim.Picosecond || st > 4100*sim.Picosecond {
@@ -33,10 +32,9 @@ func TestServiceTime(t *testing.T) {
 }
 
 func TestLinkSerializesFIFO(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 16e9, 0)
-	_, d1 := l.Send(0, 64, 0)
-	_, d2 := l.Send(0, 64, 0)
+	l := NewLink(nil, 16e9, 0)
+	d1 := l.SendFlow(0, 64, 0, 0, false).Done
+	d2 := l.SendFlow(0, 64, 0, 0, false).Done
 	if d2 <= d1 {
 		t.Fatal("second packet must finish after first")
 	}
@@ -46,9 +44,9 @@ func TestLinkSerializesFIFO(t *testing.T) {
 }
 
 func TestLinkRespectsReadyTime(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 16e9, 0)
-	admit, done := l.Send(100*sim.Nanosecond, 64, 0)
+	l := NewLink(nil, 16e9, 0)
+	r := l.SendFlow(100*sim.Nanosecond, 64, 0, 0, false)
+	admit, done := r.Admit, r.Done
 	if admit != 100*sim.Nanosecond {
 		t.Fatalf("admit = %v", admit)
 	}
@@ -58,14 +56,13 @@ func TestLinkRespectsReadyTime(t *testing.T) {
 }
 
 func TestPendingQueueBackpressure(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 16e9, 4) // tiny queue: 4 entries
+	l := NewLink(nil, 16e9, 4) // tiny queue: 4 entries
 	svc := l.ServiceTime(64, 0)
 	// Five packets all ready at t=0: the fifth must wait for packet 1 to
 	// leave the queue (i.e. finish serialization at svc).
 	var admits []sim.Time
 	for i := 0; i < 5; i++ {
-		a, _ := l.Send(0, 64, 0)
+		a := l.SendFlow(0, 64, 0, 0, false).Admit
 		admits = append(admits, a)
 	}
 	for i := 0; i < 4; i++ {
@@ -83,27 +80,25 @@ func TestPendingQueueBackpressure(t *testing.T) {
 }
 
 func TestDeepQueueNoBackpressureForShortBursts(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 16e9, DefaultQueueCap)
+	l := NewLink(nil, 16e9, DefaultQueueCap)
 	for i := 0; i < DefaultQueueCap; i++ {
-		a, _ := l.Send(0, 64, 0)
+		a := l.SendFlow(0, 64, 0, 0, false).Admit
 		if a != 0 {
 			t.Fatalf("packet %d back-pressured in a %d-deep queue", i, DefaultQueueCap)
 		}
 	}
-	a, _ := l.Send(0, 64, 0)
+	a := l.SendFlow(0, 64, 0, 0, false).Admit
 	if a == 0 {
 		t.Fatal("packet beyond queue depth must be back-pressured")
 	}
 }
 
 func TestFence(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 16e9, 0)
+	l := NewLink(nil, 16e9, 0)
 	if l.Fence(5*sim.Nanosecond) != 5*sim.Nanosecond {
 		t.Fatal("fence on idle link should return ready time")
 	}
-	_, done := l.Send(0, 6400, 0)
+	done := l.SendFlow(0, 6400, 0, 0, false).Done
 	if got := l.Fence(0); got != done {
 		t.Fatalf("fence = %v, want %v", got, done)
 	}
@@ -116,10 +111,9 @@ func TestFence(t *testing.T) {
 }
 
 func TestStatsAndReset(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 16e9, 0)
-	l.Send(0, 64, 0)
-	l.Send(0, MsgBytes, 0)
+	l := NewLink(nil, 16e9, 0)
+	l.SendFlow(0, 64, 0, 0, false)
+	l.SendFlow(0, MsgBytes, 0, 0, false)
 	b, p, busy, _ := l.Stats()
 	if b != 64+MsgBytes || p != 2 || busy <= 0 {
 		t.Fatalf("stats = %d bytes %d pkts busy %v", b, p, busy)
@@ -133,12 +127,11 @@ func TestStatsAndReset(t *testing.T) {
 
 // Throughput sanity: streaming 1 GB of 64-byte lines takes ~1/15.09 s * 1e9/…
 func TestLinkThroughput(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, 0, 0) // default effective bandwidth
+	l := NewLink(nil, 0, 0) // default effective bandwidth
 	const lines = 100000
 	var done sim.Time
 	for i := 0; i < lines; i++ {
-		_, done = l.Send(0, mem.LineSize, 0)
+		done = l.SendFlow(0, mem.LineSize, 0, 0, false).Done
 	}
 	wantSeconds := float64(lines*mem.LineSize) / EffectiveBandwidth()
 	got := done.Seconds()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"teco/internal/mem"
-	"teco/internal/sim"
 )
 
 // Failure-injection tests: corrupted, truncated, and bit-flipped packets
@@ -82,11 +81,11 @@ func TestTruncationAlwaysErrors(t *testing.T) {
 func TestLinkMonotonicTime(t *testing.T) {
 	// Completion times never go backwards even with adversarial ready
 	// times (they are clamped by FIFO order).
-	l := NewLink(sim.New(), 16e9, 8)
+	l := NewLink(nil, 16e9, 8)
 	rng := rand.New(rand.NewSource(3))
 	var prev int64 = -1
 	for i := 0; i < 10000; i++ {
-		_, done := l.Send(0, rng.Intn(256)+1, 0)
+		done := l.SendFlow(0, rng.Intn(256)+1, 0, 0, false).Done
 		if int64(done) < prev {
 			t.Fatalf("completion time went backwards at %d", i)
 		}

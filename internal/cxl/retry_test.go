@@ -28,8 +28,8 @@ func mustInjectT(t *testing.T, l *Link, cfg FaultConfig) {
 func TestZeroFaultConfigBitIdentical(t *testing.T) {
 	// A zero-BER fault config must leave every timing and byte counter
 	// bit-identical to a pristine link (fault path strictly additive).
-	clean := NewLink(sim.New(), 0, 0)
-	faulty := NewLink(sim.New(), 0, 0)
+	clean := NewLink(nil, 0, 0)
+	faulty := NewLink(nil, 0, 0)
 	if fm, err := faulty.InjectFaults(FaultConfig{Seed: 1}); fm != nil || err != nil {
 		t.Fatal("disabled fault config must not attach a model")
 	}
@@ -51,8 +51,8 @@ func TestZeroFaultConfigBitIdentical(t *testing.T) {
 func TestDeterministicInjection(t *testing.T) {
 	// Same seed + config => identical retry counts and timings.
 	cfg := FaultConfig{Seed: 77, BER: 2e-5}
-	a := NewLink(sim.New(), 0, 0)
-	b := NewLink(sim.New(), 0, 0)
+	a := NewLink(nil, 0, 0)
+	b := NewLink(nil, 0, 0)
 	mustInjectT(t, a, cfg)
 	mustInjectT(t, b, cfg)
 	da, ra := sendPattern(a)
@@ -72,7 +72,7 @@ func TestDeterministicInjection(t *testing.T) {
 		}
 	}
 	// A different seed draws a different error pattern.
-	c := NewLink(sim.New(), 0, 0)
+	c := NewLink(nil, 0, 0)
 	mustInjectT(t, c, FaultConfig{Seed: 78, BER: 2e-5})
 	sendPattern(c)
 	if c.FaultStats() == a.FaultStats() {
@@ -81,8 +81,8 @@ func TestDeterministicInjection(t *testing.T) {
 }
 
 func TestRetryDelaysCompletionAndCountsReplay(t *testing.T) {
-	clean := NewLink(sim.New(), 0, 0)
-	faulty := NewLink(sim.New(), 0, 0)
+	clean := NewLink(nil, 0, 0)
+	faulty := NewLink(nil, 0, 0)
 	mustInjectT(t, faulty, FaultConfig{Seed: 3, BER: 1e-4})
 	cd, _ := sendPattern(clean)
 	fd, _ := sendPattern(faulty)
@@ -105,7 +105,7 @@ func TestRetryDelaysCompletionAndCountsReplay(t *testing.T) {
 func TestRetryLatencyGrowsWithBER(t *testing.T) {
 	var prev sim.Time
 	for _, ber := range []float64{1e-6, 1e-5, 1e-4} {
-		l := NewLink(sim.New(), 0, 0)
+		l := NewLink(nil, 0, 0)
 		mustInjectT(t, l, FaultConfig{Seed: 9, BER: ber})
 		sendPattern(l)
 		rt := l.FaultStats().RetryTime
@@ -122,7 +122,7 @@ func TestRetryLatencyGrowsWithBER(t *testing.T) {
 func TestExhaustedBudgetPoisons(t *testing.T) {
 	// With a certain-corruption model and budget 2, every flow's packets
 	// end up poisoned after exactly 2 retransmit rounds.
-	l := NewLink(sim.New(), 0, 0)
+	l := NewLink(nil, 0, 0)
 	mustInjectT(t, l, FaultConfig{Seed: 5, BER: 0.5, RetryBudget: 2})
 	r := l.SendFlow(0, 8*mem.LineSize, 0, WirePacketBytes(0), false)
 	if r.Poisoned == 0 {
@@ -140,7 +140,7 @@ func TestAggregatedRetryPaysMergePenalty(t *testing.T) {
 	// Same corrupted-packet schedule, but the aggregated flow pays the
 	// merge-header round trip per retried packet.
 	mk := func(aggregated bool, pkt int) sim.Time {
-		l := NewLink(sim.New(), 0, 0)
+		l := NewLink(nil, 0, 0)
 		mustInjectT(t, l, FaultConfig{Seed: 4, BER: 0.02, RetryBudget: 50})
 		r := l.SendFlow(0, 64*1024, 0, pkt, aggregated)
 		return r.Done - r.CleanDone
@@ -158,9 +158,9 @@ func TestAggregatedRetryPaysMergePenalty(t *testing.T) {
 // drops.
 func TestBackPressureMonotonicUnderDegradedBandwidth(t *testing.T) {
 	stallAt := func(bps float64) sim.Time {
-		l := NewLink(sim.New(), bps, 4)
+		l := NewLink(nil, bps, 4)
 		for i := 0; i < 64; i++ {
-			l.Send(0, mem.LineSize, 0) // all ready at t=0: queue saturates
+			l.SendFlow(0, mem.LineSize, 0, 0, false) // all ready at t=0: queue saturates
 		}
 		_, _, _, stall := l.Stats()
 		return stall
@@ -178,7 +178,7 @@ func TestBackPressureMonotonicUnderDegradedBandwidth(t *testing.T) {
 // TestResetClearsFaultCounters: Reset must clear retry/fault counters
 // alongside the byte, busy, and stall counters.
 func TestResetClearsFaultCounters(t *testing.T) {
-	l := NewLink(sim.New(), 0, 4)
+	l := NewLink(nil, 0, 4)
 	mustInjectT(t, l, FaultConfig{Seed: 11, BER: 1e-4})
 	for i := 0; i < 64; i++ {
 		l.SendFlow(0, 4096, 0, WirePacketBytes(0), true)

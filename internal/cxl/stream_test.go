@@ -35,7 +35,7 @@ func defaultScript() []scriptRun {
 
 func runScript(t *testing.T, perLine bool, faults FaultConfig) ([]FlowResult, *Link, *Stream) {
 	t.Helper()
-	link := NewLink(sim.New(), 0, 0)
+	link := NewLink(nil, 0, 0)
 	if faults.Enabled() {
 		if _, err := link.InjectFaults(faults); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestStreamModesBitIdentical(t *testing.T) {
 // back-pressured, and checks the modes still agree exactly.
 func TestStreamModesBitIdenticalUnderBackpressure(t *testing.T) {
 	build := func(perLine bool) ([]FlowResult, *Link) {
-		link := NewLink(sim.New(), 0, 2)
+		link := NewLink(nil, 0, 2)
 		s := NewStream(link, perLine)
 		var out []FlowResult
 		for i := 0; i < 50; i++ {
@@ -127,7 +127,7 @@ func TestStreamModesBitIdenticalUnderBackpressure(t *testing.T) {
 // SendFlow behaviour: wrapping a link in a Stream must not change a single
 // timestamp relative to calling SendFlow directly.
 func TestStreamMatchesSendFlow(t *testing.T) {
-	direct := NewLink(sim.New(), 0, 0)
+	direct := NewLink(nil, 0, 0)
 	var want []FlowResult
 	for _, r := range defaultScript() {
 		want = append(want, direct.SendFlow(r.ready, r.n, r.extra, r.pktBytes, r.aggregated))
@@ -144,7 +144,7 @@ func TestStreamMatchesSendFlow(t *testing.T) {
 // directly: the per-line path's committed Done comes from the last fired
 // line event, and equals start + ServiceTime(n, extra).
 func TestStreamPerLineLastEventIsClosedForm(t *testing.T) {
-	link := NewLink(sim.New(), 0, 0)
+	link := NewLink(nil, 0, 0)
 	s := NewStream(link, true)
 	n := 64*12345 + 48
 	lines := mem.LinesIn(int64(n))
@@ -164,7 +164,7 @@ func TestStreamPerLineLastEventIsClosedForm(t *testing.T) {
 // TestStreamPerLineWindowing pushes a run larger than the drain window and
 // checks the event count and the closed form survive the windowed drain.
 func TestStreamPerLineWindowing(t *testing.T) {
-	link := NewLink(sim.New(), 0, 0)
+	link := NewLink(nil, 0, 0)
 	s := NewStream(link, true)
 	lines := int64(3*drainWindow + 17)
 	n := int(lines) * 64
@@ -180,7 +180,7 @@ func TestStreamPerLineWindowing(t *testing.T) {
 // TestStreamCoalescedAllocs asserts the fast path allocates nothing per run
 // and the per-line path nothing per line once the pool is warm.
 func TestStreamCoalescedAllocs(t *testing.T) {
-	link := NewLink(sim.New(), 0, 0)
+	link := NewLink(nil, 0, 0)
 	s := NewStream(link, false)
 	var ready sim.Time
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -191,7 +191,7 @@ func TestStreamCoalescedAllocs(t *testing.T) {
 		t.Fatalf("coalesced PushRun allocates %.1f/op, want 0", allocs)
 	}
 
-	pl := NewStream(NewLink(sim.New(), 0, 0), true)
+	pl := NewStream(NewLink(nil, 0, 0), true)
 	ready = 0
 	// Warm the event pool and heap.
 	pl.PushRun(0, 64*64, 64, 0, WirePacketBytes(0), false)

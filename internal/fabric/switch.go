@@ -140,7 +140,6 @@ type port struct {
 // sharing the spine.
 type Switch struct {
 	cfg   SwitchConfig
-	eng   *sim.Engine
 	ports []*port
 	// route maps logical port -> physical port; failover remaps it.
 	route     []int
@@ -176,14 +175,13 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 	}
 	sw := &Switch{
 		cfg:      cfg,
-		eng:      sim.New(),
 		route:    make([]int, cfg.Ports),
 		lastDone: make([]sim.Time, cfg.Ports),
 		cleanAt:  make([]sim.Time, cfg.Ports),
 	}
 	phys := cfg.Ports + cfg.SparePorts
 	for i := 0; i < phys; i++ {
-		l := cxl.NewLink(sw.eng, cfg.Bandwidth, cfg.QueueCap)
+		l := cxl.NewLink(nil, cfg.Bandwidth, cfg.QueueCap)
 		if cfg.Faults.Enabled() {
 			if _, err := l.InjectFaults(PortFaultConfig(cfg.Faults, i)); err != nil {
 				return nil, err

@@ -50,8 +50,7 @@ func TestSwitchDegeneratesToBareLink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := sim.New()
-			link := cxl.NewLink(eng, c.bandwidth, 0)
+			link := cxl.NewLink(nil, c.bandwidth, 0)
 			if fc.Enabled() {
 				if _, err := link.InjectFaults(fc); err != nil {
 					t.Fatal(err)

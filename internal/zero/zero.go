@@ -8,8 +8,9 @@
 package zero
 
 import (
+	"fmt"
+
 	"teco/internal/cpusim"
-	"teco/internal/cxl"
 	"teco/internal/gpusim"
 	"teco/internal/modelzoo"
 	"teco/internal/phases"
@@ -25,8 +26,8 @@ type Engine struct {
 	// OverlapFraction is the share of backward time the coarse
 	// (buffer-flush-granular) gradient transfers overlap with.
 	OverlapFraction float64
-	// GradBufferBytes / ParamBufferBytes are the transfer granularities.
-	GradBufferBytes  int64
+	// ParamBufferBytes is the parameter transfer granularity (gradients
+	// flush per layer chunk of the GPU's gradient schedule).
 	ParamBufferBytes int64
 }
 
@@ -37,16 +38,19 @@ func NewEngine() *Engine {
 		CPU:              cpusim.Xeon6120(),
 		LinkBandwidth:    modelzoo.BaselineLinkBandwidth(),
 		OverlapFraction:  modelzoo.BaselineOverlapFraction,
-		GradBufferBytes:  modelzoo.GradBufferBytes,
 		ParamBufferBytes: modelzoo.ParamBufferBytes,
 	}
 }
 
 // Step simulates one training step and returns its critical-path breakdown.
+// It panics on a non-positive LinkBandwidth or ParamBufferBytes.
 func (e *Engine) Step(m modelzoo.Model, batch int) phases.StepResult {
-	eng := sim.New()
-	up := cxl.NewLink(eng, e.LinkBandwidth, 1<<20)   // GPU -> CPU (gradients)
-	down := cxl.NewLink(eng, e.LinkBandwidth, 1<<20) // CPU -> GPU (parameters)
+	if !(e.LinkBandwidth > 0) {
+		panic(fmt.Sprintf("zero: LinkBandwidth %v B/s, want > 0", e.LinkBandwidth))
+	}
+	if e.ParamBufferBytes <= 0 {
+		panic(fmt.Sprintf("zero: ParamBufferBytes %d, want > 0", e.ParamBufferBytes))
+	}
 
 	fwd := e.GPU.ForwardTime(m, batch)
 	bwd := e.GPU.BackwardTime(m, batch)
@@ -57,12 +61,18 @@ func (e *Engine) Step(m modelzoo.Model, batch int) phases.StepResult {
 	// "periodically filled and flushed". Coarse granularity delays the
 	// first flush: transfers effectively start only in the final
 	// OverlapFraction of backward.
+	//
+	// Each direction is one FIFO DMA link, priced as the fold
+	// free = max(ready, free) + bytes/bandwidth: all a fault-free cxl.Link
+	// computes here, since its pending queue delays admission only (the
+	// oldest queued completion never trails the link's drain point).
 	delay := sim.Time(float64(bwd) * (1 - e.OverlapFraction))
+	var up sim.Time // GPU -> CPU drain point
 	for _, ch := range e.GPU.GradientSchedule(m, batch) {
 		ready := bwdStart + delay + sim.Time(float64(ch.ReadyAt)*e.OverlapFraction)
-		up.Send(ready, int(ch.Bytes), 0)
+		up = max(up, ready) + sim.DurationForBytes(ch.Bytes, e.LinkBandwidth)
 	}
-	gradDone := up.Fence(bwdEnd)
+	gradDone := max(up, bwdEnd)
 	gradExposed := gradDone - bwdEnd
 
 	// Phase 4: clip on CPU once all gradients arrived.
@@ -79,7 +89,7 @@ func (e *Engine) Step(m modelzoo.Model, batch int) phases.StepResult {
 	// path".
 	remaining := m.ParamBytes()
 	fillFree := [2]sim.Time{adamEnd, adamEnd}
-	var paramDone sim.Time = adamEnd
+	down := adamEnd // CPU -> GPU drain point
 	slot := 0
 	for remaining > 0 {
 		b := e.ParamBufferBytes
@@ -88,13 +98,12 @@ func (e *Engine) Step(m modelzoo.Model, batch int) phases.StepResult {
 		}
 		remaining -= b
 		fillDone := fillFree[slot] + e.CPU.FillTime(b)
-		_, done := down.Send(fillDone, int(b), 0)
+		down = max(down, fillDone) + sim.DurationForBytes(b, e.LinkBandwidth)
 		// The buffer slot frees when its transfer completes.
-		fillFree[slot] = done
+		fillFree[slot] = down
 		slot = 1 - slot
-		paramDone = done
 	}
-	paramExposed := paramDone - adamEnd
+	paramExposed := down - adamEnd
 
 	return phases.StepResult{
 		Variant: phases.ZeroOffload,

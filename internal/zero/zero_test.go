@@ -1,9 +1,13 @@
 package zero
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"teco/internal/modelzoo"
+	"teco/internal/phases"
 )
 
 func TestStepBreakdownConsistency(t *testing.T) {
@@ -103,5 +107,53 @@ func TestSmallParamBufferStillCompletes(t *testing.T) {
 	r := e.Step(m, 4)
 	if r.Prm <= 0 {
 		t.Fatal("param phase must take time")
+	}
+}
+
+// TestStepRejectsBadConfig: a non-positive parameter buffer would never
+// drain the parameter phase, and a non-positive bandwidth has no price, so
+// Step panics naming the field instead of looping or guessing a default.
+func TestStepRejectsBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Engine)
+	}{
+		{"ParamBufferBytes", func(e *Engine) { e.ParamBufferBytes = 0 }},
+		{"ParamBufferBytes", func(e *Engine) { e.ParamBufferBytes = -1 }},
+		{"LinkBandwidth", func(e *Engine) { e.LinkBandwidth = 0 }},
+		{"LinkBandwidth", func(e *Engine) { e.LinkBandwidth = -16e9 }},
+		{"LinkBandwidth", func(e *Engine) { e.LinkBandwidth = math.NaN() }},
+	} {
+		e := NewEngine()
+		c.set(e)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.field) {
+					t.Errorf("panic %q does not name %s", msg, c.field)
+				}
+			}()
+			e.Step(modelzoo.GPT2(), 4)
+		}()
+	}
+}
+
+// TestStepAllocs: a step allocates only the gradient schedule. The link
+// rings it used to build cost 16 MB per call.
+func TestStepAllocs(t *testing.T) {
+	e := NewEngine()
+	m := modelzoo.BertLargeCased()
+	if n := testing.AllocsPerRun(100, func() { e.Step(m, 4) }); n > 1 {
+		t.Fatalf("Step allocates %v times, want <= 1", n)
+	}
+}
+
+var stepSink phases.StepResult
+
+func BenchmarkBaselineStep(b *testing.B) {
+	e := NewEngine()
+	models := modelzoo.EvaluationModels()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		stepSink = e.Step(models[i%len(models)], 4)
 	}
 }
