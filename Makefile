@@ -27,7 +27,7 @@ check:
 	$(GO) test -run '^$$' -fuzz='FuzzParseRequest$$' -fuzztime=10s ./internal/server
 	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestArenaReuse' ./internal/kernels
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TestGolden$$' ./internal/conformance
-	$(GO) test -run xxx -bench 'TrainStep|MatmulBlocked|FusedAdamScan|BaselineStep' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero
+	$(GO) test -run xxx -bench 'TrainStep|MatmulBlocked|FusedAdamScan|BaselineStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

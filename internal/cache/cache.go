@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"teco/internal/mem"
 )
@@ -43,12 +44,14 @@ func (s State) String() string {
 // Valid reports whether the state holds data.
 func (s State) Valid() bool { return s != Invalid }
 
-// Line is one cache line's tag-array entry.
-type Line struct {
+// line is one way of a set's tag array.
+type line struct {
 	Addr  mem.LineAddr
 	State State
-	// lru is a per-set use stamp; larger = more recently used.
-	lru uint64
+	// prev and next link the set's valid ways from least to most recently
+	// used. Only tagSet.lru and tagSet.mru mark the ends, so a link out of
+	// an end is never read.
+	prev, next int32
 }
 
 // Eviction describes a line pushed out of the cache.
@@ -62,7 +65,8 @@ type Eviction struct {
 // Config describes cache geometry.
 type Config struct {
 	Name string
-	// SizeBytes is total capacity; must be a multiple of Ways*LineSize.
+	// SizeBytes is total capacity: a whole number of lines, divisible into
+	// Ways-line sets.
 	SizeBytes int64
 	// Ways is the associativity. Ways <= 0 means fully associative.
 	Ways int
@@ -74,24 +78,50 @@ func Gem5L3() Config { return Config{Name: "L3", SizeBytes: 16 << 20, Ways: 64} 
 // Cache is a set-associative tag array. It tracks only coherence metadata;
 // data payloads live in the tensor/backing-store layers, which keeps the
 // model fast enough to sweep billions of parameters.
+//
+// The tag contract, the same at every associativity:
+//   - a new line takes the lowest free way of its set;
+//   - a full set evicts its least recently used line, where Insert, Touch
+//     and an Access hit are the uses, which is the order a per-use tick gives;
+//   - FlushAll returns lines in (set, way) order;
+//   - storage is proportional to the most lines held, not to the capacity:
+//     a set grows on demand up to Ways.
+//
+// Lookups, state changes, LRU updates and victim choice go through the
+// address index and the per-set use list, so they cost O(1) and never scan
+// a set. The free-way search starts at the set's low-water mark, below
+// which no way is free, so a set that fills in way order, or refills the
+// hole it just lost, finds its way at once.
 type Cache struct {
-	cfg   Config
-	sets  [][]Line
-	nsets uint64
-	tick  uint64
-	// index for O(1) lookup: line address -> set slot.
-	where map[mem.LineAddr]int
+	ways int32
+	sets []tagSet
+	// where maps each valid line to its way in its set.
+	where map[mem.LineAddr]int32
 
 	// Statistics.
 	hits, misses, evictions, writebacks int64
 }
 
+// tagSet is one set's ways plus the bookkeeping that keeps the tag contract
+// free of scans.
+type tagSet struct {
+	// ways grows on demand up to Cache.ways; an Invalid way is a hole.
+	ways []line
+	// valid counts the valid ways.
+	valid int32
+	// free is the low-water mark of the free-way search: every way below it
+	// is valid.
+	free int32
+	// lru and mru are the ends of the use list; meaningless when valid is 0.
+	lru, mru int32
+}
+
 // New builds a cache from cfg.
 func New(cfg Config) *Cache {
-	lines := cfg.SizeBytes / mem.LineSize
-	if lines <= 0 {
-		panic(fmt.Sprintf("cache %q: size %d too small", cfg.Name, cfg.SizeBytes))
+	if cfg.SizeBytes <= 0 || cfg.SizeBytes%mem.LineSize != 0 {
+		panic(fmt.Sprintf("cache %q: size %d is not a positive whole number of %d-byte lines", cfg.Name, cfg.SizeBytes, mem.LineSize))
 	}
+	lines := cfg.SizeBytes / mem.LineSize
 	ways := int64(cfg.Ways)
 	if ways <= 0 {
 		ways = lines // fully associative
@@ -99,36 +129,24 @@ func New(cfg Config) *Cache {
 	if lines%ways != 0 {
 		panic(fmt.Sprintf("cache %q: %d lines not divisible by %d ways", cfg.Name, lines, ways))
 	}
-	nsets := lines / ways
-	c := &Cache{
-		cfg:   cfg,
-		sets:  make([][]Line, nsets),
-		nsets: uint64(nsets),
-		where: make(map[mem.LineAddr]int, lines),
+	if ways > math.MaxInt32 {
+		panic(fmt.Sprintf("cache %q: %d ways overflow a set's int32 way index", cfg.Name, ways))
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]Line, ways)
-	}
-	return c
+	return &Cache{ways: int32(ways), sets: make([]tagSet, lines/ways), where: map[mem.LineAddr]int32{}}
 }
 
-func (c *Cache) setOf(a mem.LineAddr) []Line {
-	return c.sets[uint64(a)%c.nsets]
+func (c *Cache) setOf(a mem.LineAddr) *tagSet {
+	return &c.sets[uint64(a)%uint64(len(c.sets))]
 }
 
 // Lookup returns the current state of the line (Invalid if absent) without
 // updating LRU or statistics.
 func (c *Cache) Lookup(a mem.LineAddr) State {
-	if _, ok := c.where[a]; !ok {
+	w, ok := c.where[a]
+	if !ok {
 		return Invalid
 	}
-	set := c.setOf(a)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == a {
-			return set[i].State
-		}
-	}
-	return Invalid
+	return c.setOf(a).ways[w].State
 }
 
 // Contains reports whether the line is present in a valid state.
@@ -136,13 +154,8 @@ func (c *Cache) Contains(a mem.LineAddr) bool { return c.Lookup(a).Valid() }
 
 // Touch marks the line as most recently used. No-op when absent.
 func (c *Cache) Touch(a mem.LineAddr) {
-	set := c.setOf(a)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == a {
-			c.tick++
-			set[i].lru = c.tick
-			return
-		}
+	if w, ok := c.where[a]; ok {
+		c.setOf(a).touch(w)
 	}
 }
 
@@ -154,58 +167,44 @@ func (c *Cache) Insert(a mem.LineAddr, s State) (Eviction, bool) {
 		panic("cache: inserting line in Invalid state")
 	}
 	set := c.setOf(a)
-	c.tick++
-	// Already present: update state + LRU.
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == a {
-			set[i].State = s
-			set[i].lru = c.tick
-			return Eviction{}, false
+	if w, ok := c.where[a]; ok {
+		set.ways[w].State = s
+		set.touch(w)
+		return Eviction{}, false
+	}
+	var ev Eviction
+	evicted := set.valid == c.ways
+	if evicted {
+		victim := &set.ways[set.lru]
+		ev = Eviction{Addr: victim.Addr, Dirty: victim.State == Modified}
+		c.evictions++
+		if ev.Dirty {
+			c.writebacks++
 		}
+		c.drop(set, set.lru)
 	}
-	// Free slot?
-	for i := range set {
-		if !set[i].State.Valid() {
-			set[i] = Line{Addr: a, State: s, lru: c.tick}
-			c.where[a] = i
-			return Eviction{}, false
-		}
-	}
-	// Evict LRU.
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	ev := Eviction{Addr: set[victim].Addr, Dirty: set[victim].State == Modified}
-	delete(c.where, set[victim].Addr)
-	c.evictions++
-	if ev.Dirty {
-		c.writebacks++
-	}
-	set[victim] = Line{Addr: a, State: s, lru: c.tick}
-	c.where[a] = victim
-	return ev, true
+	w := set.freeWay()
+	set.ways[w].Addr, set.ways[w].State = a, s
+	set.push(w)
+	set.valid++
+	c.where[a] = w
+	return ev, evicted
 }
 
 // SetState transitions an existing line to state s. Setting Invalid removes
 // the line (a silent drop — not counted as an eviction). Returns false when
 // the line is absent.
 func (c *Cache) SetState(a mem.LineAddr, s State) bool {
-	set := c.setOf(a)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == a {
-			if s == Invalid {
-				set[i].State = Invalid
-				delete(c.where, a)
-			} else {
-				set[i].State = s
-			}
-			return true
-		}
+	w, ok := c.where[a]
+	if !ok {
+		return false
 	}
-	return false
+	if set := c.setOf(a); s == Invalid {
+		c.drop(set, w)
+	} else {
+		set.ways[w].State = s
+	}
+	return true
 }
 
 // Access performs a load (write=false) or store (write=true) against the
@@ -214,12 +213,12 @@ func (c *Cache) SetState(a mem.LineAddr, s State) bool {
 // layer wraps this for protocol-accurate traffic; this raw form serves the
 // access-path benchmark and tests.
 func (c *Cache) Access(a mem.LineAddr, write bool) (hit bool, ev Eviction, evicted bool) {
-	st := c.Lookup(a)
-	if st.Valid() {
+	if w, ok := c.where[a]; ok {
 		c.hits++
-		c.Touch(a)
+		set := c.setOf(a)
+		set.touch(w)
 		if write {
-			c.SetState(a, Modified)
+			set.ways[w].State = Modified
 		}
 		return true, Eviction{}, false
 	}
@@ -237,21 +236,83 @@ func (c *Cache) Access(a mem.LineAddr, write bool) (hit bool, ev Eviction, evict
 // once-per-iteration CPU cache flush that guarantees all updated parameters
 // have been sent out (paper §IV-A2).
 func (c *Cache) FlushAll() []Eviction {
-	var out []Eviction
+	if len(c.where) == 0 {
+		return nil
+	}
+	out := make([]Eviction, 0, len(c.where))
 	for si := range c.sets {
-		set := c.sets[si]
-		for i := range set {
-			if set[i].State.Valid() {
-				dirty := set[i].State == Modified
-				out = append(out, Eviction{Addr: set[i].Addr, Dirty: dirty})
+		set := &c.sets[si]
+		for _, l := range set.ways {
+			if l.State.Valid() {
+				dirty := l.State == Modified
+				out = append(out, Eviction{Addr: l.Addr, Dirty: dirty})
 				if dirty {
 					c.writebacks++
 				}
 				c.evictions++
-				delete(c.where, set[i].Addr)
-				set[i].State = Invalid
 			}
 		}
+		*set = tagSet{ways: set.ways[:0]}
 	}
+	clear(c.where)
 	return out
+}
+
+// drop invalidates way w of set, which holds a valid line.
+func (c *Cache) drop(set *tagSet, w int32) {
+	delete(c.where, set.ways[w].Addr)
+	set.ways[w].State = Invalid
+	set.unlink(w)
+	set.valid--
+	set.free = min(set.free, w)
+}
+
+// freeWay returns the lowest free way, growing the set when it has no hole.
+// The caller fills it and pushes it onto the use list.
+func (s *tagSet) freeWay() int32 {
+	if int(s.valid) == len(s.ways) {
+		s.ways = append(s.ways, line{})
+		s.free = int32(len(s.ways))
+		return s.free - 1
+	}
+	for s.ways[s.free].State.Valid() {
+		s.free++
+	}
+	s.free++
+	return s.free - 1
+}
+
+// touch moves valid way w to the most recently used end of the use list.
+func (s *tagSet) touch(w int32) {
+	if w != s.mru {
+		s.unlink(w)
+		s.push(w)
+	}
+}
+
+// push appends w at the most recently used end of the use list, which is
+// empty only when valid is 0.
+func (s *tagSet) push(w int32) {
+	if s.valid == 0 {
+		s.lru = w
+	} else {
+		s.ways[s.mru].next = w
+		s.ways[w].prev = s.mru
+	}
+	s.mru = w
+}
+
+// unlink takes w out of the use list.
+func (s *tagSet) unlink(w int32) {
+	l := &s.ways[w]
+	if w == s.lru {
+		s.lru = l.next
+	} else {
+		s.ways[l.prev].next = l.next
+	}
+	if w == s.mru {
+		s.mru = l.prev
+	} else {
+		s.ways[l.next].prev = l.prev
+	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestStateString(t *testing.T) {
 func TestGem5Geometries(t *testing.T) {
 	// Table II: L3 16MB/64B/64-way.
 	c := New(Gem5L3())
-	if lines := int64(len(c.sets) * len(c.sets[0])); lines*mem.LineSize != Gem5L3().SizeBytes || lines != 1<<18 {
+	if lines := int64(len(c.sets)) * int64(c.ways); lines*mem.LineSize != Gem5L3().SizeBytes || lines != 1<<18 {
 		t.Fatalf("L3 holds %d lines, want 262144", lines)
 	}
 }
@@ -225,14 +226,23 @@ func TestNoSilentDirtyLossProperty(t *testing.T) {
 }
 
 func TestGeometryValidation(t *testing.T) {
-	for _, bad := range []Config{
-		{SizeBytes: 0, Ways: 4},
-		{SizeBytes: 100, Ways: 3}, // 1 line (64B) not divisible... actually 100/64=1 line, 1%3 != 0
+	for _, bad := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{SizeBytes: 0, Ways: 4}, "not a positive whole number of 64-byte lines"},
+		{Config{SizeBytes: 100, Ways: 1}, "not a positive whole number of 64-byte lines"},
+		// 100 B is a partial line before it is 1 line in 3 ways.
+		{Config{SizeBytes: 100, Ways: 3}, "not a positive whole number of 64-byte lines"},
+		{Config{SizeBytes: 192, Ways: 2}, "3 lines not divisible by 2 ways"},
 	} {
 		func() {
-			defer func() { recover() }()
-			New(bad)
-			t.Errorf("config %+v should panic", bad)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, bad.want) {
+					t.Errorf("config %+v: panic %q, want one naming %q", bad.cfg, msg, bad.want)
+				}
+			}()
+			New(bad.cfg)
 		}()
 	}
 }

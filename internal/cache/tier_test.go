@@ -20,7 +20,7 @@ import (
 func TestTierGeometriesLineExact(t *testing.T) {
 	cfg := Gem5L3()
 	c := New(cfg)
-	if got, want := int64(len(c.sets)*len(c.sets[0])), int64(mem.LinesIn(cfg.SizeBytes)); got != want {
+	if got, want := int64(len(c.sets))*int64(c.ways), int64(mem.LinesIn(cfg.SizeBytes)); got != want {
 		t.Errorf("%s: %d lines, but LinesIn(%d) = %d", cfg.Name, got, cfg.SizeBytes, want)
 	}
 	if cfg.SizeBytes%mem.LineSize != 0 {

@@ -355,3 +355,15 @@ func TestUpdateModeKeepsCopiesCoherent(t *testing.T) {
 		}
 	}
 }
+
+// TestNewDomainAllocs pins the cost of building a default domain — the gem5
+// L3 plus a fully associative giant cache over a 2^16-word tensor, as every
+// replay builds one — as an allocation count: the caches allocate for the
+// lines they hold, not for their capacity.
+func TestNewDomainAllocs(t *testing.T) {
+	m := mem.NewMap()
+	m.Allocate("params", mem.RegionGiantCache, 4<<16)
+	if n := testing.AllocsPerRun(20, func() { NewDomain(Config{Mode: Update, AddrMap: m}) }); n > 16 {
+		t.Fatalf("NewDomain allocates %v times, want <= 16", n)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,5 +160,30 @@ func TestReplayGradientFlushInvalidation(t *testing.T) {
 		if cpu.At(i) != grads.At(i) {
 			t.Fatalf("gradient %d wrong", i)
 		}
+	}
+}
+
+// BenchmarkReplay times one round of the four functional replays — full,
+// DBA-2, invalidation and gradient — on a seeded tensor pair of 2^14, 2^16
+// and 2^18 words, and reports ns per cache line: flat across the sizes when
+// no part of the protocol plane is superlinear in the tensor.
+func BenchmarkReplay(b *testing.B) {
+	updates := []Config{{}, {DBA: true, DirtyBytes: 2}, {Invalidation: true}}
+	for _, log2 := range []int{14, 16, 18} {
+		old, upd := randomTensors(1<<log2, 42)
+		b.Run(fmt.Sprintf("words=2^%d", log2), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, cfg := range updates {
+					if _, _, err := ReplayParameterUpdate(old, upd, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, _, err := ReplayGradientFlush(upd, Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			lines := float64(b.N) * float64(len(updates)+1) * float64(old.Lines())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines, "ns/line")
+		})
 	}
 }
