@@ -12,9 +12,12 @@ all: build vet test
 # of the benchmark module (its own go.mod, so ./... does not reach it), the
 # fabric kill-one-port timing proofs, short native fuzz runs over the CXL
 # packet decoder, the checkpoint snapshot decoder, the result-cache entry
-# decoder and the daemon's request decoding, the goldens with amd64's FMA
-# math.Exp path switched off, and — when the tools are installed — staticcheck and govulncheck
-# (CI always runs them; locally they are skipped if absent).
+# decoder and the daemon's request decoding, the kernel and ADAM oracles
+# (-race does not instrument their assembly, only the Go around it), the
+# goldens with amd64's FMA math.Exp path switched off, a one-iteration
+# smoke of the numeric and replay benchmarks, and — when the tools are
+# installed — staticcheck and govulncheck (CI always runs them; locally
+# they are skipped if absent).
 check:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 40m ./...
@@ -25,9 +28,9 @@ check:
 	$(GO) test -fuzz='FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz='FuzzDecodeEntry$$' -fuzztime=10s ./internal/diskcache
 	$(GO) test -run '^$$' -fuzz='FuzzParseRequest$$' -fuzztime=10s ./internal/server
-	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestArenaReuse' ./internal/kernels
+	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestKernelShortOperandsPanic|TestArenaReuse|TestAdamLanesMatchScalar' ./internal/kernels ./internal/optim
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TestGolden$$' ./internal/conformance
-	$(GO) test -run xxx -bench 'TrainStep|MatmulBlocked|FusedAdamScan|BaselineStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core
+	$(GO) test -run xxx -bench 'TrainStep|Kernels|AdamStep|FusedAdamScan|BaselineStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

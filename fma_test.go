@@ -2,6 +2,7 @@ package teco
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,8 +35,10 @@ var fusedFP = regexp.MustCompile(`^FN?M(ADD|SUB)`)
 // an explicit float32(…)/float64(…) conversion, the fusion barrier the Go
 // spec names. Each failure prints `arch file:line symbol`. The matcher
 // first proves itself on testdata/fmaprobe, so a mnemonic the toolchain
-// renames cannot pass the gate silently.
+// renames cannot pass the gate silently. The "asm" subtest covers the
+// repository's assembly, which no disassembly here can read.
 func TestNoFusedMultiplyAdd(t *testing.T) {
+	t.Run("asm", noFusedAsm)
 	if testing.Short() {
 		t.Skip("cross-builds the shipped roots for four architectures")
 	}
@@ -68,6 +71,60 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 			t.Errorf("%s: %d fused multiply-adds (wrap the product in an explicit conversion):\n%s",
 				f.arch, len(sites), strings.Join(sites, "\n"))
 		}
+	}
+}
+
+// fusedAsm matches a fused multiply-add instruction line in Go amd64
+// assembly: VFMADD*, VFMSUB*, VFNMADD*, VFNMSUB* (and the ADDSUB/SUBADD
+// forms, which start the same).
+var fusedAsm = regexp.MustCompile(`^\s*VFN?M(ADD|SUB)`)
+
+// noFusedAsm is the assembly half of the no-FMA gate. `go tool objdump`
+// does not decode VEX instructions (it prints garbage for the AVX2
+// kernels), so every *.s file in the repository is scanned as text
+// instead, and each fused instruction fails with `file:line`. The matcher
+// first proves itself on literal lines.
+func noFusedAsm(t *testing.T) {
+	for _, line := range []string{"\tVFMADD231PS (R10), Y4, Y0", "VFNMSUB213SD X1, X2, X3"} {
+		if !fusedAsm.MatchString(line) {
+			t.Fatalf("the matcher misses %q", line)
+		}
+	}
+	for _, line := range []string{"\tVMULPS (R10), Y4, Y5 // no VFMADD here", "\tVADDPS Y5, Y0, Y0"} {
+		if fusedAsm.MatchString(line) {
+			t.Fatalf("the matcher flags %q", line)
+		}
+	}
+	var sites []string
+	var files int
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".s") {
+			if err == nil && d.IsDir() && d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		files++
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if fusedAsm.MatchString(line) {
+				sites = append(sites, fmt.Sprintf("%s:%d %s", path, i+1, strings.TrimSpace(line)))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no assembly files; the scan is looking in the wrong place")
+	}
+	if len(sites) > 0 {
+		t.Errorf("%d fused multiply-adds in assembly (write a VMUL* and a VADD*):\n%s",
+			len(sites), strings.Join(sites, "\n"))
 	}
 }
 

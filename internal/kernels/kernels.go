@@ -1,27 +1,26 @@
-// Package kernels is the shared blocked, cache-aware matrix kernel core of
-// the realtrain numeric hot paths: the forward/backward dense products of
-// the MLP, attention and LayerStack proxies all route through these four
+// Package kernels is the shared matrix kernel core of the realtrain and
+// gnn numeric hot paths: the forward/backward dense products of the MLP,
+// attention and LayerStack proxies and of GCNII all route through these
 // primitives instead of hand-rolled per-row loops.
 //
 // # Accumulation-order contract
 //
 // Every kernel fixes the FP32 accumulation order of each output element and
-// documents it here; this is what makes the blocked forms bit-identical to
-// the naive loops they replaced (asserted exhaustively by kernels_test.go
-// across shapes and block-boundary remainders, and end-to-end by the
-// conformance goldens, which were NOT regenerated for the kernel change):
+// documents it here; this is what makes the blocked and vector forms
+// bit-identical to the naive loops they replaced (asserted by
+// kernels_test.go across shapes, remainders, unaligned operands and
+// special values, and end-to-end by the conformance goldens, which were
+// NOT regenerated for any kernel change):
 //
 //   - AddMatVec: acc[j] receives its terms x[i]·w[i,j] in ascending i, one
-//     addition per term. Blocking streams MR weight rows per pass over the
-//     accumulator, but the per-accumulator addition order is still exactly
-//     ascending i — row-blocking reorders the traversal across (i, j)
-//     pairs, never the sequence of additions into a single acc[j].
-//   - DotRowsInto/AddDotRows: dst[i] is a single left-to-right chain over
-//     ascending j (one running accumulator, never split into partial sums —
-//     a multi-accumulator unroll would change the reduction tree and the
-//     bits).
+//     addition per term. Blocking and lanes reorder the traversal across
+//     (i, j) pairs, never the sequence of additions into a single acc[j].
+//   - DotRowsInto: dst[i] is a single left-to-right chain over ascending j
+//     (one running accumulator, never split into partial sums — a
+//     multi-accumulator reduction would change the tree and the bits).
 //   - BackProjSet/BackProjAdd: gw[i,j] receives exactly one addition per
 //     call; the dx[i] reduction is a single chain over ascending j.
+//   - OuterAdd/Axpy: one addition per element.
 //
 // Products are written operand-order-free (IEEE-754 multiplication is
 // commutative down to the bit, so x[i]·w[i,j] and w[i,j]·x[i] are the same
@@ -29,30 +28,55 @@
 // the Go spec lets an implementation fuse a*b+c, even across statements,
 // and arm64, ppc64le, riscv64 and s390x do. Its one barrier is an explicit
 // conversion, so every product that feeds an addition is written
-// float32(a*b). amd64 never fuses, and the conversion leaves its code
-// unchanged. TestNoFusedMultiplyAdd (fma_test.go at the repository root)
-// is the proof: it cross-builds the shipped binaries for those four
-// architectures and fails on any fused op in this repository's code.
+// float32(a*b). amd64 never fuses: the Go compiler does not, and the
+// assembly writes every product as a VMULPS/VMULSS before its add.
+// TestNoFusedMultiplyAdd (fma_test.go at the repository root) is the
+// proof: it cross-builds the shipped binaries for those four
+// architectures and fails on any fused op in this repository's code, and
+// its asm subtest fails on any VFMADD-family line in a *.s file.
+//
+// # Lanes
+//
+// On amd64 with AVX2 (one CPUID/XGETBV probe, AVX2 reports it; no flag,
+// environment variable or build tag selects the path) the kernels run
+// kernels_amd64.s. Lanes run only across independent outputs: 8 columns of
+// acc or gw per vector, or, in the row dot products, eight rows' chains
+// side by side, each still the ascending-j chain. The Go bodies named
+// ...Generic are the reference the tests compare against and the only path
+// on other architectures and CPUs. The exported functions reslice every
+// operand to its exact length before dispatching, so a short operand
+// panics in Go, never inside the assembly.
 //
 // All kernels are allocation-free and safe for concurrent use on disjoint
 // output slices.
 package kernels
 
-// MR is the register-tile height of the row-blocked kernels: MR weight rows
-// stream through one pass over the accumulator row, so each acc[j]
-// load/store pair is amortized over MR multiply-adds and the w walk stays
-// sequential (hardware-prefetcher friendly) instead of cols-strided.
+// MR is the register-tile height of the row-blocked Go reference
+// addMatVecGeneric: MR weight rows stream through one pass over the
+// accumulator row, so each acc[j] load/store pair is amortized over MR
+// multiply-adds and the w walk stays sequential (hardware-prefetcher
+// friendly) instead of cols-strided.
 const MR = 4
+
+// AVX2 reports whether the kernels (and the optim ADAM update) run their
+// AVX2 bodies: the CPU has AVX2 and the OS saves YMM state. Always false
+// off amd64. The result never changes a bit of any output.
+func AVX2() bool { return hasAVX2 }
 
 // AddMatVec accumulates the vector-matrix product acc[j] += Σ_i x[i]·w[i*cols+j]
 // over the row-major rows×cols matrix w, with the additions into each
-// acc[j] applied in ascending i order. x must have at least rows elements
-// and acc at least cols. This is the kernel form of the "column-major
-// naive" projection loop (for j { for i { s += x[i]*w[i*cols+j] } }) with
-// the i/j loops interchanged and row-blocked: same additions, same order
-// per accumulator, contiguous weight traffic.
+// acc[j] applied in ascending i order. x must have at least rows elements,
+// w at least rows·cols and acc at least cols; acc must not overlap x or w.
+// This is the kernel form of the "column-major naive" projection loop
+// (for j { for i { s += x[i]*w[i*cols+j] } }) with the i/j loops
+// interchanged: same additions, same order per accumulator, contiguous
+// weight traffic.
 func AddMatVec(acc, x, w []float32, rows, cols int) {
-	acc = acc[:cols]
+	addMatVec(acc[:cols], x[:rows], w[:rows*cols], rows, cols)
+}
+
+// addMatVecGeneric is the Go reference of AddMatVec, row-blocked by MR.
+func addMatVecGeneric(acc, x, w []float32, rows, cols int) {
 	i := 0
 	for ; i+MR <= rows; i += MR {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
@@ -88,11 +112,18 @@ func MatVecInto(dst, bias, x, w []float32, rows, cols int) {
 
 // DotRowsInto assigns dst[i] = Σ_j y[j]·w[i*cols+j] for i in [0, rows):
 // each output is the dot product of y with matrix row i, reduced strictly
-// left to right over ascending j in one running accumulator. The j loop is
-// unrolled four wide but keeps that single chain (sequential additions into
-// one accumulator, never four partial sums), so the bits match the naive
-// two-line loop exactly.
+// left to right over ascending j in one running accumulator, never split
+// into partial sums. dst must have at least rows elements, y at least cols
+// and w at least rows·cols.
 func DotRowsInto(dst, y, w []float32, rows, cols int) {
+	dotRows(dst[:rows], y[:cols], w[:rows*cols], rows, cols, false)
+}
+
+// dotRowsGeneric is the Go reference of the row dot products: add selects
+// dst[i] += s versus dst[i] = s. The j loop is unrolled four wide but
+// keeps the single chain (sequential additions into one accumulator), so
+// the bits match the naive two-line loop exactly.
+func dotRowsGeneric(dst, y, w []float32, rows, cols int, add bool) {
 	for i := 0; i < rows; i++ {
 		row := w[i*cols : (i+1)*cols]
 		var s float32
@@ -106,39 +137,30 @@ func DotRowsInto(dst, y, w []float32, rows, cols int) {
 		for ; j < cols; j++ {
 			s += float32(y[j] * row[j])
 		}
-		dst[i] = s
+		if add {
+			dst[i] += s
+		} else {
+			dst[i] = s
+		}
 	}
 }
 
-// backProj is the shared body of BackProjSet/BackProjAdd: one fused
-// backward pass over the row-major rows×cols weight matrix w for the
-// projection p = x·W. Per row i it applies the rank-1 gradient update
-// gw[i*cols+j] += x[i]·dy[j] and reduces the input gradient
-// s = Σ_j dy[j]·w[i*cols+j] in a single ascending-j chain; set selects
-// dx[i] = s versus dx[i] += s.
+// backProj is the shared body of BackProjSet/BackProjAdd, the backward
+// pass over the row-major rows×cols weight matrix w for the projection
+// p = x·W: the rank-1 gradient update gw[i*cols+j] += x[i]·dy[j], then per
+// row the input gradient s = Σ_j dy[j]·w[i*cols+j] in a single ascending-j
+// chain; set selects dx[i] = s versus dx[i] += s. gw must not overlap w,
+// x or dy, so the two halves are independent and run as two passes.
 func backProj(gw, dx, x, dy, w []float32, rows, cols int, set bool) {
 	dy = dy[:cols]
-	for i := 0; i < rows; i++ {
-		xi := x[i]
-		wrow := w[i*cols : (i+1)*cols]
-		gwrow := gw[i*cols : (i+1)*cols]
-		var s float32
-		for j, dyj := range dy {
-			gwrow[j] += float32(xi * dyj)
-			s += float32(dyj * wrow[j])
-		}
-		if set {
-			dx[i] = s
-		} else {
-			dx[i] += s
-		}
-	}
+	outerAdd(gw[:rows*cols], x[:rows], dy, rows, cols)
+	dotRows(dx[:rows], dy, w[:rows*cols], rows, cols, !set)
 }
 
-// BackProjSet runs the fused backward of p = x·W, assigning the input
-// gradient: gw[i,j] += x[i]·dy[j] and dx[i] = Σ_j dy[j]·w[i,j] (ascending
-// j, single chain). gw and w are row-major rows×cols; x and dx have rows
-// elements, dy has cols.
+// BackProjSet runs the backward of p = x·W, assigning the input gradient:
+// gw[i,j] += x[i]·dy[j] and dx[i] = Σ_j dy[j]·w[i,j] (ascending j, single
+// chain). gw and w are row-major rows×cols; x and dx have rows elements,
+// dy has cols.
 func BackProjSet(gw, dx, x, dy, w []float32, rows, cols int) {
 	backProj(gw, dx, x, dy, w, rows, cols, true)
 }
@@ -152,9 +174,14 @@ func BackProjAdd(gw, dx, x, dy, w []float32, rows, cols int) {
 
 // OuterAdd applies the rank-1 update gw[i*cols+j] += x[i]·dy[j]. Every
 // element receives exactly one addition per call, so traversal order is
-// immaterial to the bits; the loop is row-major for contiguous writes.
+// immaterial to the bits.
 func OuterAdd(gw, x, dy []float32, rows, cols int) {
-	dy = dy[:cols]
+	outerAdd(gw[:rows*cols], x[:rows], dy[:cols], rows, cols)
+}
+
+// outerAddGeneric is the Go reference of OuterAdd, row-major for
+// contiguous writes.
+func outerAddGeneric(gw, x, dy []float32, rows, cols int) {
 	for i := 0; i < rows; i++ {
 		xi := x[i]
 		row := gw[i*cols : (i+1)*cols]
@@ -165,10 +192,9 @@ func OuterAdd(gw, x, dy []float32, rows, cols int) {
 }
 
 // Axpy accumulates dst[j] += a·src[j] — one addition per element, the
-// attention-value and softmax-Jacobian update shape.
+// attention-value and softmax-Jacobian update shape. It is the one-row
+// OuterAdd.
 func Axpy(dst []float32, a float32, src []float32) {
-	src = src[:len(dst)]
-	for j, v := range src {
-		dst[j] += float32(a * v)
-	}
+	x := [1]float32{a}
+	outerAdd(dst, x[:], src[:len(dst)], 1, len(dst))
 }

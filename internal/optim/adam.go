@@ -2,6 +2,14 @@
 // CPU (paper Fig 1 phases 4-5): global-norm gradient clipping followed by
 // the ADAM update. The math is bit-faithful FP32, because the DBA accuracy
 // experiments depend on the real byte-level dynamics of the parameters.
+//
+// The update is element-wise in float64 with three divides and a square
+// root per parameter. On amd64 with AVX2 (the probe of package kernels) it
+// runs four float64 lanes at a time in adam_amd64.s. IEEE-754 divide and
+// square root are correctly rounded and the assembly performs the Go
+// loop's operations in its order with no fused multiply-add, so the lanes
+// produce the bits of updateGeneric, the Go reference and the only path
+// elsewhere (TestAdamLanesMatchScalar is the oracle).
 package optim
 
 import (
@@ -11,13 +19,21 @@ import (
 	"teco/internal/parallel"
 )
 
+// The moment decays and epsilon are the PyTorch defaults the paper's
+// fine-tuning recipes use. They are typed constants so that every
+// expression over them, such as 1 - beta1, rounds to float64 after each
+// operation exactly as the same arithmetic on variables does (an untyped
+// 1 - 0.9 would be the exact 0.1, one ulp away from the runtime value).
+const (
+	beta1 float64 = 0.9   // first-moment decay
+	beta2 float64 = 0.999 // second-moment decay
+	eps   float64 = 1e-8  // numerical epsilon
+)
+
 // AdamConfig holds ADAM hyperparameters. Zero values select the PyTorch
 // defaults used by the paper's fine-tuning recipes.
 type AdamConfig struct {
 	LR          float64 // learning rate (default 1e-3)
-	Beta1       float64 // first-moment decay (default 0.9)
-	Beta2       float64 // second-moment decay (default 0.999)
-	Eps         float64 // numerical epsilon (default 1e-8)
 	WeightDecay float64 // decoupled weight decay (default 0)
 	// Workers runs the update over chunked goroutines (1 or 0: serial).
 	// Purely a scheduling knob: the update is element-wise, so the result
@@ -29,15 +45,6 @@ type AdamConfig struct {
 func (c AdamConfig) withDefaults() AdamConfig {
 	if c.LR == 0 {
 		c.LR = 1e-3
-	}
-	if c.Beta1 == 0 {
-		c.Beta1 = 0.9
-	}
-	if c.Beta2 == 0 {
-		c.Beta2 = 0.999
-	}
-	if c.Eps == 0 {
-		c.Eps = 1e-8
 	}
 	return c
 }
@@ -106,11 +113,7 @@ func (a *Adam) StepFused(params, grads []float32, scale float32, epilogue func(c
 		return fmt.Errorf("optim: step over %d/%d values, optimizer has %d", len(params), len(grads), len(a.m))
 	}
 	a.step++
-	b1 := a.cfg.Beta1
-	b2 := a.cfg.Beta2
-	// Bias corrections.
-	c1 := 1 - math.Pow(b1, float64(a.step))
-	c2 := 1 - math.Pow(b2, float64(a.step))
+	k := newAdamStep(a.cfg, a.step, scale)
 	// The update is element-wise (no cross-element arithmetic), so chunked
 	// goroutines over disjoint ranges produce the exact serial bits. The
 	// serial path iterates the same chunk boundaries inline without
@@ -120,7 +123,7 @@ func (a *Adam) StepFused(params, grads []float32, scale float32, epilogue func(c
 	if nc := parallel.Chunks(n); parallel.HotResolve(a.cfg.Workers) <= 1 || nc <= 1 {
 		for c := 0; c < nc; c++ {
 			lo, hi := parallel.ChunkBounds(c, n)
-			a.updateChunk(params, grads, scale, c1, c2, lo, hi)
+			update(params[lo:hi], grads[lo:hi], a.m[lo:hi], a.v[lo:hi], k)
 			if epilogue != nil {
 				epilogue(c, lo, hi)
 			}
@@ -128,7 +131,7 @@ func (a *Adam) StepFused(params, grads []float32, scale float32, epilogue func(c
 		return nil
 	}
 	parallel.ForChunksIndexed(a.cfg.Workers, n, func(c, lo, hi int) {
-		a.updateChunk(params, grads, scale, c1, c2, lo, hi)
+		update(params[lo:hi], grads[lo:hi], a.m[lo:hi], a.v[lo:hi], k)
 		if epilogue != nil {
 			epilogue(c, lo, hi)
 		}
@@ -136,33 +139,59 @@ func (a *Adam) StepFused(params, grads []float32, scale float32, epilogue func(c
 	return nil
 }
 
-// updateChunk applies the deferred clip scale and the ADAM update to
-// [lo, hi) — the chunk body both the serial and parallel paths of
-// StepFused share.
-func (a *Adam) updateChunk(params, grads []float32, scale float32, c1, c2 float64, lo, hi int) {
-	b1 := a.cfg.Beta1
-	b2 := a.cfg.Beta2
-	lr := a.cfg.LR
-	eps := a.cfg.Eps
-	wd := a.cfg.WeightDecay
-	if scale != 1 {
-		for i := lo; i < hi; i++ {
-			grads[i] *= scale
+// adamStep is what one ADAM step applies to every element: the
+// hyperparameters with 1 - beta precomputed, the step's bias corrections
+// c1 and c2, lr·wd for the decay, and the deferred clip scale. The
+// assembly reads it through the field offsets of go_asm.h.
+type adamStep struct {
+	b1, ob1, b2, ob2 float64 // beta1, 1-beta1, beta2, 1-beta2
+	c1, c2           float64 // bias corrections
+	lr, eps, lrwd    float64 // lrwd = lr·wd
+	scale            float32
+	scaled           bool // scale != 1
+	decay            bool // wd != 0
+}
+
+func newAdamStep(cfg AdamConfig, step int, scale float32) adamStep {
+	return adamStep{
+		b1: beta1, ob1: 1 - beta1, b2: beta2, ob2: 1 - beta2,
+		// Bias corrections.
+		c1: 1 - math.Pow(beta1, float64(step)),
+		c2: 1 - math.Pow(beta2, float64(step)),
+		lr: cfg.LR, eps: eps, lrwd: cfg.LR * cfg.WeightDecay,
+		scale: scale, scaled: scale != 1, decay: cfg.WeightDecay != 0,
+	}
+}
+
+// updateGeneric is the Go reference of the update over equal-length
+// p, g, m and v (one chunk, or its tail after the vector body): the
+// deferred clip scale first multiplies the gradients, then each element
+// takes the decoupled decay (if any) and the ADAM update. Every operation
+// is rounded where it is written; the vector body must produce these bits.
+func updateGeneric(p, g, m, v []float32, k adamStep) {
+	g = g[:len(p)]
+	m = m[:len(p)]
+	v = v[:len(p)]
+	if k.scaled {
+		for i := range g {
+			g[i] *= k.scale
 		}
 	}
-	for i := lo; i < hi; i++ {
-		g := float64(grads[i])
-		if wd != 0 {
-			// Decoupled (AdamW-style) weight decay.
-			params[i] -= float32(lr * wd * float64(params[i]))
+	for i := range p {
+		gi := float64(g[i])
+		if k.decay {
+			// Decoupled (AdamW-style) weight decay. It stays a separate,
+			// skipped step: p - float32(lr·0·p) would turn -0 into +0
+			// and ±Inf into NaN.
+			p[i] -= float32(k.lrwd * float64(p[i]))
 		}
-		m := float64(b1*float64(a.m[i])) + float64((1-b1)*g)
-		v := float64(b2*float64(a.v[i])) + float64((1-b2)*g*g)
-		a.m[i] = float32(m)
-		a.v[i] = float32(v)
-		mhat := m / c1
-		vhat := v / c2
-		params[i] -= float32(lr * mhat / (math.Sqrt(vhat) + eps))
+		mi := float64(k.b1*float64(m[i])) + float64(k.ob1*gi)
+		vi := float64(k.b2*float64(v[i])) + float64(k.ob2*gi*gi)
+		m[i] = float32(mi)
+		v[i] = float32(vi)
+		mhat := mi / k.c1
+		vhat := vi / k.c2
+		p[i] -= float32(k.lr * mhat / (math.Sqrt(vhat) + k.eps))
 	}
 }
 

@@ -79,13 +79,16 @@ func benchmarkAdamStep(b *testing.B, workers int) {
 		grads[i] = rng.Float32() * 0.01
 	}
 	ad := MustAdam(n, AdamConfig{Workers: workers})
-	b.SetBytes(int64(n) * 4)
+	// A step reads params, grads, m and v (16 B) and writes params, m and
+	// v (12 B) per parameter.
+	b.SetBytes(int64(n) * 28)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ad.Step(params, grads); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/param")
 }
 
 func BenchmarkAdamStepSerial(b *testing.B)   { benchmarkAdamStep(b, 1) }
