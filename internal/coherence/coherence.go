@@ -123,12 +123,6 @@ type Config struct {
 	Mode Mode
 	// AddrMap distinguishes giant-cache lines from plain host memory.
 	AddrMap *mem.Map
-	// CPUCache is the host LLC model. If nil a gem5 Table II L3 is used.
-	CPUCache *cache.Cache
-	// GiantCache is the device-side giant cache. If nil, a fully
-	// associative cache sized to the address map's giant-cache region is
-	// used (the paper configures it to suffer no capacity misses).
-	GiantCache *cache.Cache
 	// OnTransfer observes link crossings; may be nil.
 	OnTransfer TransferFunc
 }
@@ -138,17 +132,12 @@ func NewDomain(cfg Config) *Domain {
 	if cfg.AddrMap == nil {
 		panic("coherence: nil address map")
 	}
-	cc := cfg.CPUCache
-	if cc == nil {
-		cc = cache.New(cache.Gem5L3())
-	}
-	gc := cfg.GiantCache
-	if gc == nil {
-		bytes := cfg.AddrMap.GiantCacheBytes()
-		if bytes == 0 {
-			bytes = 64 << 20
-		}
-		gc = cache.New(cache.Config{Name: "giant", SizeBytes: bytes, Ways: 0})
+	// The host LLC is gem5's Table II L3. The giant cache is fully
+	// associative and sized to the address map's giant-cache region: the
+	// paper configures it to suffer no capacity misses.
+	bytes := cfg.AddrMap.GiantCacheBytes()
+	if bytes == 0 {
+		bytes = 64 << 20
 	}
 	sink := cfg.OnTransfer
 	if sink == nil {
@@ -157,8 +146,8 @@ func NewDomain(cfg Config) *Domain {
 	return &Domain{
 		mode:          cfg.Mode,
 		addrMap:       cfg.AddrMap,
-		cpu:           cc,
-		giant:         gc,
+		cpu:           cache.New(cache.Gem5L3()),
+		giant:         cache.New(cache.Config{Name: "giant", SizeBytes: bytes, Ways: 0}),
 		sink:          sink,
 		snoop:         make(map[mem.LineAddr]uint8),
 		poisonedLines: make(map[mem.LineAddr]struct{}),

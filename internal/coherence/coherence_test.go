@@ -18,9 +18,10 @@ func testDomain(mode Mode) (*Domain, mem.Region, mem.Region, *[]Transfer) {
 	d := NewDomain(Config{
 		Mode:       mode,
 		AddrMap:    m,
-		CPUCache:   cache.New(cache.Config{Name: "llc", SizeBytes: 8 << 10, Ways: 8}),
 		OnTransfer: func(tr Transfer) { log = append(log, tr) },
 	})
+	// A small LLC, so a test can evict from it.
+	d.cpu = cache.New(cache.Config{Name: "llc", SizeBytes: 8 << 10, Ways: 8})
 	return d, params, host, &log
 }
 

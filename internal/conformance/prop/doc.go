@@ -2,11 +2,9 @@
 // conformance suite (see DESIGN.md "Conformance and invariants").
 //
 // One table-driven generator draws random configurations — bit-error rate ×
-// dirty_bytes × worker count × coalescing mode × checkpoint interval — from
-// a fixed seed and asserts the simulator's metamorphic laws on each draw:
+// dirty_bytes × worker count × checkpoint interval — from a fixed seed and
+// asserts the simulator's metamorphic laws on each draw:
 //
-//   - coalesced == per-line: the closed-form flow fast path and the
-//     per-cache-line reference path produce bit-identical step results;
 //   - workers-invariance: the parallel trainer is bit-identical at every
 //     worker count;
 //   - crash/restore == uninterrupted: killing a checkpointed session at an

@@ -14,12 +14,11 @@ import (
 // fabricFaultConfigs is the fault matrix every degeneracy row runs under.
 func fabricFaultConfigs() map[string]Config {
 	return map[string]Config{
-		"clean":    {},
-		"dba":      {DBA: true},
-		"ber":      {DBA: true, Faults: cxl.FaultConfig{Seed: 3, BER: 1e-7}},
-		"degrade":  {DBA: true, Degrade: true, Faults: cxl.FaultConfig{Seed: 3, BER: 1e-4}},
-		"mixed":    {DBA: true, Faults: cxl.FaultConfig{Seed: 5, BER: 5e-8, RetryBudget: 2}},
-		"per-line": {DBA: true, PerLine: true},
+		"clean":   {},
+		"dba":     {DBA: true},
+		"ber":     {DBA: true, Faults: cxl.FaultConfig{Seed: 3, BER: 1e-7}},
+		"degrade": {DBA: true, Degrade: true, Faults: cxl.FaultConfig{Seed: 3, BER: 1e-4}},
+		"mixed":   {DBA: true, Faults: cxl.FaultConfig{Seed: 5, BER: 5e-8, RetryBudget: 2}},
 	}
 }
 
@@ -77,19 +76,19 @@ var degenerateRows = map[string]func(t *testing.T, e *Engine, m modelzoo.Model) 
 			tr.FarStall != 0 || tr.AdamStall != 0 {
 			t.Fatalf("all-fast run shows tier traffic: %+v", tr)
 		}
-		if wantHits := int64(DefaultTierSteps) * int64(m.Layers) * 4; tr.FastHits != wantHits {
+		if wantHits := int64(TierSteps) * int64(m.Layers) * 4; tr.FastHits != wantHits {
 			t.Fatalf("tier walk hit %d times, want %d", tr.FastHits, wantHits)
 		}
 		got.Tier = phases.TierStats{}
-		for s := 0; s < DefaultTierSteps; s++ {
+		for s := 0; s < TierSteps; s++ {
 			want = addStep(want, e.Step(m, 4))
 		}
 		return got, want
 	},
 }
 
-// testDegenerate runs one plane's row across the fault matrix on a model
-// small enough for the per-line reference path.
+// testDegenerate runs one plane's row across the fault matrix on a small
+// model.
 func testDegenerate(t *testing.T, plane string) {
 	check.Enable(t)
 	m := modelzoo.GPT2()
@@ -109,20 +108,23 @@ func TestStepLayeredAllResidentMatchesStep(t *testing.T)  { testDegenerate(t, "l
 func TestRunTieredAllFitsMatchesSteps(t *testing.T)       { testDegenerate(t, "tiered") }
 
 // TestStepAllocs fences the per-step allocation count of the paper-table
-// path. Step allocates what the point-to-point dataflow needs: one engine,
-// a link (and its queue ring) and a stream (and its engine) per direction,
-// the gradient and update schedules, and one per-replica bookkeeping slice.
-// A one-replica switched step seeds no failover RNG it never draws.
+// path. Step allocates what the point-to-point dataflow needs: a link and
+// its queue ring per direction, the gradient and update schedules, and one
+// per-replica bookkeeping slice — 7 in all. A one-replica switched step
+// builds two switches and seeds no failover RNG it never draws.
 func TestStepAllocs(t *testing.T) {
 	m := modelzoo.BertLargeCased()
 	for _, cfg := range []Config{{}, {DBA: true}} {
 		e := MustEngine(cfg)
-		if n := testing.AllocsPerRun(50, func() { e.Step(m, 4) }); n > 14 {
-			t.Errorf("%v Step: %v allocs, want <= 14", cfg.Variant(), n)
+		if n := testing.AllocsPerRun(50, func() { e.Step(m, 4) }); n > 7 {
+			t.Errorf("%v Step: %v allocs, want <= 7", cfg.Variant(), n)
 		}
-		for _, fc := range []FabricConfig{{Replicas: 1}, {Replicas: 1, HopLatency: fabric.DefaultHopLatency}} {
-			if n := testing.AllocsPerRun(50, func() { e.StepFabric(m, 4, fc) }); n >= 31 {
-				t.Errorf("%v StepFabric%+v: %v allocs, want < 31", cfg.Variant(), fc, n)
+		for fc, want := range map[FabricConfig]float64{
+			{Replicas: 1}: 7,
+			{Replicas: 1, HopLatency: fabric.DefaultHopLatency}: 19,
+		} {
+			if n := testing.AllocsPerRun(50, func() { e.StepFabric(m, 4, fc) }); n > want {
+				t.Errorf("%v StepFabric%+v: %v allocs, want <= %v", cfg.Variant(), fc, n, want)
 			}
 		}
 	}

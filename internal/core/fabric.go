@@ -66,11 +66,11 @@ func (e *Engine) StepFabric(m modelzoo.Model, batch int, fc FabricConfig) (phase
 	return e.dataflow(m, batch, fc)
 }
 
-// transport carries one direction of the dataflow: a bare stream over one
-// link (point-to-point) or a fabric.Switch. Only a switch can fail a send.
+// transport carries one direction of the dataflow: one bare link
+// (point-to-point) or a fabric.Switch. Only a switch can fail a send.
 type transport struct {
 	sw *fabric.Switch
-	s  *cxl.Stream
+	l  *cxl.Link
 }
 
 // directionFaults derives one link direction's fault config: seed
@@ -84,8 +84,8 @@ func (e *Engine) directionFaults(offset int64) cxl.FaultConfig {
 	return fc
 }
 
-// pointToPoint builds a bare link and stream for one direction from a
-// config NewEngine has already validated.
+// pointToPoint builds a bare link for one direction from a config
+// NewEngine has already validated.
 func (e *Engine) pointToPoint(seedOffset int64) transport {
 	l := cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap)
 	if fc := e.directionFaults(seedOffset); fc.Enabled() {
@@ -93,7 +93,7 @@ func (e *Engine) pointToPoint(seedOffset int64) transport {
 			panic(err)
 		}
 	}
-	return transport{s: cxl.NewStream(l, e.Config.PerLine)}
+	return transport{l: l}
 }
 
 // fabricSwitch builds one direction's switch.
@@ -104,7 +104,6 @@ func (e *Engine) fabricSwitch(fc FabricConfig, seedOffset int64) (*fabric.Switch
 		HostPorts:  fc.HostPorts,
 		Bandwidth:  e.LinkBandwidth,
 		QueueCap:   e.QueueCap,
-		PerLine:    e.Config.PerLine,
 		HopLatency: fc.HopLatency,
 		Faults:     e.directionFaults(seedOffset),
 	})
@@ -121,12 +120,14 @@ func (e *Engine) transports(fc FabricConfig) (up, down transport, err error) {
 	return up, down, err
 }
 
-func (t *transport) send(lp int, ready sim.Time, n int, lines int64, extra sim.Time, pktBytes int, aggregated bool) error {
+// send streams one run of n payload bytes (cxl.Link.SendFlow's arguments)
+// over logical port lp.
+func (t *transport) send(lp int, ready sim.Time, n int, extra sim.Time, pktBytes int, aggregated bool) error {
 	if t.sw != nil {
-		_, err := t.sw.Send(lp, ready, n, lines, extra, pktBytes, aggregated)
+		_, err := t.sw.Send(lp, ready, n, extra, pktBytes, aggregated)
 		return err
 	}
-	t.s.PushRun(ready, n, lines, extra, pktBytes, aggregated)
+	t.l.SendFlow(ready, n, extra, pktBytes, aggregated)
 	return nil
 }
 
@@ -136,8 +137,7 @@ func (t *transport) fence(lp int, ready sim.Time) (done, clean sim.Time) {
 	if t.sw != nil {
 		return t.sw.FencePort(lp, ready), t.sw.FenceCleanPort(lp, ready)
 	}
-	l := t.s.Link()
-	return l.Fence(ready), l.FenceClean(ready)
+	return t.l.Fence(ready), t.l.FenceClean(ready)
 }
 
 // links counts the physical links (spares included); link returns one.
@@ -152,7 +152,7 @@ func (t *transport) link(i int) *cxl.Link {
 	if t.sw != nil {
 		return t.sw.Link(i)
 	}
-	return t.s.Link()
+	return t.l
 }
 
 // stats is the switch accounting; a bare link is the degenerate one-port,
@@ -161,17 +161,16 @@ func (t *transport) stats() fabric.SwitchStats {
 	if t.sw != nil {
 		return t.sw.Stats()
 	}
-	bytes, _, _, _ := t.s.Link().Stats()
+	bytes, _, _, _ := t.l.Stats()
 	return fabric.SwitchStats{SpineBytes: bytes}
 }
 
-// check verifies the transport's invariants (a bare link checks its own on
-// every flow).
+// check verifies the transport's invariants.
 func (t *transport) check() error {
 	if t.sw != nil {
 		return t.sw.CheckInvariants()
 	}
-	return t.s.CheckInvariants()
+	return t.l.CheckInvariants()
 }
 
 // split is shard i of b items over n holders: contiguous, remainder to the
@@ -216,7 +215,7 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 	backward := func(r, b int, start sim.Time) (fwd, end sim.Time, err error) {
 		fwd = e.GPU.ForwardTime(m, b)
 		for _, ch := range e.GPU.GradientSchedule(m, b) {
-			if err = up.send(r, start+fwd+ch.ReadyAt, int(ch.Bytes), mem.LinesIn(ch.Bytes), 0, fullWire, false); err != nil {
+			if err = up.send(r, start+fwd+ch.ReadyAt, int(ch.Bytes), 0, fullWire, false); err != nil {
 				return fwd, 0, err
 			}
 			gradBytes += ch.Bytes
@@ -306,7 +305,7 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 	// Parameters: ADAM's cache-line writebacks stream over the update
 	// protocol while the pass runs; one CXLFENCE per port after all
 	// parameters are updated (Listing 1: inside optimizer.step()).
-	perLine := e.perLinePayload(useDBA)
+	lineBytes := e.linePayload(useDBA)
 	paramWire := fullWire
 	var extra sim.Time
 	if useDBA {
@@ -324,8 +323,8 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 			continue
 		}
 		for _, ch := range sched {
-			payload := ch.Bytes * int64(perLine) / mem.LineSize
-			if err := down.send(r, clipEnd+ch.ReadyAt, int(payload), mem.LinesIn(ch.Bytes), extra, paramWire, useDBA); err != nil {
+			payload := ch.Bytes * int64(lineBytes) / mem.LineSize
+			if err := down.send(r, clipEnd+ch.ReadyAt, int(payload), extra, paramWire, useDBA); err != nil {
 				return phases.StepResult{}, fmt.Errorf("core: replica %d unreachable for parameter writeback: %w", r, err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"teco/internal/cxl"
-	"teco/internal/mem"
 	"teco/internal/modelzoo"
 	"teco/internal/sim"
 )
@@ -90,7 +89,7 @@ func (e *Engine) planeModel(m modelzoo.Model, cfg any, layers, seqLen int, knobs
 // farTier is one far-tier plane: the slot sizes, the link pair, and the
 // completion time of each slot's fetch issued ahead of use.
 type farTier struct {
-	fetch, wb *cxl.Stream
+	fetch, wb *cxl.Link
 	sizes     []int64
 	inflight  []sim.Time // 0: no issue-ahead fetch in flight
 	wire      int
@@ -98,17 +97,16 @@ type farTier struct {
 
 func (e *Engine) newFarTier(sizes []int64) *farTier {
 	return &farTier{
-		fetch:    cxl.NewStream(cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap), e.Config.PerLine),
-		wb:       cxl.NewStream(cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap), e.Config.PerLine),
+		fetch:    cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap),
+		wb:       cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap),
 		sizes:    sizes,
 		inflight: make([]sim.Time, len(sizes)),
 		wire:     cxl.WirePacketBytes(0),
 	}
 }
 
-func (p *farTier) push(s *cxl.Stream, k int, t sim.Time) sim.Time {
-	n := p.sizes[k]
-	return s.PushRun(t, int(n), mem.LinesIn(n), 0, p.wire, false).Done
+func (p *farTier) push(l *cxl.Link, k int, t sim.Time) sim.Time {
+	return l.SendFlow(t, int(p.sizes[k]), 0, p.wire, false).Done
 }
 
 // demand prices an access to slot k at t and returns the stall compute must

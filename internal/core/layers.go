@@ -165,7 +165,7 @@ func (e *Engine) StepLayered(m modelzoo.Model, batch int, lc LayerConfig) (phase
 	// authoritative), so evictions are free; the only writeback exposure
 	// is the activation spill still in flight when backward needs the bus.
 	if act {
-		actStall += p.wb.Link().Fence(cursor) - cursor
+		actStall += p.wb.Fence(cursor) - cursor
 	}
 
 	st.ResidentBytes = res.ResidentBytes()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"teco/internal/checkpoint"
+	"teco/internal/conformance/check"
 	"teco/internal/phases"
 	"teco/internal/realtrain"
 	"teco/internal/sim"
@@ -208,6 +209,9 @@ func (s *Session) RunUntil(stop int) error {
 				return err
 			}
 		}
+	}
+	if check.Enabled() {
+		check.Check(s.stats.Check)
 	}
 	return nil
 }

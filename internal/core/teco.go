@@ -42,13 +42,6 @@ type Config struct {
 	// aggregated packet re-pays the merge-header round trip), the step
 	// falls back to full-line transfers.
 	Degrade bool
-	// PerLine disables the flow-coalescing fast path: every cache line
-	// becomes its own event on the stream simulator instead of a
-	// closed-form run segment. Results are bit-identical in both modes
-	// (asserted by coalesce_test.go); per-line exists as the reference
-	// path the tests compare against and costs orders of magnitude more
-	// wall clock.
-	PerLine bool
 }
 
 // Variant returns the phases.Variant this config corresponds to.
@@ -173,8 +166,8 @@ func (e *Engine) foldFaults(res *phases.StepResult, exposed sim.Time, grad, prm 
 	}
 }
 
-// perLinePayload returns the on-link payload per 64-byte parameter line.
-func (e *Engine) perLinePayload(useDBA bool) int {
+// linePayload returns the on-link payload per 64-byte parameter line.
+func (e *Engine) linePayload(useDBA bool) int {
 	reg := dba.Register{Active: useDBA, DirtyBytes: uint8(e.Config.DirtyBytes)}
 	return reg.PayloadBytes()
 }
@@ -195,9 +188,9 @@ func (e *Engine) stepInvalidation(m modelzoo.Model, batch int) phases.StepResult
 	// clips. Invalidation messages also occupy the link.
 	fullWire := cxl.WirePacketBytes(0)
 	lines := mem.LinesIn(m.ParamBytes())
-	invalMsgs := sim.DurationForBytes(lines*cxl.MsgBytes, prm.s.Link().BytesPerSecond())
-	pf := prm.s.PushRun(0, int(m.ParamBytes()), lines, 0, fullWire, false)
-	gf := grad.s.PushRun(0, int(m.GradBytes()), mem.LinesIn(m.GradBytes()), 0, fullWire, false)
+	invalMsgs := sim.DurationForBytes(lines*cxl.MsgBytes, prm.l.BytesPerSecond())
+	pf := prm.l.SendFlow(0, int(m.ParamBytes()), 0, fullWire, false)
+	gf := grad.l.SendFlow(0, int(m.GradBytes()), 0, fullWire, false)
 
 	clip := e.CPU.ClipTime(m.Params)
 	adam := e.CPU.AdamTime(m.Params)

@@ -13,10 +13,10 @@ import (
 // tiering.Controller over staging.Residency, so slot placement has one
 // definition on both sides of the house equality).
 //
-// RunTiered runs Steps ordinary TECO steps (compute + coherence planes,
-// untouched) and walks the far-tier plane (fartier.go) on top: host-side
-// model state lives in two tiers — local DDR4 (fast) and DRAM behind a
-// CXL.mem expander (far). Each layer contributes a parameter slot
+// RunTiered runs TierSteps ordinary TECO steps (compute + coherence
+// planes, untouched) and walks the far-tier plane (fartier.go) on top:
+// host-side model state lives in two tiers — local DDR4 (fast) and DRAM
+// behind a CXL.mem expander (far). Each layer contributes a parameter slot
 // (touched by forward, backward and the update pass) and, in OptSlots
 // mode, an optimizer-state slot of twice the bytes (FP32 ADAM moments m+v)
 // touched only by the update — a ~6× per-byte heat-density skew that makes
@@ -35,15 +35,13 @@ import (
 // (asserted by the degeneracy table in degenerate_test.go). A zero budget
 // likewise freezes the initial placement regardless of policy.
 
-// DefaultTierSteps is the step count RunTiered aggregates when
-// TierConfig.Steps is zero: enough for heat to separate and migration to
-// converge, small enough to keep the sweeps fast.
-const DefaultTierSteps = 4
+// TierSteps is the step count RunTiered aggregates: enough for heat
+// to separate and migration to converge, small enough to keep the sweeps
+// fast.
+const TierSteps = 4
 
 // TierConfig parameterizes one tiered run.
 type TierConfig struct {
-	// Layers overrides the model's layer count (0 keeps the model's own).
-	Layers int
 	// DRAMBytes is the fast-tier capacity; 0 means the whole model fits
 	// fast (the all-resident baseline). A bounded capacity must hold the
 	// largest single slot.
@@ -53,9 +51,6 @@ type TierConfig struct {
 	// MigrateBudget is the per-step migration byte budget — the admission
 	// throttle; 0 disables migration (static first-fit placement).
 	MigrateBudget int64
-	// Steps is the number of training steps to aggregate (0 =
-	// DefaultTierSteps).
-	Steps int
 	// OptSlots schedules optimizer-state slots (2× parameter bytes, the
 	// FP32 m+v moments) separately from parameters.
 	OptSlots bool
@@ -92,20 +87,16 @@ func addStep(a, s phases.StepResult) phases.StepResult {
 	return a
 }
 
-// RunTiered simulates tc.Steps training steps under heterogeneous-memory
+// RunTiered simulates TierSteps training steps under heterogeneous-memory
 // tiering and returns the aggregated result plus the recorded trace.
 func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.StepResult, TierTrace, error) {
-	m, err := e.planeModel(m, tc, tc.Layers, 0, tc.DRAMBytes, tc.MigrateBudget, int64(tc.Steps))
+	m, err := e.planeModel(m, tc, 0, 0, tc.DRAMBytes, tc.MigrateBudget)
 	if err != nil {
 		return phases.StepResult{}, TierTrace{}, err
 	}
 	policy, err := tiering.ParsePolicy(tc.Policy)
 	if err != nil {
 		return phases.StepResult{}, TierTrace{}, err
-	}
-	steps := tc.Steps
-	if steps == 0 {
-		steps = DefaultTierSteps
 	}
 	sizes := SlotLayout(m, tc.OptSlots)
 	ctl, err := tiering.New(tiering.Config{
@@ -144,7 +135,7 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 	var agg phases.StepResult
 	var cursor sim.Time
 	n := m.Layers
-	for s := 0; s < steps; s++ {
+	for s := 0; s < TierSteps; s++ {
 		// Compute + coherence planes: the ordinary TECO step, untouched.
 		out := e.Step(m, batch)
 

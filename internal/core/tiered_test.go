@@ -72,36 +72,13 @@ func TestRunTieredMigrationWins(t *testing.T) {
 	}
 }
 
-// TestRunTieredPerLineMatchesCoalesced: the tiering plane is bit-identical
-// on the per-line reference path and the flow-coalescing fast path.
-func TestRunTieredPerLineMatchesCoalesced(t *testing.T) {
-	check.Enable(t)
-	m := modelzoo.GPT2()
-	m.Layers = 4
-	tc := TierConfig{DRAMBytes: 3 * m.ParamBytes() / 2, OptSlots: true,
-		MigrateBudget: 512 << 20}
-	fast, _, err := MustEngine(Config{DBA: true}).RunTiered(m, 2, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, _, err := MustEngine(Config{DBA: true, PerLine: true}).RunTiered(m, 2, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fast, slow) {
-		t.Fatalf("per-line tiered run diverged:\n got %+v\nwant %+v", slow, fast)
-	}
-}
-
 // TestRunTieredErrors: invalid configs fail fast with errors, not panics.
 func TestRunTieredErrors(t *testing.T) {
 	m := modelzoo.GPT2()
 	e := MustEngine(Config{DBA: true})
 	for name, tc := range map[string]TierConfig{
-		"negative-layers": {Layers: -1},
 		"negative-dram":   {DRAMBytes: -1},
 		"negative-budget": {MigrateBudget: -1},
-		"negative-steps":  {Steps: -1},
 		"bad-policy":      {Policy: "mru"},
 		"tier-too-small":  {DRAMBytes: 1},
 	} {

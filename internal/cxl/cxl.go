@@ -273,9 +273,8 @@ func (l *Link) CheckInvariants() error {
 
 // admitRun applies pending-queue admission for one run: the producer is
 // back-pressured until the oldest of the last queueCap completions has
-// drained, and serialization cannot start before the link is free. Both the
-// coalesced closed-form path (SendFlow) and the per-line stream simulation
-// share this, which is one half of their bit-identity.
+// drained, and serialization cannot start before the link is free. SendFlow
+// and the per-line reference schedule in perline_test.go share it.
 func (l *Link) admitRun(ready sim.Time) (admit, start sim.Time) {
 	oldest := l.finishRing[l.ringPos]
 	admit = ready
@@ -290,9 +289,8 @@ func (l *Link) admitRun(ready sim.Time) (admit, start sim.Time) {
 	return admit, start
 }
 
-// commitRun records one completed run in the link state — the other half of
-// the coalesced/per-line bit-identity: regardless of how `done` was derived
-// (closed form or the last line event), the link advances identically.
+// commitRun records one completed run in the link state, however `done` was
+// derived (SendFlow's closed form, or the reference's last line event).
 func (l *Link) commitRun(done, svc sim.Time, n int) {
 	l.freeAt = done
 	l.busy += svc
@@ -328,22 +326,6 @@ func (l *Link) FenceClean(ready sim.Time) sim.Time {
 // cumulative producer stall caused by the pending queue).
 func (l *Link) Stats() (bytes int64, packets int64, busy, stall sim.Time) {
 	return l.bytesSent, l.packets, l.busy, l.stall
-}
-
-// Reset clears counters and queue state (a new training run on the same
-// hardware). Fault and retry counters are cleared alongside the byte and
-// stall accounting; the attached fault model persists — the hardware is
-// still the same lossy link.
-func (l *Link) Reset() {
-	l.freeAt = 0
-	l.cleanFreeAt = 0
-	l.bytesSent, l.packets = 0, 0
-	l.busy, l.stall = 0, 0
-	l.fstats = LinkFaultStats{}
-	for i := range l.finishRing {
-		l.finishRing[i] = 0
-	}
-	l.ringPos = 0
 }
 
 // ---------------------------------------------------------------------------

@@ -110,18 +110,13 @@ func TestFence(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+func TestStats(t *testing.T) {
 	l := NewLink(nil, 16e9, 0)
 	l.SendFlow(0, 64, 0, 0, false)
 	l.SendFlow(0, MsgBytes, 0, 0, false)
-	b, p, busy, _ := l.Stats()
-	if b != 64+MsgBytes || p != 2 || busy <= 0 {
-		t.Fatalf("stats = %d bytes %d pkts busy %v", b, p, busy)
-	}
-	l.Reset()
 	b, p, busy, stall := l.Stats()
-	if b != 0 || p != 0 || busy != 0 || stall != 0 || l.freeAt != 0 {
-		t.Fatal("reset incomplete")
+	if b != 64+MsgBytes || p != 2 || busy != l.ServiceTime(64, 0)+l.ServiceTime(MsgBytes, 0) || stall != 0 {
+		t.Fatalf("stats = %d bytes %d pkts busy %v stall %v", b, p, busy, stall)
 	}
 }
 

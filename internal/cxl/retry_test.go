@@ -175,33 +175,6 @@ func TestBackPressureMonotonicUnderDegradedBandwidth(t *testing.T) {
 	}
 }
 
-// TestResetClearsFaultCounters: Reset must clear retry/fault counters
-// alongside the byte, busy, and stall counters.
-func TestResetClearsFaultCounters(t *testing.T) {
-	l := NewLink(nil, 0, 4)
-	mustInjectT(t, l, FaultConfig{Seed: 11, BER: 1e-4})
-	for i := 0; i < 64; i++ {
-		l.SendFlow(0, 4096, 0, WirePacketBytes(0), true)
-	}
-	if l.FaultStats() == (LinkFaultStats{}) {
-		t.Fatal("no fault activity before reset")
-	}
-	l.Reset()
-	if l.FaultStats() != (LinkFaultStats{}) {
-		t.Fatalf("fault counters survived Reset: %+v", l.FaultStats())
-	}
-	b, p, busy, stall := l.Stats()
-	if b != 0 || p != 0 || busy != 0 || stall != 0 {
-		t.Fatal("base counters survived Reset")
-	}
-	if l.Fence(0) != 0 || l.FenceClean(0) != 0 {
-		t.Fatal("drain state survived Reset")
-	}
-	if l.Faults() == nil {
-		t.Fatal("Reset must keep the fault model: the hardware is still lossy")
-	}
-}
-
 func TestPacketErrorProbShape(t *testing.T) {
 	fm := MustFaultModel(FaultConfig{Seed: 1, BER: 1e-6})
 	small := fm.PacketErrorProb(WirePacketBytes(2))

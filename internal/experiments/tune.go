@@ -56,7 +56,7 @@ func TuneActAfterSteps(opt Options) *Table {
 		return score
 	}
 	res, err := tuner.Maximize(objective, tuner.Config{
-		Lo: 0, Hi: float64(tuneSteps), InitPoints: 4, Iters: 6, Seed: seed,
+		Hi: float64(tuneSteps), InitPoints: 4, Iters: 6, Seed: seed,
 	})
 	if err != nil {
 		t.Note("tuner error: %v", err)

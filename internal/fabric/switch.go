@@ -52,8 +52,6 @@ type SwitchConfig struct {
 	Bandwidth float64
 	// QueueCap is the per-port pending-queue depth (<= 0: cxl default).
 	QueueCap int
-	// PerLine selects the per-line reference path on every port stream.
-	PerLine bool
 	// HopLatency is the added switch traversal latency per flow. Zero
 	// means cut-through with no hop cost, which keeps a one-port switch
 	// bit-identical to a bare link.
@@ -122,12 +120,11 @@ func (s *spine) pass(portDone sim.Time, n int, hop sim.Time) sim.Time {
 	return out
 }
 
-// port is one physical switch port: a full cxl link + stream with its own
-// fault domain.
+// port is one physical switch port: a full cxl link with its own fault
+// domain.
 type port struct {
-	link   *cxl.Link
-	stream *cxl.Stream
-	up     bool
+	link *cxl.Link
+	up   bool
 	// bound is the logical port routed over this physical port, -1 for
 	// an unassigned spare.
 	bound int
@@ -187,7 +184,7 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 				return nil, err
 			}
 		}
-		p := &port{link: l, stream: cxl.NewStream(l, cfg.PerLine), up: true, bound: -1}
+		p := &port{link: l, up: true, bound: -1}
 		if i < cfg.Ports {
 			p.bound = i
 			sw.route[i] = i
@@ -289,8 +286,8 @@ func (sw *Switch) spareFor() int {
 // Send pushes one flow onto logical port lp's route and carries it across
 // the spine. The returned FlowResult is the port link's result with Done
 // (and CleanDone) advanced by the spine traversal; with one port, zero hop
-// and no contention it is bit-identical to a bare cxl.Stream push.
-func (sw *Switch) Send(lp int, ready sim.Time, n int, lines int64, extra sim.Time, pktBytes int, aggregated bool) (cxl.FlowResult, error) {
+// and no contention it is bit-identical to a bare cxl.Link.SendFlow.
+func (sw *Switch) Send(lp int, ready sim.Time, n int, extra sim.Time, pktBytes int, aggregated bool) (cxl.FlowResult, error) {
 	if lp < 0 || lp >= sw.cfg.Ports {
 		return cxl.FlowResult{}, fmt.Errorf("fabric: send on unknown port %d", lp)
 	}
@@ -304,7 +301,7 @@ func (sw *Switch) Send(lp int, ready sim.Time, n int, lines int64, extra sim.Tim
 		ready = at
 		p = sw.ports[sw.route[lp]]
 	}
-	res := p.stream.PushRun(ready, n, lines, extra, pktBytes, aggregated)
+	res := p.link.SendFlow(ready, n, extra, pktBytes, aggregated)
 	res.Done = sw.sp.pass(res.Done, n, sw.cfg.HopLatency)
 	if p.link.Faults() != nil {
 		// The clean spine shadows the fault-free drain of the port so
@@ -361,9 +358,6 @@ func (sw *Switch) CheckInvariants() error {
 	var portBytes int64
 	for i, p := range sw.ports {
 		if err := p.link.CheckInvariants(); err != nil {
-			return fmt.Errorf("fabric: port %d: %w", i, err)
-		}
-		if err := p.stream.CheckInvariants(); err != nil {
 			return fmt.Errorf("fabric: port %d: %w", i, err)
 		}
 		if p.bytes < 0 {

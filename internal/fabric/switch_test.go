@@ -7,7 +7,6 @@ import (
 
 	"teco/internal/conformance/check"
 	"teco/internal/cxl"
-	"teco/internal/mem"
 	"teco/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func schedule() []push {
 }
 
 // The degenerate anchor: a one-port, zero-hop, non-blocking switch is
-// bit-identical to a bare cxl link+stream — Done, fences and fault draws all
+// bit-identical to a bare cxl link — Done, fences and fault draws all
 // replay exactly. This is what lets StepFabric claim equality with Step.
 func TestSwitchDegeneratesToBareLink(t *testing.T) {
 	check.Enable(t)
@@ -56,11 +55,9 @@ func TestSwitchDegeneratesToBareLink(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			stream := cxl.NewStream(link, false)
-
 			for i, p := range schedule() {
-				want := stream.PushRun(p.ready, p.n, mem.LinesIn(int64(p.n)), 0, cxl.WirePacketBytes(0), false)
-				got, err := sw.Send(0, p.ready, p.n, mem.LinesIn(int64(p.n)), 0, cxl.WirePacketBytes(0), false)
+				want := link.SendFlow(p.ready, p.n, 0, cxl.WirePacketBytes(0), false)
+				got, err := sw.Send(0, p.ready, p.n, 0, cxl.WirePacketBytes(0), false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +101,7 @@ func TestSwitchOversubscriptionQueues(t *testing.T) {
 				// oversubscribed one (~543 ns) — so only the oversubscribed
 				// spine queues.
 				ready := sim.Time(i)*sim.Microsecond + sim.Time(p)*200*sim.Nanosecond
-				res, err := sw.Send(p, ready, 8192, 128, 0, cxl.WirePacketBytes(0), false)
+				res, err := sw.Send(p, ready, 8192, 0, cxl.WirePacketBytes(0), false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,11 +138,11 @@ func TestSwitchHopLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := zero.Send(0, 0, 4096, 64, 0, cxl.WirePacketBytes(0), false)
+	a, err := zero.Send(0, 0, 4096, 0, cxl.WirePacketBytes(0), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := hop.Send(0, 0, 4096, 64, 0, cxl.WirePacketBytes(0), false)
+	b, err := hop.Send(0, 0, 4096, 0, cxl.WirePacketBytes(0), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +166,7 @@ func TestSwitchFailover(t *testing.T) {
 	if sw.ports[sw.route[0]].up {
 		t.Fatal("killed port still up")
 	}
-	res, err := sw.Send(0, 0, 4096, 64, 0, cxl.WirePacketBytes(0), false)
+	res, err := sw.Send(0, 0, 4096, 0, cxl.WirePacketBytes(0), false)
 	if err != nil {
 		t.Fatalf("send with a spare available: %v", err)
 	}
@@ -184,7 +181,7 @@ func TestSwitchFailover(t *testing.T) {
 		t.Fatalf("stats after failover: %+v", st)
 	}
 	// Port 1 is untouched.
-	if _, err := sw.Send(1, 0, 4096, 64, 0, cxl.WirePacketBytes(0), false); err != nil {
+	if _, err := sw.Send(1, 0, 4096, 0, cxl.WirePacketBytes(0), false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +190,7 @@ func TestSwitchFailover(t *testing.T) {
 	if err := sw.KillPort(0); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sw.Send(0, 0, 4096, 64, 0, cxl.WirePacketBytes(0), false)
+	_, err = sw.Send(0, 0, 4096, 0, cxl.WirePacketBytes(0), false)
 	var pde *PortDownError
 	if !errors.As(err, &pde) {
 		t.Fatalf("want PortDownError, got %v", err)
@@ -221,7 +218,7 @@ func TestSwitchFailoverBackoffSeeded(t *testing.T) {
 		if err := sw.KillPort(0); err != nil {
 			t.Fatal(err)
 		}
-		_, err = sw.Send(0, 0, 64, 1, 0, cxl.WirePacketBytes(0), false)
+		_, err = sw.Send(0, 0, 64, 0, cxl.WirePacketBytes(0), false)
 		var pde *PortDownError
 		if !errors.As(err, &pde) {
 			t.Fatalf("want PortDownError, got %v", err)

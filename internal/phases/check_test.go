@@ -59,9 +59,6 @@ func TestStepResultCheckViolations(t *testing.T) {
 		{"negative fault counter", func(r *StepResult) { r.Fault.Retries = -1 }},
 		{"recovered exceeds poisoned", func(r *StepResult) { r.Fault.Recovered = 1 }},
 		{"negative exposed fault latency", func(r *StepResult) { r.Fault.Exposed = -1 }},
-		{"negative recovery counter", func(r *StepResult) { r.Recovery.CkptWrites = -1 }},
-		{"rollbacks exceed detections", func(r *StepResult) { r.Recovery.Rollbacks = 1 }},
-		{"checkpoint bytes without writes", func(r *StepResult) { r.Recovery.CkptBytes = 64 }},
 		{"negative breakdown", func(r *StepResult) { r.Grad = -1 }},
 	}
 	for _, c := range cases {
@@ -78,10 +75,26 @@ func TestStepResultCheckAcceptsConsistentFaults(t *testing.T) {
 		Breakdown: Breakdown{Fwd: sim.Millisecond, Grad: sim.Microsecond},
 		Fault: FaultStats{Retries: 3, ReplayedBytes: 192, Poisoned: 2, Recovered: 2,
 			Exposed: sim.Nanosecond},
-		Recovery: RecoveryStats{CkptWrites: 2, CkptBytes: 1 << 16,
-			SDCDetected: 1, Rollbacks: 1, ReplayedSteps: 4},
 	}
 	if err := r.Check(); err != nil {
 		t.Fatalf("consistent faulted result rejected: %v", err)
+	}
+}
+
+func TestRecoveryStatsCheck(t *testing.T) {
+	valid := RecoveryStats{CkptWrites: 2, CkptBytes: 1 << 16, SDCDetected: 1, Rollbacks: 1, ReplayedSteps: 4}
+	if err := valid.Check(); err != nil {
+		t.Fatalf("consistent recovery stats rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*RecoveryStats){
+		"negative recovery counter":       func(r *RecoveryStats) { r.CkptWrites = -1 },
+		"rollbacks exceed detections":     func(r *RecoveryStats) { r.Rollbacks = 2 },
+		"checkpoint bytes without writes": func(r *RecoveryStats) { r.CkptWrites = 0 },
+	} {
+		r := valid
+		mut(&r)
+		if err := r.Check(); err == nil {
+			t.Errorf("%s passed Check", name)
+		}
 	}
 }

@@ -273,10 +273,21 @@ type RecoveryStats struct {
 	RecoveryTime sim.Time
 }
 
-// Any reports whether any checkpoint/recovery activity was recorded.
-func (r RecoveryStats) Any() bool {
-	return r.CkptWrites != 0 || r.SDCDetected != 0 || r.Rollbacks != 0 ||
-		r.ReplayedSteps != 0 || r.CorruptSnapshotsSkipped != 0
+// Check validates the recovery conservation rules and returns the first
+// violation, if any: counters are non-negative, a rollback needs a
+// detection, and checkpoint bytes need a checkpoint write.
+func (r RecoveryStats) Check() error {
+	if r.CkptWrites < 0 || r.CkptBytes < 0 || r.SDCDetected < 0 || r.Rollbacks < 0 ||
+		r.ReplayedSteps < 0 || r.CorruptSnapshotsSkipped < 0 || r.RecoveryTime < 0 {
+		return fmt.Errorf("phases: negative recovery counter %+v", r)
+	}
+	if r.Rollbacks > r.SDCDetected {
+		return fmt.Errorf("phases: %d rollbacks for %d detections", r.Rollbacks, r.SDCDetected)
+	}
+	if r.CkptWrites == 0 && r.CkptBytes != 0 {
+		return fmt.Errorf("phases: %d checkpoint bytes with zero writes", r.CkptBytes)
+	}
+	return nil
 }
 
 // Add returns element-wise accumulation.
@@ -303,10 +314,6 @@ type StepResult struct {
 	// Fault is the step's link-fault accounting (zero when no faults are
 	// injected).
 	Fault FaultStats
-	// Recovery is the run's checkpoint/restore accounting (zero when no
-	// checkpointing is configured); aggregated over a run and amortized
-	// per step by core.Session.
-	Recovery RecoveryStats
 	// Fabric is the switched-fabric accounting (zero on the
 	// point-to-point engines).
 	Fabric FabricStats
@@ -342,17 +349,6 @@ func (r StepResult) Check() error {
 	}
 	if f.Exposed < 0 {
 		return fmt.Errorf("phases: negative exposed fault latency %v", f.Exposed)
-	}
-	rec := r.Recovery
-	if rec.CkptWrites < 0 || rec.CkptBytes < 0 || rec.SDCDetected < 0 || rec.Rollbacks < 0 ||
-		rec.ReplayedSteps < 0 || rec.CorruptSnapshotsSkipped < 0 || rec.RecoveryTime < 0 {
-		return fmt.Errorf("phases: negative recovery counter %+v", rec)
-	}
-	if rec.Rollbacks > rec.SDCDetected {
-		return fmt.Errorf("phases: %d rollbacks for %d detections", rec.Rollbacks, rec.SDCDetected)
-	}
-	if rec.CkptWrites == 0 && rec.CkptBytes != 0 {
-		return fmt.Errorf("phases: %d checkpoint bytes with zero writes", rec.CkptBytes)
 	}
 	fb := r.Fabric
 	if fb.Replicas < 0 || fb.HostPorts < 0 || fb.PortsDown < 0 || fb.Failovers < 0 ||

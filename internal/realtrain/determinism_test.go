@@ -8,7 +8,7 @@ import (
 )
 
 // determinismConfigs is the table of trainer shapes the bit-identity
-// harness covers: every hot path (ADAM, DBA merge + verify, FP16 rounding,
+// harness covers: every hot path (ADAM, DBA merge + verify,
 // byte-change scan, SDC CRC guards) and both proxy architectures.
 func determinismConfigs(seed int64) []Config {
 	base := Config{
@@ -18,15 +18,13 @@ func determinismConfigs(seed int64) []Config {
 	dbaOn := base
 	dbaOn.DBA = true
 	dbaOn.ActAfterSteps = 10
-	fp16 := dbaOn
-	fp16.FP16Compute = true
 	guarded := dbaOn
 	guarded.SDCChecks = true
 	attn := base
 	attn.Arch = "attention"
 	attn.DBA = true
 	attn.ActAfterSteps = 15
-	return []Config{plain, dbaOn, fp16, guarded, attn}
+	return []Config{plain, dbaOn, guarded, attn}
 }
 
 func mustRunTrainer(t *testing.T, cfg Config) (*Trainer, Result) {

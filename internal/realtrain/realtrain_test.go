@@ -240,35 +240,6 @@ func TestMergeMatchesDBADisaggregate(t *testing.T) {
 	}
 }
 
-// TestFP16ComputeComposesWithDBA: mixed-precision training (paper §V) —
-// the GPU-side FP32->FP16 conversion does not defeat DBA, because the
-// CPU->GPU transfer stays FP32.
-func TestFP16ComputeComposesWithDBA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping long training run in -short mode")
-	}
-	fp16 := Run(Config{Steps: 400, Seed: 61, FP16Compute: true})
-	both := Run(Config{Steps: 400, Seed: 61, FP16Compute: true, DBA: true, ActAfterSteps: 100})
-	if fp16.FinalAcc < 0.35 {
-		t.Fatalf("fp16 training collapsed: acc %.3f", fp16.FinalAcc)
-	}
-	if diff := fp16.FinalAcc - both.FinalAcc; diff > 0.10 {
-		t.Fatalf("DBA on top of fp16 cost %.3f accuracy", diff)
-	}
-}
-
-// TestFP16AloneCloseToFP32: the mixed-precision rounding itself is benign.
-func TestFP16AloneCloseToFP32(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping long training run in -short mode")
-	}
-	fp32 := Run(Config{Steps: 300, Seed: 71})
-	fp16 := Run(Config{Steps: 300, Seed: 71, FP16Compute: true})
-	if diff := fp32.FinalAcc - fp16.FinalAcc; diff > 0.10 || diff < -0.10 {
-		t.Fatalf("fp16 accuracy gap %.3f too large (%.3f vs %.3f)", diff, fp32.FinalAcc, fp16.FinalAcc)
-	}
-}
-
 // TestTrajectoriesIdenticalBeforeActivation: until act_aft_steps, the DBA
 // run transfers full parameters, so its sampled losses must be bit-identical
 // to the exact run's.

@@ -11,7 +11,6 @@ import (
 	"teco/internal/conformance/check"
 	"teco/internal/dba"
 	"teco/internal/optim"
-	"teco/internal/parallel"
 	"teco/internal/tensor"
 )
 
@@ -27,11 +26,6 @@ type Config struct {
 	FineLR   float64 // fine-tuning LR (default 1e-5, small updates)
 	// DBA switches on the dirty-byte parameter path.
 	DBA bool
-	// FP16Compute models mixed-precision training (paper §V): after the
-	// FP32 parameters land on the accelerator, the GPU converts them to
-	// FP16 for forward/backward. The conversion happens on the GPU, so
-	// the CPU->GPU transfer stays FP32 and DBA still applies.
-	FP16Compute bool
 	// ActAfterSteps is `act_aft_steps`; ignored when !DBA. Negative
 	// selects the paper default (500).
 	ActAfterSteps int
@@ -56,7 +50,7 @@ type Config struct {
 	// experiments and on inside core.Session.
 	SDCChecks bool
 	// Workers parallelizes the per-step hot loops (ADAM update, dirty-byte
-	// merge and scan, FP16 rounding, SDC checksum guards) over chunked
+	// merge and scan, SDC checksum guards) over chunked
 	// goroutines. 0 or 1 is the serial fallback; negative uses GOMAXPROCS.
 	// Purely a scheduling knob: every parallel loop is element-wise or
 	// combines with exact arithmetic, so the run is bit-identical at any
@@ -154,7 +148,7 @@ func (c Config) tagFields() []tagField {
 	return []tagField{
 		{"Steps", c.Steps}, {"Batch", c.Batch}, {"LR", c.LR}, {"ClipNorm", c.ClipNorm},
 		{"Hidden", c.Hidden}, {"Seed", c.Seed}, {"PreSteps", c.PreSteps}, {"FineLR", c.FineLR},
-		{"DBA", c.DBA}, {"FP16Compute", c.FP16Compute}, {"ActAfterSteps", c.ActAfterSteps},
+		{"DBA", c.DBA}, {"ActAfterSteps", c.ActAfterSteps},
 		{"DirtyBytes", c.DirtyBytes}, {"SampleEvery", c.SampleEvery}, {"Arch", c.Arch},
 		{"Layers", c.Layers},
 	}
@@ -323,7 +317,6 @@ type Trainer struct {
 	grads      []float32
 	prevMaster []float32
 	prevGrads  []float32
-	fp16View   []float32
 
 	step    int
 	samples []StepSample
@@ -352,7 +345,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 // dataset (immutable after construction, so every run seeded from this
 // state shares it instead of regenerating it). Runs that differ only
 // in fine-tuning knobs (DBA, ActAfterSteps, DirtyBytes, Steps, FineLR,
-// FP16Compute, SampleEvery, SDCChecks, Workers) share the same pre-phase,
+// SampleEvery, SDCChecks, Workers) share the same pre-phase,
 // so a PreState computed once can seed all of them — the memoization the
 // experiment suite uses to pre-train each seed exactly once.
 type PreState struct {
@@ -461,7 +454,6 @@ func newTrainerShell(cfg Config, ds *Dataset) (*Trainer, error) {
 		grads:      make([]float32, n),
 		prevMaster: make([]float32, n),
 		prevGrads:  make([]float32, n),
-		fp16View:   make([]float32, n),
 		guard:      newSDCGuard(n),
 	}, nil
 }
@@ -516,20 +508,9 @@ func (t *Trainer) Step() error {
 
 	s := t.step
 	// Forward/backward on the ACCELERATOR copy (possibly stale in its
-	// high bytes when DBA is on). Under mixed precision the GPU first
-	// rounds its copy through binary16.
-	fwdParams := t.compute
-	if t.cfg.FP16Compute {
-		// Element-wise rounding: chunked goroutines keep the serial bits.
-		parallel.ForChunks(t.cfg.Workers, len(t.compute), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				t.fp16View[i] = tensor.RoundTripFP16(t.compute[i])
-			}
-		})
-		fwdParams = t.fp16View
-	}
+	// high bytes when DBA is on).
 	t.batch = t.ds.BatchInto(t.rng, t.batch, t.cfg.Batch)
-	loss := t.model.LossAndGrad(fwdParams, t.ds, t.batch, t.grads)
+	loss := t.model.LossAndGrad(t.compute, t.ds, t.batch, t.grads)
 	// Gradients cross GPU->CPU in full FP32 (no DBA for grads). The clip's
 	// norm reduction runs first (it needs every gradient); the scaling
 	// itself is deferred into the fused ADAM pass.

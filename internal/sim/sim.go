@@ -1,6 +1,8 @@
-// Package sim provides a small discrete-event simulation engine used by all
-// timing models in the repository: the CXL link, the cache/coherence
-// machinery, the GPU and CPU timing models, and the training schedules.
+// Package sim holds the simulated clock every timing model in the repository
+// shares (the CXL link, the GPU and CPU timing models, the training
+// schedules) and a small discrete-event engine. The timing models are closed
+// forms over Time; the engine drives the per-line reference schedule that
+// internal/cxl's tests hold SendFlow to.
 //
 // Time is measured in integer picoseconds so that sub-nanosecond hardware
 // latencies (e.g. the 1 ns Aggregator delay from the paper, §VIII-D) compose
@@ -81,7 +83,7 @@ func DurationForBytes(n int64, bytesPerSecond float64) Time {
 }
 
 // Handler is an event callback. Hot paths that schedule millions of events
-// (the per-line stream simulator) implement it on a long-lived struct;
+// (the per-line reference schedule) implement it on a long-lived struct;
 // AtHandler recycles the event through the engine's free list, so
 // steady-state scheduling performs zero allocations (asserted by
 // TestPooledSchedulingAllocs).
@@ -127,19 +129,12 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	fired  uint64
 	// free is the head of the event free list (see AtHandler).
 	free *event
 }
 
 // New returns an empty engine at time zero.
 func New() *Engine { return &Engine{} }
-
-// Fired returns the number of events executed so far (for tests/metrics).
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // AtHandler schedules h.Fire at absolute time t. The event is recycled into
 // the engine's free list when it fires, so steady-state scheduling
@@ -173,7 +168,6 @@ func (e *Engine) Step() bool {
 		check.Failf("sim: event time %v before clock %v (monotonicity)", ev.at, e.now)
 	}
 	e.now = ev.at
-	e.fired++
 	// Recycle before firing so the handler can reschedule without growing
 	// the pool.
 	h := ev.h
@@ -189,22 +183,4 @@ func (e *Engine) Run() Time {
 	for e.Step() {
 	}
 	return e.now
-}
-
-// CheckInvariants validates the engine's internal consistency and returns
-// the first violation, if any: the pending-event heap must be a min-heap on
-// (time, seq), and no pending event may be scheduled before the current
-// clock.
-func (e *Engine) CheckInvariants() error {
-	for i, ev := range e.events {
-		if ev.at < e.now {
-			return fmt.Errorf("sim: pending event at %v before clock %v", ev.at, e.now)
-		}
-		for _, c := range []int{2*i + 1, 2*i + 2} {
-			if c < len(e.events) && e.events.Less(c, i) {
-				return fmt.Errorf("sim: heap order violated between slots %d and %d", i, c)
-			}
-		}
-	}
-	return nil
 }

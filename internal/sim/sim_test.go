@@ -80,8 +80,8 @@ func TestEngineOrdering(t *testing.T) {
 	if len(order) != 3 || order[0] != 10 || order[1] != 20 || order[2] != 30 {
 		t.Fatalf("order = %v", order)
 	}
-	if end != 30 || eng.Fired() != 3 || eng.Pending() != 0 {
-		t.Fatalf("final time %v, fired %d, pending %d", end, eng.Fired(), eng.Pending())
+	if end != 30 || len(eng.events) != 0 {
+		t.Fatalf("final time %v, pending %d", end, len(eng.events))
 	}
 }
 
@@ -157,7 +157,7 @@ func TestEngineManyRandomEvents(t *testing.T) {
 	eng := New()
 	const n = 10000
 	var last Time
-	ok := true
+	ok, fired := true, 0
 	for i := 0; i < n; i++ {
 		at := Time(rng.Int63n(1_000_000))
 		eng.AtHandler(at, fn(func(now Time) {
@@ -165,13 +165,14 @@ func TestEngineManyRandomEvents(t *testing.T) {
 				ok = false
 			}
 			last = now
+			fired++
 		}))
 	}
 	eng.Run()
 	if !ok {
 		t.Fatal("time went backwards")
 	}
-	if eng.Fired() != n {
-		t.Fatalf("fired = %d, want %d", eng.Fired(), n)
+	if fired != n {
+		t.Fatalf("fired = %d, want %d", fired, n)
 	}
 }

@@ -1,7 +1,5 @@
-// Package tensor provides FP32 tensors with byte-level views, the
-// value-changed-byte classification behind the paper's Figure 2, and the
-// FP16 conversion used by mixed-precision training (paper §V, "About
-// mixed-precision training").
+// Package tensor provides FP32 tensors with byte-level views and the
+// value-changed-byte classification behind the paper's Figure 2.
 package tensor
 
 import (
@@ -210,87 +208,3 @@ func (d *Distribution) Add(o Distribution) {
 		d.Counts[i] += o.Counts[i]
 	}
 }
-
-// ---------------------------------------------------------------------------
-// FP16 (IEEE 754 binary16) conversion for mixed-precision modelling.
-
-// ToFloat16 converts an FP32 value to its binary16 bit pattern with
-// round-to-nearest-even, handling subnormals, infinities and NaN.
-func ToFloat16(f float32) uint16 {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23) & 0xFF
-	man := b & 0x7FFFFF
-
-	switch {
-	case exp == 0xFF: // Inf / NaN
-		if man != 0 {
-			return sign | 0x7E00 // quiet NaN
-		}
-		return sign | 0x7C00
-	case exp == 0 && man == 0:
-		return sign // signed zero
-	}
-
-	// Unbias, rebias for binary16.
-	e := exp - 127 + 15
-	if e >= 0x1F {
-		return sign | 0x7C00 // overflow to infinity
-	}
-	if e <= 0 {
-		// Subnormal (or underflow to zero).
-		if e < -10 {
-			return sign
-		}
-		man |= 0x800000 // implicit leading 1
-		shift := uint32(14 - e)
-		half := uint32(1) << (shift - 1)
-		v := man >> shift
-		// Round to nearest even.
-		if man&(half*2-1) > half || (man&(half*2-1) == half && v&1 == 1) {
-			v++
-		}
-		return sign | uint16(v)
-	}
-	// Normal: keep top 10 mantissa bits, round to nearest even.
-	v := uint32(e)<<10 | man>>13
-	rem := man & 0x1FFF
-	if rem > 0x1000 || (rem == 0x1000 && v&1 == 1) {
-		v++ // may carry into the exponent; that is correct rounding
-	}
-	if v >= 0x7C00 {
-		return sign | 0x7C00
-	}
-	return sign | uint16(v)
-}
-
-// FromFloat16 converts a binary16 bit pattern to FP32 exactly.
-func FromFloat16(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1F
-	man := uint32(h & 0x3FF)
-	switch {
-	case exp == 0x1F: // Inf / NaN
-		if man != 0 {
-			return math.Float32frombits(sign | 0x7FC00000)
-		}
-		return math.Float32frombits(sign | 0x7F800000)
-	case exp == 0:
-		if man == 0 {
-			return math.Float32frombits(sign)
-		}
-		// Subnormal: normalize.
-		e := uint32(127 - 15 + 1)
-		for man&0x400 == 0 {
-			man <<= 1
-			e--
-		}
-		man &= 0x3FF
-		return math.Float32frombits(sign | e<<23 | man<<13)
-	}
-	return math.Float32frombits(sign | (exp-15+127)<<23 | man<<13)
-}
-
-// RoundTripFP16 converts through binary16 and back, the precision loss a
-// GPU-side FP32->FP16 parameter copy incurs.
-func RoundTripFP16(f float32) float32 { return FromFloat16(ToFloat16(f)) }

@@ -175,79 +175,6 @@ func TestDistributionEmptySafe(t *testing.T) {
 	}
 }
 
-func TestFP16KnownValues(t *testing.T) {
-	cases := []struct {
-		f    float32
-		bits uint16
-	}{
-		{0, 0x0000},
-		{1, 0x3C00},
-		{-2, 0xC000},
-		{0.5, 0x3800},
-		{65504, 0x7BFF},                         // max half
-		{6.103515625e-05, 0x0400},               // min normal half
-		{5.960464477539063e-08, 0x0001},         // min subnormal half
-		{float32(math.Inf(1)), 0x7C00},          // +inf
-		{float32(math.Inf(-1)), 0xFC00},         // -inf
-		{100000, 0x7C00},                        // overflow -> inf
-		{float32(math.Copysign(0, -1)), 0x8000}, // -0
-	}
-	for _, c := range cases {
-		if got := ToFloat16(c.f); got != c.bits {
-			t.Errorf("ToFloat16(%v) = %#04x, want %#04x", c.f, got, c.bits)
-		}
-	}
-	if v := FromFloat16(0x3C00); v != 1 {
-		t.Fatalf("FromFloat16(0x3C00) = %v", v)
-	}
-	if v := FromFloat16(0x0001); v != 5.960464477539063e-08 {
-		t.Fatalf("min subnormal = %v", v)
-	}
-	if !math.IsNaN(float64(FromFloat16(0x7E00))) {
-		t.Fatal("NaN must survive")
-	}
-}
-
-func TestFP16NaN(t *testing.T) {
-	if !math.IsNaN(float64(FromFloat16(ToFloat16(float32(math.NaN()))))) {
-		t.Fatal("NaN does not round-trip")
-	}
-}
-
-// Property: every binary16 value round-trips exactly through FP32:
-// ToFloat16(FromFloat16(h)) == h (modulo NaN payloads).
-func TestFP16ExhaustiveRoundTrip(t *testing.T) {
-	for h := 0; h < 1<<16; h++ {
-		bits := uint16(h)
-		f := FromFloat16(bits)
-		if math.IsNaN(float64(f)) {
-			continue // NaN payloads may canonicalize
-		}
-		back := ToFloat16(f)
-		if back != bits {
-			t.Fatalf("half %#04x -> %v -> %#04x", bits, f, back)
-		}
-	}
-}
-
-// Property: FP32->FP16 rounding error is within half a ULP of the binary16
-// result for values in the normal half range.
-func TestFP16RoundingProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		v := float32(rng.NormFloat64())
-		r := RoundTripFP16(v)
-		if v == 0 {
-			return r == 0
-		}
-		rel := math.Abs(float64(r-v)) / math.Abs(float64(v))
-		return rel <= 1.0/1024.0 // 2^-10 mantissa
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMantissaDriftClassification demonstrates the Fig 2 mechanism: a small
 // relative update to an FP32 parameter usually only disturbs the low
 // mantissa bytes.

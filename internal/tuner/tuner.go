@@ -14,19 +14,19 @@ import (
 	"math/rand"
 )
 
-// Objective evaluates a candidate x in [lo, hi] and returns a score to
+// Objective evaluates a candidate x in [0, hi] and returns a score to
 // MAXIMIZE.
 type Objective func(x float64) float64
 
 // Config controls the optimizer.
 type Config struct {
-	Lo, Hi float64 // search interval
+	Hi float64 // search interval [0, Hi]
 	// InitPoints seeds the GP with evenly spaced evaluations (default 4).
 	InitPoints int
 	// Iters is the number of BO iterations after seeding (default 12).
 	Iters int
 	// LengthScale is the RBF kernel length scale, in input units
-	// (default: (Hi-Lo)/5).
+	// (default: Hi/5).
 	LengthScale float64
 	// Noise is the observation noise variance (default 1e-6 relative).
 	Noise float64
@@ -41,7 +41,7 @@ func (c Config) withDefaults() Config {
 		c.Iters = 12
 	}
 	if c.LengthScale == 0 {
-		c.LengthScale = (c.Hi - c.Lo) / 5
+		c.LengthScale = c.Hi / 5
 	}
 	if c.Noise == 0 {
 		c.Noise = 1e-6
@@ -205,11 +205,11 @@ func expectedImprovement(mu, varr, best float64) float64 {
 	return float64((mu-best)*normCDF(z)) + float64(sd*normPDF(z))
 }
 
-// Maximize runs Bayesian optimization of f over [cfg.Lo, cfg.Hi].
+// Maximize runs Bayesian optimization of f over [0, cfg.Hi].
 func Maximize(f Objective, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Hi <= cfg.Lo {
-		return Result{}, fmt.Errorf("tuner: empty interval [%g, %g]", cfg.Lo, cfg.Hi)
+	if cfg.Hi <= 0 {
+		return Result{}, fmt.Errorf("tuner: empty interval [0, %g]", cfg.Hi)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := &gp{ell: cfg.LengthScale, noise: cfg.Noise}
@@ -230,7 +230,7 @@ func Maximize(f Objective, cfg Config) (Result, error) {
 	// kernel degeneracy).
 	for i := 0; i < cfg.InitPoints; i++ {
 		frac := (float64(i) + 0.5) / float64(cfg.InitPoints)
-		x := cfg.Lo + float64(frac*(cfg.Hi-cfg.Lo))
+		x := float64(frac * cfg.Hi)
 		eval(x)
 	}
 
@@ -239,13 +239,13 @@ func Maximize(f Objective, cfg Config) (Result, error) {
 			return res, err
 		}
 		// Maximize EI on a dense candidate grid + random restarts.
-		bestX, bestEI := cfg.Lo, -1.0
+		bestX, bestEI := 0.0, -1.0
 		for i := 0; i < 256; i++ {
 			var x float64
 			if i < 192 {
-				x = cfg.Lo + float64((float64(i)+0.5)/192*(cfg.Hi-cfg.Lo))
+				x = float64((float64(i) + 0.5) / 192 * cfg.Hi)
 			} else {
-				x = cfg.Lo + float64(rng.Float64()*(cfg.Hi-cfg.Lo))
+				x = float64(rng.Float64() * cfg.Hi)
 			}
 			mu, varr := g.predict(x)
 			ei := expectedImprovement(mu, varr, res.BestY)

@@ -57,7 +57,7 @@ func TestExpectedImprovementProperties(t *testing.T) {
 func TestMaximizeFindsPeak(t *testing.T) {
 	// Smooth unimodal objective with peak at x = 3.
 	f := func(x float64) float64 { return -(x - 3) * (x - 3) }
-	res, err := Maximize(f, Config{Lo: 0, Hi: 10, Seed: 1})
+	res, err := Maximize(f, Config{Hi: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMaximizeBeatsGridWithSameBudget(t *testing.T) {
 	// seed grid alone.
 	peak := 7.3
 	f := func(x float64) float64 { return math.Exp(-2 * (x - peak) * (x - peak)) }
-	res, err := Maximize(f, Config{Lo: 0, Hi: 10, InitPoints: 4, Iters: 10, Seed: 2})
+	res, err := Maximize(f, Config{Hi: 10, InitPoints: 4, Iters: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMaximizeBeatsGridWithSameBudget(t *testing.T) {
 }
 
 func TestMaximizeEmptyInterval(t *testing.T) {
-	if _, err := Maximize(func(float64) float64 { return 0 }, Config{Lo: 5, Hi: 5}); err == nil {
+	if _, err := Maximize(func(float64) float64 { return 0 }, Config{Hi: 0}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -93,7 +93,7 @@ func TestMaximizeEmptyInterval(t *testing.T) {
 func TestBestIsHistoryMaxProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		obj := func(x float64) float64 { return math.Sin(x) + 0.3*math.Cos(3*x) }
-		res, err := Maximize(obj, Config{Lo: 0, Hi: 6, Seed: seed, Iters: 6})
+		res, err := Maximize(obj, Config{Hi: 6, Seed: seed, Iters: 6})
 		if err != nil {
 			return false
 		}

@@ -18,7 +18,8 @@ func main() {
 	old, updated := teco.NewTensor("old", 1), teco.NewTensor("updated", 1)
 	replayed, stats, _ := teco.ReplayUpdate(old, updated, teco.ReplayConfig{})
 	grads, gradStats, _ := teco.ReplayGradients(updated, teco.ReplayConfig{})
-	step := teco.Simulate(teco.TECOReduction, m, 1, teco.SimConfig{})
+	step := teco.Simulate(teco.TECOReduction, m, 1, teco.SimConfig{DirtyBytes: 1})
+	dpu := teco.Simulate(teco.ZeroOffload, m, 1, teco.SimConfig{DPU: true})
 	fine := teco.FineTune(teco.FineTuneConfig{}.WithDefaults())
 	estimate := teco.EstimateTraining(m, 1, 1, 0)
 	cost := teco.DefaultCostModel()
@@ -29,7 +30,7 @@ func main() {
 	replayed.Set(0, old.At(0))
 	replayed.DecodeLine(0, old.EncodeLineInto(0, old.EncodeLine(0)))
 	_ = []any{
-		teco.Models(), replayed, grads, stats, gradStats, estimate,
+		teco.Models(), replayed, grads, stats, gradStats, estimate, dpu,
 		teco.ZeroOffload.String(), class.String(), steps, losses, params, gradDist,
 		teco.Speedup(teco.TECOCXL, m, 1), teco.ExperimentIDs(),
 		teco.RunExperiment(os.Args[1], 42, io.Discard),
@@ -40,7 +41,6 @@ func main() {
 		step.TotalLinkBytes(), step.Check(), step.Speedup(step), step.CommReduction(step),
 		step.Total(), step.CommExposed(), step.CommFraction(), step.Compute(), step.Breakdown.String(),
 		step.Fault.Any(), step.Fabric.Any(), step.Layer.Any(), step.Tier.Any(),
-		step.Recovery.Any(), step.Recovery.Add(step.Recovery),
 		old.Name(), old.Len(), old.Bytes(), old.Lines(), old.Data(), old.Clone(),
 	}
 }
