@@ -72,6 +72,25 @@ func TestRunTieredMigrationWins(t *testing.T) {
 	}
 }
 
+// TestRunTieredPerLineMatchesCoalesced: a tiered run under capacity
+// pressure, whose far-tier plane pushes whole parameter and optimizer
+// slots, equals the per-line engine's run (see coalesce_test.go).
+func TestRunTieredPerLineMatchesCoalesced(t *testing.T) {
+	check.Enable(t)
+	m := modelzoo.GPT2()
+	m.Layers = 4
+	tc := TierConfig{DRAMBytes: 3 * m.ParamBytes() / 2, OptSlots: true,
+		MigrateBudget: 512 << 20}
+	got, _, err := MustEngine(Config{DBA: true}).RunTiered(m, 2, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Tier.FarAccesses == 0 || got.Tier.Migrations == 0 {
+		t.Fatalf("run never touched the far tier: %+v", got.Tier)
+	}
+	matchesPerLine(t, perLineSteps(t), "tiered/gpt2-dba", got)
+}
+
 // TestRunTieredErrors: invalid configs fail fast with errors, not panics.
 func TestRunTieredErrors(t *testing.T) {
 	m := modelzoo.GPT2()

@@ -39,6 +39,14 @@ func (h *lineEvents) Fire(now sim.Time) { h.last, h.fired = now, h.fired+1 }
 // engine, drained a window at a time, and the run completes when its last
 // event fires: that time, not a closed form, is what the link commits.
 func perLineFlow(t *testing.T, l *Link, ready sim.Time, n int, lines int64, extra sim.Time, pktBytes int) FlowResult {
+	res, _ := perLineEvents(t, l, ready, n, lines, extra, pktBytes)
+	return res
+}
+
+// perLineEvents is perLineFlow that also returns how many line events the
+// engine fired.
+func perLineEvents(t *testing.T, l *Link, ready sim.Time, n int, lines int64, extra sim.Time, pktBytes int) (FlowResult, int64) {
+	t.Helper()
 	admit, start := l.admitRun(ready)
 	lines = max(lines, 1)
 	eng, h := sim.New(), &lineEvents{}
@@ -68,7 +76,7 @@ func perLineFlow(t *testing.T, l *Link, ready sim.Time, n int, lines int64, extr
 	}
 	l.cleanFreeAt = done
 	l.commitRun(done, l.ServiceTime(n, extra), n)
-	return res
+	return res, h.fired
 }
 
 // seamRun is one run as core pushes it onto a link: n payload bytes over
@@ -223,6 +231,37 @@ func TestPerLineMatchesSendFlow(t *testing.T) {
 			t.Error("backpressure script produced no stall time")
 		}
 	})
+}
+
+// TestStreamPerLineLastEventIsClosedForm: on an idle link the reference's
+// stream of lines ends, extra latency included, exactly at the closed form,
+// and a run longer than replayWindows windows fires only its first and last.
+func TestStreamPerLineLastEventIsClosedForm(t *testing.T) {
+	link := NewLink(nil, 0, 0)
+	n := 64*12345 + 48
+	lines := mem.LinesIn(int64(n))
+	res, fired := perLineEvents(t, link, 0, n, lines, sim.Nanosecond, WirePacketBytes(0))
+	if want := link.ServiceTime(n, sim.Nanosecond); res.Done != want {
+		t.Fatalf("per-line Done %v, want closed form %v", res.Done, want)
+	}
+	if want := drainWindow + lines - (lines-1)/drainWindow*drainWindow; fired != want {
+		t.Fatalf("fired %d line events, want %d (first and last window)", fired, want)
+	}
+}
+
+// TestStreamPerLineWindowing: a run of a few drain windows fires every line
+// event, window by window, and still ends at the closed form.
+func TestStreamPerLineWindowing(t *testing.T) {
+	link := NewLink(nil, 0, 0)
+	lines := int64(3*drainWindow + 17)
+	n := int(lines) * 64
+	res, fired := perLineEvents(t, link, 0, n, lines, 0, WirePacketBytes(0))
+	if res.Done != link.ServiceTime(n, 0) {
+		t.Fatalf("windowed Done %v, want %v", res.Done, link.ServiceTime(n, 0))
+	}
+	if fired != lines {
+		t.Fatalf("fired %d line events, want %d", fired, lines)
+	}
 }
 
 // TestSendFlowAllocs: the flow path core drives once per run allocates
