@@ -10,7 +10,9 @@ all: build vet test
 # training hot loops and the sweep runner are concurrent now, so the race
 # detector must see the long numeric runs too, not just -short), vet + tests
 # of the benchmark module (its own go.mod, so ./... does not reach it), the
-# fabric kill-one-port timing proofs, short native fuzz runs over the CXL
+# fabric kill-one-port timing proofs, the trainer fork and planned-run
+# forest tests (concurrent branches share one dataset, so the race detector
+# shows nothing writes to it), short native fuzz runs over the CXL
 # packet decoder, the checkpoint snapshot decoder, the result-cache entry
 # decoder and the daemon's request decoding, the kernel and ADAM oracles
 # (-race does not instrument their assembly, only the Go around it), the
@@ -23,6 +25,7 @@ check:
 	$(GO) test -race -timeout 40m ./...
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) test -race -count=1 -run 'TestStepFabricKill' ./internal/core
+	$(GO) test -race -count=1 -run 'TestForkMatchesFreshRun|TestForestMatchesFreshRuns' ./internal/realtrain ./internal/experiments
 	$(GO) test -fuzz='FuzzDecode$$' -fuzztime=10s ./internal/cxl
 	$(GO) test -fuzz='FuzzDecodeFramed$$' -fuzztime=10s ./internal/cxl
 	$(GO) test -fuzz='FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/checkpoint
@@ -30,7 +33,7 @@ check:
 	$(GO) test -run '^$$' -fuzz='FuzzParseRequest$$' -fuzztime=10s ./internal/server
 	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestKernelShortOperandsPanic|TestArenaReuse|TestAdamLanesMatchScalar' ./internal/kernels ./internal/optim
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TestGolden$$' ./internal/conformance
-	$(GO) test -run xxx -bench 'TrainStep|Kernels|AdamStep|FusedAdamScan|BaselineStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core
+	$(GO) test -run xxx -bench 'TrainStep|Kernels|AdamStep|FusedAdamScan|GlobalNorm|BaselineStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

@@ -23,6 +23,59 @@ const RealTrainSteps = 800
 // evalBatches are the batch sizes of Fig 11 / Table IV.
 var evalBatches = []int{4, 8, 16}
 
+// baseRun is the accuracy experiments' plain fine-tuning run at seed;
+// reducedRun is its TECO-Reduction variant, DBA activating at act.
+func baseRun(seed int64) realtrain.Config {
+	return realtrain.Config{Steps: RealTrainSteps, Seed: seed}
+}
+
+func reducedRun(seed int64, act int) realtrain.Config {
+	c := baseRun(seed)
+	c.DBA, c.ActAfterSteps = true, act
+	return c
+}
+
+// The xxxRuns functions declare the fine-tuning runs a generator requests:
+// the generator builds its configs with them, and the registry hands the
+// same lists to the run memo's planner (runcache.go).
+
+func fig2Runs(opt Options) []realtrain.Config { return []realtrain.Config{baseRun(opt.Seed)} }
+
+// table5Proxies names Table V's proxy runs; the i-th is seeded
+// opt.Seed+100i (different seeds play the role of the different
+// fine-tuning tasks).
+var table5Proxies = []string{"GPT2", "Albert-xxlarge-v1", "Bert-large-cased", "T5-large"}
+
+// table5Runs is each proxy's (original, TECO-Reduction) pair, in proxy
+// order.
+func table5Runs(opt Options) []realtrain.Config {
+	var cfgs []realtrain.Config
+	for i := range table5Proxies {
+		s := opt.Seed + int64(i)*100
+		cfgs = append(cfgs, baseRun(s), reducedRun(s, RealTrainSteps/2))
+	}
+	return cfgs
+}
+
+// fig10Runs is the (original, TECO-Reduction) pair of Fig 10, which the
+// time-to-loss sweep shares.
+func fig10Runs(opt Options) []realtrain.Config {
+	return []realtrain.Config{baseRun(opt.Seed), reducedRun(opt.Seed, RealTrainSteps/4)}
+}
+
+// fig13Runs sweeps the activation step from 0 to the whole run.
+func fig13Runs(opt Options) []realtrain.Config {
+	var cfgs []realtrain.Config
+	for _, act := range []int{0, RealTrainSteps / 8, RealTrainSteps / 4, RealTrainSteps / 2, 3 * RealTrainSteps / 4, RealTrainSteps} {
+		cfgs = append(cfgs, reducedRun(opt.Seed, act))
+	}
+	return cfgs
+}
+
+func recoveryRuns(opt Options) []realtrain.Config {
+	return []realtrain.Config{recoveryTrainConfig(opt.Seed)}
+}
+
 // Every generator takes the full Options: its grid runs on the option's
 // sweep pool and its fine-tuning runs come from the shared run cache. Grid
 // points always get fresh engines — the timing engines carry internal state
@@ -56,7 +109,7 @@ func TableI(opt Options) *Table {
 // parameters (a) and gradients (b) across two consecutive training steps,
 // sampled over a real fine-tuning run.
 func Fig2(opt Options) []*Table {
-	r := runTrain(opt, realtrain.Config{Steps: RealTrainSteps, Seed: opt.Seed})
+	r := runTrain(opt, fig2Runs(opt)[0])
 	params := &Table{
 		ID:     "fig2a",
 		Title:  "Value-changed bytes in parameters across consecutive steps",
@@ -196,11 +249,11 @@ func TableV(opt Options) *Table {
 		Title:  "Final model quality, original vs TECO-Reduction (real fine-tuning proxy)",
 		Header: []string{"Proxy run", "Metric", "Original", "TECO-Reduction"},
 	}
-	// One proxy run per evaluated model (different seeds play the role of
-	// the different fine-tuning tasks); the GNN rides as the last two
-	// points — its base and TECO-Reduction trainings are independent, so
-	// each is its own pool task rather than one back-to-back chain.
-	names := []string{"GPT2", "Albert-xxlarge-v1", "Bert-large-cased", "T5-large"}
+	// One proxy run pair per evaluated model; the GNN rides as the last
+	// two points — its base and TECO-Reduction trainings are independent,
+	// so each is its own pool task rather than one back-to-back chain.
+	names := table5Proxies
+	runs := table5Runs(opt)
 	type cell struct {
 		rows   [][]string // a proxy pair's table rows
 		gnnAcc string     // a GNN training's test accuracy
@@ -216,9 +269,8 @@ func TableV(opt Options) *Table {
 			}
 			return cell{gnnAcc: pct(gnn.Train(cfg).TestAcc)}
 		}
-		s := opt.Seed + int64(i)*100
-		base := runTrain(opt, realtrain.Config{Steps: RealTrainSteps, Seed: s})
-		red := runTrain(opt, realtrain.Config{Steps: RealTrainSteps, Seed: s, DBA: true, ActAfterSteps: RealTrainSteps / 2})
+		base := runTrain(opt, runs[2*i])
+		red := runTrain(opt, runs[2*i+1])
 		return cell{rows: [][]string{
 			{names[i], "Accuracy", pct(base.FinalAcc), pct(red.FinalAcc)},
 			{names[i], "Perplexity", f2(base.Perplexity), f2(red.Perplexity)},
@@ -238,10 +290,7 @@ func TableV(opt Options) *Table {
 // TECO-Reduction.
 // Both runs are concurrent grid points against the shared run cache.
 func Fig10(opt Options) *Table {
-	cfgs := []realtrain.Config{
-		{Steps: RealTrainSteps, Seed: opt.Seed},
-		{Steps: RealTrainSteps, Seed: opt.Seed, DBA: true, ActAfterSteps: RealTrainSteps / 4},
-	}
+	cfgs := fig10Runs(opt)
 	runs := grid(opt, len(cfgs), func(i int) realtrain.Result { return runTrain(opt, cfgs[i]) })
 	base, red := runs[0], runs[1]
 	t := &Table{
@@ -375,11 +424,10 @@ func Fig13(opt Options) *Table {
 	base := zero.NewEngine().Step(m, 4)
 	cxlStep := core.MustEngine(core.Config{}).Step(m, 4).Total()
 	dbaStep := core.MustEngine(core.Config{DBA: true}).Step(m, 4).Total()
-	total := RealTrainSteps
-	acts := []int{0, total / 8, total / 4, total / 2, 3 * total / 4, total}
-	for _, row := range grid(opt, len(acts), func(i int) []string {
-		act := acts[i]
-		r := runTrain(opt, realtrain.Config{Steps: total, Seed: opt.Seed, DBA: true, ActAfterSteps: act})
+	cfgs := fig13Runs(opt)
+	for _, row := range grid(opt, len(cfgs), func(i int) []string {
+		total, act := cfgs[i].Steps, cfgs[i].ActAfterSteps
+		r := runTrain(opt, cfgs[i])
 		// Average step time: CXL-only before activation, DBA after.
 		avg := (float64(float64(cxlStep)*float64(act)) + float64(float64(dbaStep)*float64(total-act))) / float64(total)
 		sp := float64(base.Total()) / avg
@@ -482,11 +530,13 @@ func LAMMPS(Options) *Table {
 }
 
 // experiment is one registry row: a runnable id, the alternative ids that
-// resolve to it, its generator, and whether "all" includes it.
+// resolve to it, its generator, the fine-tuning runs the generator will
+// request (nil: none declared), and whether "all" includes it.
 type experiment struct {
 	id      string
 	aliases []string
 	run     func(Options) []*Table
+	runs    func(Options) []realtrain.Config
 	inAll   bool
 }
 
@@ -499,24 +549,24 @@ func one(gen func(Options) *Table) func(Options) []*Table {
 // Canonical, ByID and All all read it.
 var registry = []experiment{
 	{id: "table1", run: one(TableI), inAll: true},
-	{id: "fig2", aliases: []string{"fig2a", "fig2b"}, run: Fig2, inAll: true},
+	{id: "fig2", aliases: []string{"fig2a", "fig2b"}, run: Fig2, runs: fig2Runs, inAll: true},
 	{id: "ablation-inval", run: one(AblationInvalidation), inAll: true},
 	{id: "fig11", aliases: []string{"table4"}, run: one(Fig11TableIV), inAll: true},
-	{id: "table5", run: one(TableV), inAll: true},
-	{id: "fig10", run: one(Fig10), inAll: true},
+	{id: "table5", run: one(TableV), runs: table5Runs, inAll: true},
+	{id: "fig10", run: one(Fig10), runs: fig10Runs, inAll: true},
 	{id: "fig12", run: one(Fig12), inAll: true},
 	{id: "volume", run: one(CommVolume), inAll: true},
 	{id: "table6", run: one(TableVI), inAll: true},
-	{id: "fig13", run: one(Fig13), inAll: true},
+	{id: "fig13", run: one(Fig13), runs: fig13Runs, inAll: true},
 	{id: "table7", run: one(TableVII), inAll: true},
 	{id: "table8", run: one(TableVIII), inAll: true},
 	{id: "lammps", run: one(LAMMPS), inAll: true},
 	{id: "tune-act", run: one(TuneActAfterSteps)},
 	{id: "ablation-dpu", run: one(AblationDPU)},
-	{id: "time-to-loss", run: one(TimeToLoss)},
+	{id: "time-to-loss", run: one(TimeToLoss), runs: fig10Runs},
 	{id: "linkspeed", run: one(LinkSpeedSweep)},
 	{id: "faults", run: one(FaultSweep), inAll: true},
-	{id: "recovery", run: one(RecoverySweep), inAll: true},
+	{id: "recovery", run: one(RecoverySweep), runs: recoveryRuns, inAll: true},
 	{id: "fabric", run: one(FabricSweep), inAll: true},
 	{id: "fabric-faults", run: one(FabricFaultSweep), inAll: true},
 	{id: "layers", run: one(LayersSweep), inAll: true},
@@ -530,21 +580,33 @@ const allID = "all"
 
 // All runs every inAll experiment on the sweep pool: the generators
 // themselves are the outer grid (inner grids share the same pool budget via
-// goroutine scheduling), and the shared run cache collapses the duplicate
-// fine-tuning runs across Fig 2, Fig 10, Table V and the fault/recovery
-// sweeps. Table order is always paper order.
+// goroutine scheduling), and the shared run memo plans the fine-tuning runs
+// they declare across Fig 2, Fig 10, Fig 13, Table V and the recovery
+// sweep. Table order is always paper order.
 func All(opt Options) []*Table {
-	var gens []func(Options) []*Table
-	for _, e := range registry {
-		if e.inAll {
-			gens = append(gens, e.run)
+	var rows []*experiment
+	for i := range registry {
+		if registry[i].inAll {
+			rows = append(rows, &registry[i])
 		}
 	}
+	defer startPlan(opt, declaredRuns(opt, rows...))()
 	var out []*Table
-	for _, tabs := range grid(opt, len(gens), func(i int) []*Table { return gens[i](opt) }) {
+	for _, tabs := range grid(opt, len(rows), func(i int) []*Table { return rows[i].run(opt) }) {
 		out = append(out, tabs...)
 	}
 	return out
+}
+
+// declaredRuns lists the fine-tuning runs rows declare, in row order.
+func declaredRuns(opt Options, rows ...*experiment) []realtrain.Config {
+	var cfgs []realtrain.Config
+	for _, e := range rows {
+		if e.runs != nil {
+			cfgs = append(cfgs, e.runs(opt)...)
+		}
+	}
+	return cfgs
 }
 
 // lookup finds the registry row an id or alias names (nil: none).
@@ -578,7 +640,10 @@ func ByID(id string, opt Options) ([]*Table, error) {
 		if e == nil {
 			return nil, fmt.Errorf("experiments: unknown id %q", id)
 		}
-		run = e.run
+		run = func(opt Options) []*Table {
+			defer startPlan(opt, declaredRuns(opt, e))()
+			return e.run(opt)
+		}
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err

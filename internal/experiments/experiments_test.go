@@ -154,20 +154,29 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestRealTrainExperiments runs the slower accuracy experiments once.
+// TestRealTrainExperiments runs the slower accuracy experiments once,
+// through ByID so their declared runs are planned. Table V's row count is
+// checked by TestCancelledPlanReleasesClaims, which runs it at this seed.
 func TestRealTrainExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training in -short mode")
 	}
-	f2 := Fig2(Options{Seed: 3})
+	byID := func(id string) []*Table {
+		tabs, err := ByID(id, Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tabs
+	}
+	f2 := byID("fig2")
 	if len(f2) != 2 || len(f2[0].Rows) == 0 || len(f2[1].Rows) == 0 {
 		t.Fatal("fig2 rows")
 	}
-	f10 := Fig10(Options{Seed: 3})
+	f10 := byID("fig10")[0]
 	if len(f10.Rows) < 10 {
 		t.Fatal("fig10 rows")
 	}
-	f13 := Fig13(Options{Seed: 3})
+	f13 := byID("fig13")[0]
 	if len(f13.Rows) != 6 {
 		t.Fatalf("fig13 rows = %d", len(f13.Rows))
 	}
@@ -177,10 +186,6 @@ func TestRealTrainExperiments(t *testing.T) {
 	last, _ := strconv.ParseFloat(strings.TrimSuffix(f13.Rows[len(f13.Rows)-1][3], "x"), 64)
 	if first <= last {
 		t.Fatalf("speedup should fall with later activation: %v vs %v", first, last)
-	}
-	t5 := TableV(Options{Seed: 3})
-	if len(t5.Rows) != 9 {
-		t.Fatalf("table5 rows = %d", len(t5.Rows))
 	}
 }
 

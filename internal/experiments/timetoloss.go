@@ -25,11 +25,8 @@ func TimeToLoss(opt Options) *Table {
 		Header: []string{"Loss level", "ZeRO-Offload", "TECO-Reduction", "Sooner by"},
 	}
 	m := modelzoo.GPT2()
-	act := RealTrainSteps / 4
-	cfgs := []realtrain.Config{
-		{Steps: RealTrainSteps, Seed: opt.Seed},
-		{Steps: RealTrainSteps, Seed: opt.Seed, DBA: true, ActAfterSteps: act},
-	}
+	cfgs := fig10Runs(opt)
+	act := cfgs[1].ActAfterSteps
 	runs := grid(opt, len(cfgs), func(i int) realtrain.Result { return runTrain(opt, cfgs[i]) })
 	base, red := runs[0], runs[1]
 

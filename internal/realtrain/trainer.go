@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 
 	"teco/internal/checkpoint"
 	"teco/internal/conformance/check"
@@ -700,6 +701,66 @@ func NewTrainerFromSnapshot(cfg Config, snap *checkpoint.Snapshot) (*Trainer, er
 	}
 	t.recordSums()
 	return t, nil
+}
+
+// Lineage returns c with its dirty-byte knobs (DBA, ActAfterSteps,
+// DirtyBytes) cleared: the plain run that every DBA variant of c follows
+// bit for bit until it activates, because before activation the DBA path
+// makes the same full parameter copy the plain path does.
+func (c Config) Lineage() Config {
+	c.DBA, c.ActAfterSteps, c.DirtyBytes = false, 0, 0
+	return c
+}
+
+// BranchStep is the step count at which c's run leaves its lineage: the
+// resolved activation step of a DBA run (negative ActAfterSteps is the
+// paper default, as dba.Controller resolves it), capped at Steps; Steps for
+// a run without DBA. After any k <= BranchStep() steps, c's trainer state
+// is its lineage's.
+func (c Config) BranchStep() int {
+	c = c.withDefaults()
+	if !c.DBA {
+		return c.Steps
+	}
+	return min(dba.NewController(c.ActAfterSteps, c.DirtyBytes).ActAfterSteps, c.Steps)
+}
+
+// Fork returns a trainer that continues t's run under cfg from t's exact
+// state: the parameters, compute and previous-value copies, ADAM moments
+// and step, batch-RNG draws and recorded samples are copied, and the
+// dataset is shared read-only. Stepping the fork to the end is
+// bit-identical to running cfg from the start, which is what lets one
+// plain run serve as the common prefix of its DBA variants. Fork refuses a
+// cfg that differs from t's in more than DBA, ActAfterSteps and DirtyBytes
+// (the scheduling knobs Workers and SDCChecks aside), a trainer whose own
+// DBA has activated, and a trainer already past cfg's BranchStep.
+func (t *Trainer) Fork(cfg Config) (*Trainer, error) {
+	if cfg.Lineage().configTag() != t.cfg.Lineage().configTag() {
+		return nil, fmt.Errorf("realtrain: fork config differs from the trainer's in more than DBA, ActAfterSteps and DirtyBytes")
+	}
+	if at := t.ctrl.ActivatedAt(); at >= 0 {
+		return nil, fmt.Errorf("realtrain: cannot fork a trainer whose DBA activated at step %d", at)
+	}
+	if b := cfg.BranchStep(); t.step > b {
+		return nil, fmt.Errorf("realtrain: fork at step %d is past the branch's activation step %d", t.step, b)
+	}
+	f, err := newTrainerShell(cfg, t.ds)
+	if err != nil {
+		return nil, err
+	}
+	am, av := t.ad.Moments()
+	if err := f.ad.Restore(am, av, t.ad.StepCount()); err != nil {
+		return nil, err
+	}
+	copy(f.master, t.master)
+	copy(f.compute, t.compute)
+	copy(f.prevMaster, t.prevMaster)
+	copy(f.prevGrads, t.prevGrads)
+	f.src.FastForward(t.src.Draws())
+	f.step = t.step
+	f.samples = slices.Clone(t.samples)
+	f.recordSums()
+	return f, nil
 }
 
 // CorruptWord flips bits of one word of a resident tensor WITHOUT updating

@@ -54,10 +54,11 @@ func replayStep(e *Engine, m modelzoo.Model, batch, queueCap int) phases.StepRes
 
 // TestStepMatchesLinkReplay pins Step's closed-form FIFO fold to the link
 // model it replaces, exactly, over every model, batch, bandwidth, parameter
-// buffer and overlap the experiments sweep and then some. The deep queue is
-// the depth the baseline always ran at; the 2-entry queue back-pressures
-// nearly every send, which must move admission times only, never a
-// completion.
+// buffer and overlap the experiments sweep and then some. The deep queue
+// holds one entry more than the replay has flows on either link, so it
+// never back-pressures, which is what the baseline's 2²⁰-entry queue stood
+// for; the 2-entry queue back-pressures nearly every send, which must move
+// admission times only, never a completion.
 func TestStepMatchesLinkReplay(t *testing.T) {
 	models := append(modelzoo.EvaluationModels(), modelzoo.SensitivityModels()[1:]...)
 	models = append(models, modelzoo.BertBaseUncased())
@@ -70,7 +71,9 @@ func TestStepMatchesLinkReplay(t *testing.T) {
 						e := NewEngine()
 						e.LinkBandwidth, e.ParamBufferBytes, e.OverlapFraction = bps, buf, overlap
 						got := e.Step(m, batch)
-						for _, q := range []int{1 << 20, 2} {
+						chunks := int((m.ParamBytes() + buf - 1) / buf)
+						deep := max(len(e.GPU.GradientSchedule(m, batch)), chunks) + 1
+						for _, q := range []int{deep, 2} {
 							if want := replayStep(e, m, batch, q); got != want {
 								t.Fatalf("%s b%d %.3gB/s buf=%d overlap=%v queue=%d:\n fold   %+v\n replay %+v",
 									m.Name, batch, bps, buf, overlap, q, got, want)
