@@ -146,18 +146,28 @@ func TestCancelledPlanReleasesClaims(t *testing.T) {
 	cfgs := table5Runs(opt)
 	forget(cfgs)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	// Cancel once some trunk has passed a 400-step branch point, so both
 	// a trunk and a forked branch are training when the cancel lands.
 	start := planSteps.Load()
+	returned := make(chan struct{})
 	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
 		for planSteps.Load() < start+1000 {
-			time.Sleep(time.Millisecond)
+			select {
+			case <-tick.C:
+			case <-returned:
+				return
+			}
 		}
 		cancel()
 	}()
 	cancelled := opt
 	cancelled.Ctx = ctx
-	if _, err := ByID("table5", cancelled); err != nil {
+	_, err := ByID("table5", cancelled)
+	close(returned)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Err() == nil {
