@@ -37,11 +37,11 @@ func TestBadInputExitsNonZero(t *testing.T) {
 		{"-retry-budget", "-1", "faults"}, {"-cache-pct", "101", "layers"},
 		{"-layer-policy", "mru", "layers-policy"}, {"-kill-port", "5", "fabric-faults"},
 		{"-layer-policy", "pinned", "layers-policy"}, {"-tier-policy", "recency", "tiering-policy"},
-		{"-coalesce=false", "table1"},
+		{"-coalesce=false", "table1"}, {"-kill-step", "1", "table1"},
 	}
 	for flagName, ceiling := range map[string]int{
 		"layers": 1 << 10, "prefetch": 1 << 6, "replicas": 1 << 10, "host-ports": 1 << 10,
-		"kill-port": 1 << 10, "kill-step": 1 << 20, "layer-seq-len": 1 << 20,
+		"kill-port": 1 << 10, "layer-seq-len": 1 << 20,
 		"tier-migrate-budget": 1 << 20, "ckpt-interval": 1 << 20, "crash-at": 1 << 20,
 		"retry-budget": 1 << 10,
 	} {

@@ -63,7 +63,12 @@ func (e *Engine) StepFabric(m modelzoo.Model, batch int, fc FabricConfig) (phase
 	if e.Config.Invalidation {
 		return phases.StepResult{}, fmt.Errorf("core: fabric mode runs the update protocol only")
 	}
-	return e.dataflow(m, batch, fc)
+	res, err := e.dataflow(m, batch, fc)
+	if err != nil {
+		return phases.StepResult{}, err
+	}
+	record(res)
+	return res, nil
 }
 
 // transport carries one direction of the dataflow: one bare link

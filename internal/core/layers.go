@@ -103,24 +103,18 @@ func (e *Engine) StepLayered(m modelzoo.Model, batch int, lc LayerConfig) (phase
 		stall, ahead := p.demand(k, !miss, t)
 		switch {
 		case miss:
-			st.DemandMisses++
 			st.FetchBytes += sizes[k]
 			st.DemandStall += stall
 		case ahead:
 			// A prefetch raced ahead of use; if compute outran the wire,
 			// only the residual is exposed.
-			st.Hits++
-			st.PrefetchHits++
 			st.PrefetchStall += stall
-		default:
-			st.Hits++
 		}
 		return stall
 	}
 	prefetch := func(j, k int, t sim.Time) {
 		if res.Prefetch(j, k) {
 			p.issue(j, t)
-			st.PrefetchIssued++
 			st.FetchBytes += sizes[j]
 		}
 	}
@@ -168,8 +162,12 @@ func (e *Engine) StepLayered(m modelzoo.Model, batch int, lc LayerConfig) (phase
 		actStall += p.wb.Fence(cursor) - cursor
 	}
 
+	// The residency tracker counts its own hits, misses and churn; the
+	// engine keeps only what it alone sees (stalls and link volumes).
+	rs := res.Stats()
 	st.ResidentBytes = res.ResidentBytes()
-	st.Evictions = res.Stats().Evictions
+	st.Hits, st.PrefetchHits, st.DemandMisses = rs.Hits, rs.PrefetchHits, rs.DemandMisses
+	st.PrefetchIssued, st.Evictions, st.EvictedBytes = rs.PrefetchIssued, rs.Evictions, rs.EvictedBytes
 	// The far tier is a separate interconnect: its volumes stay in
 	// LayerStats (FetchBytes/WritebackBytes) rather than folding into the
 	// coherence link counters, but its exposed latency is real step time —
@@ -178,20 +176,9 @@ func (e *Engine) StepLayered(m modelzoo.Model, batch int, lc LayerConfig) (phase
 	out.Grad += actStall
 	out.Layer = st
 
-	// Both scheduler halves feed the process-wide /statz telemetry.
-	staging.RecordSchedStep(staging.ResidencyStats{
-		Hits:           st.Hits,
-		PrefetchHits:   st.PrefetchHits,
-		DemandMisses:   st.DemandMisses,
-		PrefetchIssued: st.PrefetchIssued,
-		LoadedBytes:    st.FetchBytes,
-	})
-	if st.WritebackBytes > 0 {
-		staging.RecordWriteback(st.WritebackBytes)
-	}
-
 	if check.Enabled() {
 		check.Check(out.Check, res.CheckInvariants)
 	}
+	record(out)
 	return out, nil
 }

@@ -109,7 +109,7 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		return phases.StepResult{}, TierTrace{}, err
 	}
 	p := e.newFarTier(sizes)
-	st := phases.TierStats{Slots: int64(len(sizes)), FastBytes: ctl.Capacity()}
+	var st phases.TierStats
 
 	pslot := func(k int) int {
 		if tc.OptSlots {
@@ -123,21 +123,20 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 	touch := func(k int, t sim.Time) sim.Time {
 		fast := ctl.Touch(k)
 		stall, _ := p.demand(k, fast, t)
-		if fast {
-			st.FastHits++
-		} else {
-			st.FarAccesses++
+		if !fast {
 			st.FarFetchBytes += sizes[k]
 		}
 		return stall
 	}
 
+	// Compute + coherence planes: the ordinary TECO step, untouched. The
+	// engine is stateless per call, so every tiered step prices it alike.
+	step := e.Step(m, batch)
 	var agg phases.StepResult
 	var cursor sim.Time
 	n := m.Layers
 	for s := 0; s < TierSteps; s++ {
-		// Compute + coherence planes: the ordinary TECO step, untouched.
-		out := e.Step(m, batch)
+		out := step
 
 		// Migrations planned from the heat recorded so far, excluding the
 		// slot of the layer about to execute, priced at step start:
@@ -148,12 +147,9 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		for _, mg := range ctl.PlanStep(pslot(0)) {
 			if mg.Promote {
 				p.issue(mg.Slot, cursor)
-				st.PromotedBytes += mg.Bytes
 			} else {
 				p.writeback(mg.Slot, cursor)
-				st.DemotedBytes += mg.Bytes
 			}
-			st.Migrations++
 		}
 
 		// Forward and backward walks touch each layer's parameter slot over
@@ -176,7 +172,6 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		out.Adam += adamStall
 		st.FarStall += farStall
 		st.AdamStall += adamStall
-		st.Steps++
 		// The next step starts after this one's full critical path.
 		cursor = stepStart + out.Total()
 
@@ -186,9 +181,12 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		agg = addStep(agg, out)
 	}
 
+	// The controller counts its own accesses and migrations; the engine
+	// keeps only what it alone sees (stalls and far-tier fetch volume).
 	cs := ctl.Stats()
-	st.ResidentBytes = cs.ResidentBytes
-	st.Deferred = cs.Deferred
+	st.Slots, st.Steps, st.FastBytes, st.ResidentBytes = cs.Slots, cs.PlanSteps, cs.FastBytes, cs.ResidentBytes
+	st.FastHits, st.FarAccesses = cs.FastHits, cs.FarAccesses
+	st.Migrations, st.PromotedBytes, st.DemotedBytes, st.Deferred = cs.Migrations, cs.PromotedBytes, cs.DemotedBytes, cs.Deferred
 	agg.Tier = st
 
 	trace := TierTrace{
@@ -200,5 +198,6 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 	if check.Enabled() {
 		check.Check(agg.Check, ctl.CheckInvariants)
 	}
+	record(agg)
 	return agg, trace, nil
 }

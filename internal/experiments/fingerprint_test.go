@@ -52,6 +52,26 @@ func TestFingerprintResultSensitivity(t *testing.T) {
 	}
 }
 
+// TestCancelledByIDNeverPanics: a request whose context is already
+// cancelled hands every generator empty grid results; each id, "all"
+// included, must still return rather than index into them.
+func TestCancelledByIDNeverPanics(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range IDs() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s under a cancelled Ctx panicked: %v", id, r)
+				}
+			}()
+			if _, err := ByID(id, Options{Seed: 42, Workers: 2, Ctx: ctx}); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}()
+	}
+}
+
 // TestGridCancellation: a cancelled option context stops the sweep pool and
 // grid returns stable zero values instead of partially-written storage.
 func TestGridCancellation(t *testing.T) {

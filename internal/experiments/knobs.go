@@ -33,10 +33,9 @@ type Options struct {
 	CkptInterval int
 	CrashAt      int
 	CkptDir      string
-	// Replicas and HostPorts collapse the fabric sweep's data-parallel
-	// width and spine-uplink axes; KillPort (1-based) and KillStep select
-	// the fabric chaos target.
-	Replicas, HostPorts, KillPort, KillStep int
+	// Replicas and HostPorts collapse the fabric sweep's width and uplink
+	// axes; KillPort (1-based) selects the fabric chaos target.
+	Replicas, HostPorts, KillPort int
 	// Layers, CachePct and PrefetchDepth collapse the layers sweep's axes
 	// (and override the policy sweep's shape); LayerPolicy collapses the
 	// policy sweep's eviction-policy axis; LayerSeqLen is its long-context
@@ -122,7 +121,6 @@ var knobs = []knob{
 	{name: "replicas", usage: "data-parallel width for the fabric sweep (0: default grid)", hi: maxPorts, ref: func(o *Options) any { return &o.Replicas }},
 	{name: "host_ports", usage: "fabric spine uplink count (0: oversubscription grid)", hi: maxPorts, ref: func(o *Options) any { return &o.HostPorts }},
 	{name: "kill_port", usage: "1-based fabric port to kill in the fault sweep (0: default)", hi: maxPorts, ref: func(o *Options) any { return &o.KillPort }},
-	{name: "kill_step", usage: "fine-tuning step at which the fabric chaos kill fires (0: default)", hi: maxSteps, ref: func(o *Options) any { return &o.KillStep }},
 	{name: "layers", usage: "layer count for the layers sweeps (0: default grid)", hi: maxLayers, ref: func(o *Options) any { return &o.Layers }},
 	{name: "cache_pct", usage: "fast-tier size for the layers sweeps, percent of model parameter bytes (0: defaults)", hi: 100, ref: func(o *Options) any { return &o.CachePct }},
 	{name: "prefetch", usage: "prefetch look-ahead depth in layers for the layers sweeps (0: defaults)", hi: maxPrefetch, ref: func(o *Options) any { return &o.PrefetchDepth }},

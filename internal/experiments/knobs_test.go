@@ -3,7 +3,11 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"reflect"
@@ -45,6 +49,64 @@ func TestKnobTableCoversOptions(t *testing.T) {
 		}
 		if want := map[bool]int{true: 0, false: 1}[name == "Ctx"]; n != want {
 			t.Errorf("Options.%s is declared by %d knobs, want %d", name, n, want)
+		}
+	}
+}
+
+// TestEveryOptionIsRead: every field of Options except Ctx is read by a
+// generator — selected from an Options parameter or receiver in a non-test
+// file other than knobs.go. A knob nothing reads only moves the cache key.
+func TestEveryOptionIsRead(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "knobs.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var params []*ast.Field
+				var body *ast.BlockStmt
+				switch fn := n.(type) {
+				case *ast.FuncDecl:
+					params, body = fn.Type.Params.List, fn.Body
+					if fn.Recv != nil {
+						params = append(params, fn.Recv.List...)
+					}
+				case *ast.FuncLit:
+					params, body = fn.Type.Params.List, fn.Body
+				default:
+					return true
+				}
+				opts := map[string]bool{}
+				for _, p := range params {
+					if id, ok := p.Type.(*ast.Ident); ok && id.Name == "Options" {
+						for _, name := range p.Names {
+							opts[name.Name] = true
+						}
+					}
+				}
+				if body != nil && len(opts) > 0 {
+					ast.Inspect(body, func(n ast.Node) bool {
+						if sel, ok := n.(*ast.SelectorExpr); ok {
+							if id, ok := sel.X.(*ast.Ident); ok && opts[id.Name] {
+								read[sel.Sel.Name] = true
+							}
+						}
+						return true
+					})
+				}
+				return true
+			})
+		}
+	}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; name != "Ctx" && !read[name] {
+			t.Errorf("Options.%s is read by no generator: delete its knob", name)
 		}
 	}
 }
@@ -300,7 +362,7 @@ func TestFlagsKeepParentDefaults(t *testing.T) {
 	want := map[string]string{
 		"seed": "42", "ber": "0", "retry-budget": "0", "degrade": "false", "ckpt-interval": "0",
 		"ckpt-dir": "", "crash-at": "0", "replicas": "0", "host-ports": "0", "kill-port": "0",
-		"kill-step": "0", "layers": "0", "cache-pct": "0", "prefetch": "0", "layer-policy": "",
+		"layers": "0", "cache-pct": "0", "prefetch": "0", "layer-policy": "",
 		"layer-seq-len": "0", "tier-policy": "", "tier-dram-pct": "0", "tier-migrate-budget": "0",
 		"workers": "0", "no-memo": "false",
 	}

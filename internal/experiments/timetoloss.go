@@ -46,37 +46,37 @@ func TimeToLoss(opt Options) *Table {
 	}
 
 	// Running-min loss curves (loss is noisy per minibatch).
-	smooth := func(samples []realtrain.StepSample) ([]int, []float64) {
-		steps := make([]int, len(samples))
-		loss := make([]float64, len(samples))
+	smooth := func(samples []realtrain.StepSample) []realtrain.StepSample {
+		curve := make([]realtrain.StepSample, len(samples))
 		best := math.Inf(1)
 		for i, s := range samples {
 			if s.Loss < best {
 				best = s.Loss
 			}
-			steps[i] = s.Step
-			loss[i] = best
+			curve[i] = realtrain.StepSample{Step: s.Step, Loss: best}
 		}
-		return steps, loss
+		return curve
 	}
-	bSteps, bLoss := smooth(base.Samples)
-	rSteps, rLoss := smooth(red.Samples)
+	b, r := smooth(base.Samples), smooth(red.Samples)
+	if len(b) == 0 || len(r) == 0 {
+		return t // a cancelled grid handed back no run
+	}
 
 	// Loss levels: between the common start and the common end.
-	start := math.Max(bLoss[0], rLoss[0])
-	end := math.Max(bLoss[len(bLoss)-1], rLoss[len(rLoss)-1])
-	firstAt := func(steps []int, loss []float64, level float64, clock func(int) sim.Time) (sim.Time, bool) {
-		for i := range loss {
-			if loss[i] <= level {
-				return clock(steps[i]), true
+	start := math.Max(b[0].Loss, r[0].Loss)
+	end := math.Max(b[len(b)-1].Loss, r[len(r)-1].Loss)
+	firstAt := func(curve []realtrain.StepSample, level float64, clock func(int) sim.Time) (sim.Time, bool) {
+		for _, s := range curve {
+			if s.Loss <= level {
+				return clock(s.Step), true
 			}
 		}
 		return 0, false
 	}
 	for i := 1; i <= 4; i++ {
 		level := start + float64((end-start)*float64(i)/4)
-		bt, okB := firstAt(bSteps, bLoss, level, baseClock)
-		rt, okR := firstAt(rSteps, rLoss, level, tecoClock)
+		bt, okB := firstAt(b, level, baseClock)
+		rt, okR := firstAt(r, level, tecoClock)
 		if !okB || !okR {
 			continue
 		}

@@ -71,8 +71,8 @@ func PortFaultConfig(base cxl.FaultConfig, port int) cxl.FaultConfig {
 	return base
 }
 
-// SwitchStats is the per-switch accounting (distinct from the process-wide
-// telemetry: a Switch is built per step by the timing engine).
+// SwitchStats is the per-switch accounting, the only count of the
+// switch's events (a Switch is built per step by the timing engine).
 type SwitchStats struct {
 	// Flows and Bytes count payload flows accepted across all ports.
 	Flows, Bytes int64
@@ -216,7 +216,6 @@ func (sw *Switch) KillPort(lp int) error {
 	}
 	p.up = false
 	sw.stats.PortsDown++
-	telemetry.portsDown.Add(1)
 	return nil
 }
 
@@ -241,14 +240,12 @@ func (sw *Switch) failover(lp int, now sim.Time) (sim.Time, bool) {
 			sw.ports[alt].bound = lp
 			sw.route[lp] = alt
 			sw.stats.Failovers++
-			telemetry.failovers.Add(1)
 			return now, true
 		}
 		if attempt >= DefaultFailoverRetries {
 			return now, false
 		}
 		sw.stats.FailoverRetries++
-		telemetry.failoverRetries.Add(1)
 		shift := attempt
 		if shift > 16 {
 			shift = 16

@@ -18,8 +18,6 @@
 //     counter addition, min-index) or run purely element-wise loops, so no
 //     floating-point reduction order changes between workers=1 and
 //     workers=N.
-//   - Every point receives its own seed (Seed) so concurrent points never
-//     share random state.
 //
 // Two worker-knob conventions coexist (see Resolve and HotResolve): the
 // sweep runner treats workers <= 0 as GOMAXPROCS, while the hot-path

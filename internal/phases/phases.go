@@ -181,16 +181,15 @@ type LayerStats struct {
 	CacheBytes    int64
 	ResidentBytes int64
 	// Hits / PrefetchHits / DemandMisses classify the demand uses;
-	// PrefetchIssued and Evictions count fast-tier churn.
-	Hits           int64
-	PrefetchHits   int64
-	DemandMisses   int64
-	PrefetchIssued int64
-	Evictions      int64
+	// PrefetchIssued, Evictions and EvictedBytes count fast-tier churn.
+	Hits                    int64
+	PrefetchHits            int64
+	DemandMisses            int64
+	PrefetchIssued          int64
+	Evictions, EvictedBytes int64
 	// FetchBytes / WritebackBytes are the staging-plane link volumes
 	// (layer fetches down, activation spills and writebacks up).
-	FetchBytes     int64
-	WritebackBytes int64
+	FetchBytes, WritebackBytes int64
 	// DemandStall is fetch latency fully exposed on the critical path
 	// (layer not resident when execution reached it); PrefetchStall is the
 	// residual wait on fetches a prefetch started but compute outran;
@@ -370,7 +369,7 @@ func (r StepResult) Check() error {
 	l := r.Layer
 	if l.Layers < 0 || l.CacheBytes < 0 || l.ResidentBytes < 0 || l.Hits < 0 ||
 		l.PrefetchHits < 0 || l.DemandMisses < 0 || l.PrefetchIssued < 0 ||
-		l.Evictions < 0 || l.FetchBytes < 0 || l.WritebackBytes < 0 {
+		l.Evictions < 0 || l.EvictedBytes < 0 || l.FetchBytes < 0 || l.WritebackBytes < 0 {
 		return fmt.Errorf("phases: negative layer counter %+v", l)
 	}
 	if l.DemandStall < 0 || l.PrefetchStall < 0 || l.ActStall < 0 {

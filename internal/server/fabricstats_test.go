@@ -6,7 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"teco/internal/fabric"
+	"teco/internal/core"
 )
 
 // statz fetches and decodes /statz.
@@ -67,7 +67,7 @@ func TestStatzExposesFabricCounters(t *testing.T) {
 	}
 
 	// The wire names are part of the operator interface; pin them.
-	names := wireNames(t, Stats{Fabric: fabric.Snapshot{}}, "fabric")
+	names := wireNames(t, Stats{Fabric: core.FabricCounters{}}, "fabric")
 	for _, name := range []string{"ports_down", "failovers", "failover_retries"} {
 		if _, ok := names[name]; !ok {
 			t.Fatalf("fabric counter %q missing from /statz", name)

@@ -63,9 +63,9 @@ func knobsReach(t *testing.T, id string, knobs map[string]any, want experiments.
 
 func TestRunFabricKnobsReachOptions(t *testing.T) {
 	knobsReach(t, "fabric",
-		map[string]any{"seed": 1, "replicas": 2, "host_ports": 1, "kill_port": 2, "kill_step": 9,
+		map[string]any{"seed": 1, "replicas": 2, "host_ports": 1, "kill_port": 2,
 			"ber": 1e-6, "retry_budget": 4, "degrade": true, "ckpt_interval": 25, "crash_at": 10},
-		experiments.Options{Seed: 1, Replicas: 2, HostPorts: 1, KillPort: 2, KillStep: 9,
+		experiments.Options{Seed: 1, Replicas: 2, HostPorts: 1, KillPort: 2,
 			BER: 1e-6, RetryBudget: 4, Degrade: true, CkptInterval: 25, CrashAt: 10})
 }
 
@@ -87,7 +87,7 @@ func TestRequestCeilings(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.Run = instantRunner })
 	for name, ceiling := range map[string]int{
 		"layers": 1 << 10, "prefetch": 1 << 6, "replicas": 1 << 10, "host_ports": 1 << 10,
-		"kill_port": 1 << 10, "kill_step": 1 << 20, "layer_seq_len": 1 << 20,
+		"kill_port": 1 << 10, "layer_seq_len": 1 << 20,
 		"tier_migrate_budget": 1 << 20, "ckpt_interval": 1 << 20, "crash_at": 1 << 20,
 		"retry_budget": 1 << 10, "cache_pct": 100, "tier_dram_pct": 100,
 	} {
@@ -102,8 +102,8 @@ func TestRequestCeilings(t *testing.T) {
 			t.Errorf("%s=%d (ceiling+1): HTTP %d, want 400", name, ceiling+1, code)
 		}
 	}
-	if st := s.Stats(); st.Computes != 13 {
-		t.Fatalf("computes = %d, want one per admitted ceiling request (13)", st.Computes)
+	if st := s.Stats(); st.Computes != 12 {
+		t.Fatalf("computes = %d, want one per admitted ceiling request (12)", st.Computes)
 	}
 }
 
@@ -141,7 +141,6 @@ var museumKeys = []struct{ query, key string }{
 	{"id=faults&seed=42&ber=1e-6&retry_budget=4&degrade=true", "39b5bdf3b8816546"},
 	{"id=faults&seed=42&ber=0.000001&retry_budget=4&degrade=1", "39b5bdf3b8816546"},
 	{"id=layers&layers=12&cache_pct=40&prefetch=1&layer_policy=fifo&layer_seq_len=2048", "c5c6579b1e7879c3"},
-	{"id=fabric&replicas=2&host_ports=1&kill_port=2&kill_step=9", "dbf1603a7add7e5a"},
 	{"id=tiering&tier_policy=heat&tier_dram_pct=30&tier_migrate_budget=128", "96a48135cda20d7e"},
 }
 

@@ -3,7 +3,7 @@ package server
 import (
 	"testing"
 
-	"teco/internal/staging"
+	"teco/internal/core"
 )
 
 // TestStatzExposesLayerCounters: a served layers request under a bounded
@@ -27,7 +27,7 @@ func TestStatzExposesLayerCounters(t *testing.T) {
 	}
 
 	// The wire names are part of the operator interface; pin them.
-	names := wireNames(t, Stats{Layers: staging.LayerCounters{}}, "layers")
+	names := wireNames(t, Stats{Layers: core.LayerCounters{}}, "layers")
 	for _, name := range []string{"demand_misses", "hits", "prefetch_hits",
 		"prefetch_issued", "evictions", "evicted_bytes", "loaded_bytes",
 		"writeback_bytes", "sched_steps"} {

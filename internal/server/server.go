@@ -41,12 +41,10 @@ import (
 	"time"
 
 	"teco/internal/checkpoint"
+	"teco/internal/core"
 	"teco/internal/diskcache"
 	"teco/internal/experiments"
-	"teco/internal/fabric"
 	"teco/internal/parallel"
-	"teco/internal/staging"
-	"teco/internal/tiering"
 )
 
 // payloadSchema versions the cached payload encoding (the JSON table
@@ -97,19 +95,14 @@ type Stats struct {
 
 	Cache diskcache.Stats `json:"cache"`
 
-	// Fabric is the process-wide switched-fabric telemetry: port flaps,
-	// failovers and failover retries from the fabric sweeps' switches.
-	Fabric fabric.Snapshot `json:"fabric"`
-
-	// Layers is the process-wide per-layer offload telemetry: fast-tier
-	// hits, misses, prefetch overlap, and eviction churn from
-	// core.StepLayered.
-	Layers staging.LayerCounters `json:"layers"`
-
-	// Tiering is the process-wide heterogeneous-tiering telemetry:
-	// fast/far demand accesses, plan rounds, migrations and the byte flow
-	// between the tiers, from core.RunTiered.
-	Tiering tiering.TierCounters `json:"tiering"`
+	// Fabric, Layers and Tiering are the process-wide plane totals
+	// (core.Planes): port flaps and failovers from core.StepFabric,
+	// fast-tier hits, misses, prefetch overlap and eviction churn from
+	// core.StepLayered, and fast/far accesses, plan rounds and migrations
+	// from core.RunTiered.
+	Fabric  core.FabricCounters `json:"fabric"`
+	Layers  core.LayerCounters  `json:"layers"`
+	Tiering core.TierCounters   `json:"tiering"`
 }
 
 // Server is one sweep-service instance. Create with New, expose via
@@ -186,6 +179,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats snapshots every counter.
 func (s *Server) Stats() Stats {
+	planes := core.Planes()
 	return Stats{
 		Requests:  s.requests.Load(),
 		Hits:      s.hits.Load(),
@@ -198,9 +192,9 @@ func (s *Server) Stats() Stats {
 		InFlight:  s.flights.inFlight(),
 		Queued:    s.gate.Queued(),
 		Cache:     s.cache.Stats(),
-		Fabric:    fabric.Counters(),
-		Layers:    staging.Counters(),
-		Tiering:   tiering.Counters(),
+		Fabric:    planes.Fabric,
+		Layers:    planes.Layers,
+		Tiering:   planes.Tiering,
 	}
 }
 

@@ -238,11 +238,19 @@ func TestDeadlineCancelsAbandonedComputation(t *testing.T) {
 // (cancelled) end must not leave a poisoned cache entry — the next request
 // for the key must recompute and get the real result.
 func TestCancelledGenerationIsNeverCached(t *testing.T) {
-	s := newTestServer(t, nil)
+	var first atomic.Bool
+	s := newTestServer(t, func(c *Config) {
+		c.Run = func(ctx context.Context, id string, opt experiments.Options) ([]*experiments.Table, error) {
+			if first.CompareAndSwap(false, true) {
+				// The first generation outlives its deadline, then runs
+				// to its cancelled end: every grid point unreached.
+				<-ctx.Done()
+			}
+			return experiments.ByID(id, opt)
+		}
+	})
 	if _, code := getRun(t, s.Handler(), "id=fig12&seed=42&timeout_ms=1"); code != http.StatusGatewayTimeout {
-		// On a fast machine 1ms may still be enough to finish; only the
-		// timeout path exercises the assertion, so require it.
-		t.Skipf("generation finished inside 1ms; cannot exercise the cancellation path (HTTP %d)", code)
+		t.Fatalf("timed-out request: HTTP %d, want 504", code)
 	}
 	// The cancelled flight may briefly linger (a retry coalescing onto it
 	// inherits its context.Canceled), and when cancellation loses the race
@@ -358,7 +366,8 @@ func TestBadRequests(t *testing.T) {
 		"id=layers&cache_pct=101", "id=tiering&tier_dram_pct=-5", "id=fabric&replicas=-1",
 		"id=faults&ber=2", "id=table1&sede=7", "id=table1&workers=9", "id=table1&coalesce=false",
 		"id=fabric-faults&kill_port=5", "id=layers-policy&layer_policy=mru", "id=table1&timeout_ms=soon",
-		"id=layers-policy&layer_policy=pinned", "id=tiering-policy&tier_policy=recency"} {
+		"id=layers-policy&layer_policy=pinned", "id=tiering-policy&tier_policy=recency",
+		"id=fabric&kill_step=9"} {
 		bad(http.MethodGet, "/run?"+query, "")
 	}
 	for _, body := range []string{`{"id":"table1","sede":7}`, `{"id":"table1","workers":9}`,
@@ -397,7 +406,7 @@ func TestBadRequestErrorIsStable(t *testing.T) {
 func TestLargestLegalBodyFitsBound(t *testing.T) {
 	body := `{"id":"tiering-policy","timeout_ms":-9223372036854775808,"seed":-9223372036854775808,` +
 		`"ber":4.9406564584124654e-324,"retry_budget":1024,"degrade":false,"ckpt_interval":1048576,` +
-		`"crash_at":1048576,"replicas":1024,"host_ports":1024,"kill_port":1024,"kill_step":1048576,` +
+		`"crash_at":1048576,"replicas":1024,"host_ports":1024,"kill_port":1024,` +
 		`"layers":1024,"cache_pct":100,"prefetch":64,"layer_policy":"fifo","layer_seq_len":1048576,` +
 		`"tier_policy":"static","tier_dram_pct":100,"tier_migrate_budget":1048576}`
 	r := httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body))

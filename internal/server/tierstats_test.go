@@ -3,7 +3,7 @@ package server
 import (
 	"testing"
 
-	"teco/internal/tiering"
+	"teco/internal/core"
 )
 
 // TestStatzExposesTierCounters: a served tiering request under a bounded
@@ -29,11 +29,27 @@ func TestStatzExposesTierCounters(t *testing.T) {
 	}
 
 	// The wire names are part of the operator interface; pin them.
-	names := wireNames(t, Stats{Tiering: tiering.TierCounters{}}, "tiering")
+	names := wireNames(t, Stats{Tiering: core.TierCounters{}}, "tiering")
 	for _, name := range []string{"fast_hits", "far_accesses", "plan_steps",
 		"migrations", "promoted_bytes", "demoted_bytes", "deferred"} {
 		if _, ok := names[name]; !ok {
 			t.Fatalf("tiering counter %q missing from /statz", name)
 		}
+	}
+}
+
+// TestTieringLeavesLayerCounters: the tiering controller demotes through
+// the same residency tracker the layer scheduler uses, but a demotion is a
+// tiering event. A served tiering request moves no /statz layers counter.
+func TestTieringLeavesLayerCounters(t *testing.T) {
+	s := newTestServer(t, nil)
+	before := statz(t, s.Handler())
+	mustRun(t, s.Handler(), "id=tiering&seed=42")
+	after := statz(t, s.Handler())
+	if after.Tiering.DemotedBytes <= before.Tiering.DemotedBytes {
+		t.Fatalf("tiering request demoted nothing: before %+v after %+v", before.Tiering, after.Tiering)
+	}
+	if after.Layers != before.Layers {
+		t.Fatalf("tiering request moved the layers block: before %+v after %+v", before.Layers, after.Layers)
 	}
 }

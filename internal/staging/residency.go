@@ -217,7 +217,6 @@ func (r *Residency) Evict(i int) bool {
 	r.used -= r.sizes[i]
 	r.stats.Evictions++
 	r.stats.EvictedBytes += r.sizes[i]
-	recordEviction(r.sizes[i])
 	return true
 }
 
@@ -325,7 +324,6 @@ func (r *Residency) makeRoom(need int64, loading, executing int) (evictedBytes i
 		r.stats.Evictions++
 		r.stats.EvictedBytes += r.sizes[v]
 		evictedBytes += r.sizes[v]
-		recordEviction(r.sizes[v])
 	}
 	return evictedBytes
 }

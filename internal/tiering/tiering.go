@@ -109,13 +109,6 @@ type Controller struct {
 	promotedBytes int64
 	demotedBytes  int64
 	deferred      int64
-
-	// tele* snapshot the cumulative counters at the last telemetry flush,
-	// so recordPlan folds only per-round deltas into the process counters.
-	teleMigrations int64
-	telePromoted   int64
-	teleDemoted    int64
-	teleDeferred   int64
 }
 
 // New builds a controller with the static first-fit initial placement: the
@@ -167,11 +160,7 @@ func (c *Controller) Heat() []int64 {
 
 // Touch records a demand access to slot i and reports whether the fast tier
 // served it. Placement is never changed by an access.
-func (c *Controller) Touch(i int) bool {
-	fast := c.res.Touch(i)
-	recordAccess(fast)
-	return fast
-}
+func (c *Controller) Touch(i int) bool { return c.res.Touch(i) }
 
 // score is the policy's placement rank for slot i (higher = keep fast).
 func (c *Controller) score(i int) int64 {
@@ -190,7 +179,6 @@ func (c *Controller) score(i int) int64 {
 // traffic; placement has already been updated when PlanStep returns.
 func (c *Controller) PlanStep(executing int) []Migration {
 	c.planSteps++
-	defer func() { recordPlan(c) }()
 	if c.policy == Static || c.budget <= 0 {
 		return nil
 	}
