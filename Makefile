@@ -14,7 +14,10 @@ all: build vet test
 # forest tests (concurrent branches share one dataset, so the race detector
 # shows nothing writes to it), short native fuzz runs over the CXL
 # packet decoder, the checkpoint snapshot decoder, the result-cache entry
-# decoder and the daemon's request decoding, the kernel and ADAM oracles
+# decoder, the daemon's request decoding and the cache tags against their
+# scanning reference (new-coverage inputs are minimized for at most 1 s:
+# each is a sequence of up to 1024 operations, and minimizing one for the
+# default minute would take the whole run), the kernel and ADAM oracles
 # (-race does not instrument their assembly, only the Go around it), the
 # goldens with amd64's FMA math.Exp path switched off, a one-iteration
 # smoke of the numeric and replay benchmarks, and — when the tools are
@@ -31,6 +34,7 @@ check:
 	$(GO) test -fuzz='FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz='FuzzDecodeEntry$$' -fuzztime=10s ./internal/diskcache
 	$(GO) test -run '^$$' -fuzz='FuzzParseRequest$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz='FuzzCacheVsScan$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cache
 	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestKernelShortOperandsPanic|TestArenaReuse|TestAdamLanesMatchScalar' ./internal/kernels ./internal/optim
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TestGolden$$' ./internal/conformance
 	$(GO) test -run xxx -bench 'TrainStep|Kernels|AdamStep|FusedAdamScan|GlobalNorm|BaselineStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core

@@ -36,7 +36,9 @@ var fusedFP = regexp.MustCompile(`^FN?M(ADD|SUB)`)
 // spec names. Each failure prints `arch file:line symbol`. The matcher
 // first proves itself on testdata/fmaprobe, so a mnemonic the toolchain
 // renames cannot pass the gate silently. The "asm" subtest covers the
-// repository's assembly, which no disassembly here can read.
+// repository's assembly, which no disassembly here can read. The four
+// architectures are parallel subtests: each one's link and disassembly
+// run single-threaded, so two run side by side on two CPUs.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	t.Run("asm", noFusedAsm)
 	if testing.Short() {
@@ -49,28 +51,31 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		}
 	}
 	for _, f := range fusedOps {
-		out := filepath.Join(t.TempDir(), f.arch) + string(filepath.Separator)
-		build := exec.Command("go", append([]string{"build", "-o", out}, pkgs...)...)
-		build.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+f.arch, "CGO_ENABLED=0")
-		if msg, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("%s: go build: %v\n%s", f.arch, err, msg)
-		}
-		probe := fusedSites(t, f.arch, f.op, out+"fmaprobe")
-		for _, fn := range []string{"main.muladd32(SB)", "main.muladd64(SB)"} {
-			if !slices.ContainsFunc(probe, func(site string) bool { return strings.HasSuffix(site, " "+fn) }) {
-				t.Errorf("%s: the matcher finds no fused op in %s, a plain a*b+c; update fusedOps", f.arch, fn)
+		t.Run(f.arch, func(t *testing.T) {
+			t.Parallel()
+			out := filepath.Join(t.TempDir(), f.arch) + string(filepath.Separator)
+			build := exec.Command("go", append([]string{"build", "-o", out}, pkgs...)...)
+			build.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+f.arch, "CGO_ENABLED=0")
+			if msg, err := build.CombinedOutput(); err != nil {
+				t.Fatalf("%s: go build: %v\n%s", f.arch, err, msg)
 			}
-		}
-		var sites []string
-		for _, pkg := range pkgs[1:] {
-			sites = append(sites, fusedSites(t, f.arch, f.op, out+filepath.Base(pkg))...)
-		}
-		slices.Sort(sites)
-		sites = slices.Compact(sites)
-		if len(sites) > 0 {
-			t.Errorf("%s: %d fused multiply-adds (wrap the product in an explicit conversion):\n%s",
-				f.arch, len(sites), strings.Join(sites, "\n"))
-		}
+			probe := fusedSites(t, f.arch, f.op, out+"fmaprobe")
+			for _, fn := range []string{"main.muladd32(SB)", "main.muladd64(SB)"} {
+				if !slices.ContainsFunc(probe, func(site string) bool { return strings.HasSuffix(site, " "+fn) }) {
+					t.Errorf("%s: the matcher finds no fused op in %s, a plain a*b+c; update fusedOps", f.arch, fn)
+				}
+			}
+			var sites []string
+			for _, pkg := range pkgs[1:] {
+				sites = append(sites, fusedSites(t, f.arch, f.op, out+filepath.Base(pkg))...)
+			}
+			slices.Sort(sites)
+			sites = slices.Compact(sites)
+			if len(sites) > 0 {
+				t.Errorf("%s: %d fused multiply-adds (wrap the product in an explicit conversion):\n%s",
+					f.arch, len(sites), strings.Join(sites, "\n"))
+			}
+		})
 	}
 }
 

@@ -66,7 +66,7 @@ type Eviction struct {
 type Config struct {
 	Name string
 	// SizeBytes is total capacity: a whole number of lines, divisible into
-	// Ways-line sets.
+	// Ways-line sets, and a power of two of sets, as gem5 requires.
 	SizeBytes int64
 	// Ways is the associativity. Ways <= 0 means fully associative.
 	Ways int
@@ -84,19 +84,25 @@ func Gem5L3() Config { return Config{Name: "L3", SizeBytes: 16 << 20, Ways: 64} 
 //   - a full set evicts its least recently used line, where Insert, Touch
 //     and an Access hit are the uses, which is the order a per-use tick gives;
 //   - FlushAll returns lines in (set, way) order;
-//   - storage is proportional to the most lines held, not to the capacity:
-//     a set grows on demand up to Ways.
+//   - past a fixed header per set, storage is proportional to the lines
+//     held, not to the capacity: a set's ways grow on demand, by doubling,
+//     up to Ways (small sets share 4 KiB slab allocations), and the
+//     address index is a mem.LineTable, one 16 KiB page per 4096-line
+//     range holding a line, released when the range empties.
 //
 // Lookups, state changes, LRU updates and victim choice go through the
-// address index and the per-set use list, so they cost O(1) and never scan
-// a set. The free-way search starts at the set's low-water mark, below
-// which no way is free, so a set that fills in way order, or refills the
-// hole it just lost, finds its way at once.
+// address index and the per-set use list, so they cost O(1), never scan a
+// set and never hash a line. The free-way search starts at the set's
+// low-water mark, below which no way is free, so a set that fills in way
+// order, or refills the hole it just lost, finds its way at once.
 type Cache struct {
 	ways int32
 	sets []tagSet
-	// where maps each valid line to its way in its set.
-	where map[mem.LineAddr]int32
+	// where holds way+1 for each valid line: its way in its set.
+	where mem.LineTable[int32]
+	// slab is the unused tail of the last slab a set's ways were carved
+	// from.
+	slab []line
 
 	// Statistics.
 	hits, misses, evictions, writebacks int64
@@ -129,24 +135,27 @@ func New(cfg Config) *Cache {
 	if lines%ways != 0 {
 		panic(fmt.Sprintf("cache %q: %d lines not divisible by %d ways", cfg.Name, lines, ways))
 	}
+	if sets := lines / ways; sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache %q: %d sets is not a power of two", cfg.Name, sets))
+	}
 	if ways > math.MaxInt32 {
 		panic(fmt.Sprintf("cache %q: %d ways overflow a set's int32 way index", cfg.Name, ways))
 	}
-	return &Cache{ways: int32(ways), sets: make([]tagSet, lines/ways), where: map[mem.LineAddr]int32{}}
+	return &Cache{ways: int32(ways), sets: make([]tagSet, lines/ways)}
 }
 
 func (c *Cache) setOf(a mem.LineAddr) *tagSet {
-	return &c.sets[uint64(a)%uint64(len(c.sets))]
+	return &c.sets[uint64(a)&uint64(len(c.sets)-1)]
 }
 
 // Lookup returns the current state of the line (Invalid if absent) without
 // updating LRU or statistics.
 func (c *Cache) Lookup(a mem.LineAddr) State {
-	w, ok := c.where[a]
-	if !ok {
+	w := c.where.Get(a)
+	if w == 0 {
 		return Invalid
 	}
-	return c.setOf(a).ways[w].State
+	return c.setOf(a).ways[w-1].State
 }
 
 // Contains reports whether the line is present in a valid state.
@@ -154,8 +163,8 @@ func (c *Cache) Contains(a mem.LineAddr) bool { return c.Lookup(a).Valid() }
 
 // Touch marks the line as most recently used. No-op when absent.
 func (c *Cache) Touch(a mem.LineAddr) {
-	if w, ok := c.where[a]; ok {
-		c.setOf(a).touch(w)
+	if w := c.where.Get(a); w != 0 {
+		c.setOf(a).touch(w - 1)
 	}
 }
 
@@ -167,7 +176,7 @@ func (c *Cache) Insert(a mem.LineAddr, s State) (Eviction, bool) {
 		panic("cache: inserting line in Invalid state")
 	}
 	set := c.setOf(a)
-	if w, ok := c.where[a]; ok {
+	if w := c.where.Get(a) - 1; w >= 0 {
 		set.ways[w].State = s
 		set.touch(w)
 		return Eviction{}, false
@@ -183,11 +192,11 @@ func (c *Cache) Insert(a mem.LineAddr, s State) (Eviction, bool) {
 		}
 		c.drop(set, set.lru)
 	}
-	w := set.freeWay()
+	w := c.freeWay(set)
 	set.ways[w].Addr, set.ways[w].State = a, s
 	set.push(w)
 	set.valid++
-	c.where[a] = w
+	c.where.Set(a, w+1)
 	return ev, evicted
 }
 
@@ -195,8 +204,8 @@ func (c *Cache) Insert(a mem.LineAddr, s State) (Eviction, bool) {
 // the line (a silent drop — not counted as an eviction). Returns false when
 // the line is absent.
 func (c *Cache) SetState(a mem.LineAddr, s State) bool {
-	w, ok := c.where[a]
-	if !ok {
+	w := c.where.Get(a) - 1
+	if w < 0 {
 		return false
 	}
 	if set := c.setOf(a); s == Invalid {
@@ -213,7 +222,7 @@ func (c *Cache) SetState(a mem.LineAddr, s State) bool {
 // layer wraps this for protocol-accurate traffic; this raw form serves the
 // access-path benchmark and tests.
 func (c *Cache) Access(a mem.LineAddr, write bool) (hit bool, ev Eviction, evicted bool) {
-	if w, ok := c.where[a]; ok {
+	if w := c.where.Get(a) - 1; w >= 0 {
 		c.hits++
 		set := c.setOf(a)
 		set.touch(w)
@@ -236,10 +245,10 @@ func (c *Cache) Access(a mem.LineAddr, write bool) (hit bool, ev Eviction, evict
 // once-per-iteration CPU cache flush that guarantees all updated parameters
 // have been sent out (paper §IV-A2).
 func (c *Cache) FlushAll() []Eviction {
-	if len(c.where) == 0 {
+	if c.where.Len() == 0 {
 		return nil
 	}
-	out := make([]Eviction, 0, len(c.where))
+	out := make([]Eviction, 0, c.where.Len())
 	for si := range c.sets {
 		set := &c.sets[si]
 		for _, l := range set.ways {
@@ -254,23 +263,29 @@ func (c *Cache) FlushAll() []Eviction {
 		}
 		*set = tagSet{ways: set.ways[:0]}
 	}
-	clear(c.where)
+	c.where.Reset()
 	return out
 }
 
 // drop invalidates way w of set, which holds a valid line.
 func (c *Cache) drop(set *tagSet, w int32) {
-	delete(c.where, set.ways[w].Addr)
+	c.where.Set(set.ways[w].Addr, 0)
 	set.ways[w].State = Invalid
 	set.unlink(w)
 	set.valid--
 	set.free = min(set.free, w)
 }
 
-// freeWay returns the lowest free way, growing the set when it has no hole.
-// The caller fills it and pushes it onto the use list.
-func (s *tagSet) freeWay() int32 {
+// slabLines is the number of ways one slab allocation holds: 4 KiB.
+const slabLines = 256
+
+// freeWay returns the lowest free way of set s, growing the set when it has
+// no hole. The caller fills it and pushes it onto the use list.
+func (c *Cache) freeWay(s *tagSet) int32 {
 	if int(s.valid) == len(s.ways) {
+		if len(s.ways) == cap(s.ways) {
+			s.ways = append(c.carve(min(int(c.ways), max(1, 2*cap(s.ways)))), s.ways...)
+		}
 		s.ways = append(s.ways, line{})
 		s.free = int32(len(s.ways))
 		return s.free - 1
@@ -280,6 +295,18 @@ func (s *tagSet) freeWay() int32 {
 	}
 	s.free++
 	return s.free - 1
+}
+
+// carve returns an empty slice with room for n ways. Sets grow by doubling
+// and most sets of a large cache hold a line or two, so small chunks share
+// slab allocations instead of costing one each.
+func (c *Cache) carve(n int) []line {
+	if n > len(c.slab) {
+		c.slab = make([]line, max(n, slabLines))
+	}
+	chunk := c.slab[:0:n]
+	c.slab = c.slab[n:]
+	return chunk
 }
 
 // touch moves valid way w to the most recently used end of the use list.

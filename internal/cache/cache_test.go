@@ -44,8 +44,8 @@ func TestInsertAndLookup(t *testing.T) {
 	if c.Lookup(5) != Modified {
 		t.Fatal("in-place state update failed")
 	}
-	if len(c.where) != 1 {
-		t.Fatalf("valid = %d", len(c.where))
+	if c.where.Len() != 1 {
+		t.Fatalf("valid = %d", c.where.Len())
 	}
 }
 
@@ -141,7 +141,7 @@ func TestFlushAll(t *testing.T) {
 	if dirty != 2 {
 		t.Fatalf("flush marked %d dirty, want 2", dirty)
 	}
-	if len(c.where) != 0 {
+	if c.where.Len() != 0 {
 		t.Fatal("cache not empty after flush")
 	}
 }
@@ -167,7 +167,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		for _, op := range ops {
 			a := mem.LineAddr(op % 257)
 			c.Access(a, op%3 == 0)
-			if len(c.where) > 32 {
+			if c.where.Len() > 32 {
 				return false
 			}
 			if c.Contains(a) != c.Lookup(a).Valid() {
@@ -235,6 +235,8 @@ func TestGeometryValidation(t *testing.T) {
 		// 100 B is a partial line before it is 1 line in 3 ways.
 		{Config{SizeBytes: 100, Ways: 3}, "not a positive whole number of 64-byte lines"},
 		{Config{SizeBytes: 192, Ways: 2}, "3 lines not divisible by 2 ways"},
+		{Config{SizeBytes: 384, Ways: 2}, "3 sets is not a power of two"},
+		{Config{SizeBytes: 192, Ways: 1}, "3 sets is not a power of two"},
 	} {
 		func() {
 			defer func() {
@@ -244,5 +246,53 @@ func TestGeometryValidation(t *testing.T) {
 			}()
 			New(bad.cfg)
 		}()
+	}
+}
+
+// TestStorageFollowsLinesHeld pins the storage half of the tag contract:
+// the address index holds one page per 4096-line range holding a line and
+// releases it when the range's last line leaves, by invalidation, eviction
+// or flush; a set's ways grow to less than twice the most lines it held.
+func TestStorageFollowsLinesHeld(t *testing.T) {
+	c := New(Gem5L3()) // 4096 sets of 64 ways
+	const ranges, perRange = 8, 3
+	rangeBase := func(r int) mem.LineAddr { return mem.LineAddr(r) << 20 } // set 0 of its range
+	for r := 0; r < ranges; r++ {
+		for i := 0; i < perRange; i++ {
+			c.Insert(rangeBase(r)+mem.LineAddr(i), Modified)
+		}
+	}
+	if got := c.where.Pages(); got != ranges {
+		t.Fatalf("%d lines in %d ranges hold %d index pages", c.where.Len(), ranges, got)
+	}
+	for i := 0; i < perRange; i++ {
+		c.SetState(rangeBase(0)+mem.LineAddr(i), Invalid)
+	}
+	if got := c.where.Pages(); got != ranges-1 {
+		t.Fatalf("an emptied range kept its page: %d pages, want %d", got, ranges-1)
+	}
+	// Fill set 0 with lines 4096 apart, one range each, until it turns over.
+	for i := 0; i < int(c.ways); i++ {
+		c.Insert(rangeBase(ranges)+mem.LineAddr(i*len(c.sets)), Exclusive)
+	}
+	if got, want := c.where.Pages(), ranges-1+int(c.ways); got != want {
+		t.Fatalf("%d pages after set 0 turned over, want %d", got, want)
+	}
+	for si, most := range map[int]int{0: int(c.ways), 1: ranges, 2: ranges, 3: 0} {
+		if n := cap(c.sets[si].ways); n > max(0, 2*most-1) {
+			t.Errorf("set %d has room for %d ways after holding at most %d", si, n, most)
+		}
+	}
+	c.FlushAll()
+	if c.where.Len() != 0 || c.where.Pages() != 0 {
+		t.Fatalf("flush left %d lines in %d pages", c.where.Len(), c.where.Pages())
+	}
+
+	// An eviction releases the victim's page.
+	c = New(Config{Name: "two", SizeBytes: 2 * mem.LineSize})
+	c.Insert(0, Modified)
+	c.Insert(5000, Modified)
+	if ev, _ := c.Insert(9000, Modified); ev.Addr != 0 || c.where.Pages() != 2 {
+		t.Fatalf("evicting line %d left %d pages, want 2", ev.Addr, c.where.Pages())
 	}
 }

@@ -52,8 +52,8 @@ func TestSlotDemotionFlushSemantics(t *testing.T) {
 	if dirty != 2 {
 		t.Fatalf("%d dirty lines flushed, want the 2 written ones", dirty)
 	}
-	if len(c.where) != 0 {
-		t.Fatalf("%d lines survived the flush", len(c.where))
+	if c.where.Len() != 0 {
+		t.Fatalf("%d lines survived the flush", c.where.Len())
 	}
 	wbs := c.writebacks
 	if wbs != 2 {

@@ -99,8 +99,9 @@ type Domain struct {
 
 	// snoop is the sharer-tracking directory used only in invalidation
 	// mode (the paper's fallback for workloads without a clear
-	// producer/consumer pattern).
-	snoop map[mem.LineAddr]uint8 // bit 0: CPU has copy, bit 1: accelerator
+	// producer/consumer pattern): bit 0 when the CPU has a copy, bit 1
+	// when the accelerator does.
+	snoop mem.LineTable[uint8]
 
 	msgs      [numMsgTypes]int64
 	transfers int64
@@ -113,9 +114,9 @@ type Domain struct {
 	retransmits     int64
 	poisons         int64
 	poisonRecovered int64
-	// poisonedLines tracks lines whose last push was poisoned, so their
+	// poisonedLines marks lines whose last push was poisoned, so their
 	// eventual on-demand recovery can be attributed.
-	poisonedLines map[mem.LineAddr]struct{}
+	poisonedLines mem.LineTable[bool]
 }
 
 // Config configures a Domain.
@@ -144,13 +145,11 @@ func NewDomain(cfg Config) *Domain {
 		sink = func(Transfer) {}
 	}
 	return &Domain{
-		mode:          cfg.Mode,
-		addrMap:       cfg.AddrMap,
-		cpu:           cache.New(cache.Gem5L3()),
-		giant:         cache.New(cache.Config{Name: "giant", SizeBytes: bytes, Ways: 0}),
-		sink:          sink,
-		snoop:         make(map[mem.LineAddr]uint8),
-		poisonedLines: make(map[mem.LineAddr]struct{}),
+		mode:    cfg.Mode,
+		addrMap: cfg.AddrMap,
+		cpu:     cache.New(cache.Gem5L3()),
+		giant:   cache.New(cache.Config{Name: "giant", SizeBytes: bytes, Ways: 0}),
+		sink:    sink,
 	}
 }
 
@@ -177,15 +176,15 @@ func (d *Domain) checkLine(l mem.LineAddr) {
 			if d.poisonRecovered > d.poisons {
 				return fmt.Errorf("coherence: recovered %d of %d poisoned pushes", d.poisonRecovered, d.poisons)
 			}
-			if int64(len(d.poisonedLines)) > d.poisons-d.poisonRecovered {
+			if int64(d.poisonedLines.Len()) > d.poisons-d.poisonRecovered {
 				return fmt.Errorf("coherence: %d poisoned lines outstanding, %d unrecovered pushes",
-					len(d.poisonedLines), d.poisons-d.poisonRecovered)
+					d.poisonedLines.Len(), d.poisons-d.poisonRecovered)
 			}
 			return nil
 		},
 		func() error {
-			if d.mode == Update && len(d.snoop) != 0 {
-				return fmt.Errorf("coherence: update mode tracks %d snoop entries", len(d.snoop))
+			if d.mode == Update && d.snoop.Len() != 0 {
+				return fmt.Errorf("coherence: update mode tracks %d snoop entries", d.snoop.Len())
 			}
 			return nil
 		},
@@ -208,20 +207,12 @@ func (d *Domain) cacheOf(s Side) *cache.Cache {
 	return d.giant
 }
 
-func (d *Domain) snoopSet(l mem.LineAddr, s Side) {
-	d.snoop[l] |= 1 << uint(s)
-}
-
-func (d *Domain) snoopClear(l mem.LineAddr, s Side) {
-	d.snoop[l] &^= 1 << uint(s)
-	if d.snoop[l] == 0 {
-		delete(d.snoop, l)
-	}
-}
+// sharer is side s's bit in a snoop entry.
+func sharer(s Side) uint8 { return 1 << uint(s) }
 
 // SnoopEntries returns the number of directory entries currently tracked —
 // zero in update mode, which is the paper's snoop-filter-free claim.
-func (d *Domain) SnoopEntries() int { return len(d.snoop) }
+func (d *Domain) SnoopEntries() int { return d.snoop.Len() }
 
 // NoteRetransmit records n link-layer retransmissions of update pushes.
 // The replay engine delivers the data, so no protocol state changes — this
@@ -245,7 +236,7 @@ func (d *Domain) PoisonPush(l mem.LineAddr, from Side) {
 	if peer.Contains(l) {
 		peer.SetState(l, cache.Invalid)
 	}
-	d.poisonedLines[l] = struct{}{}
+	d.poisonedLines.Set(l, true)
 }
 
 // FaultCounters returns (retransmitted pushes, poisoned pushes, poisoned
@@ -260,7 +251,7 @@ func (d *Domain) FaultCounters() (retransmits, poisons, recovered int64) {
 func (d *Domain) Seed(l mem.LineAddr, s Side) {
 	d.cacheOf(s).Insert(l, cache.Exclusive)
 	if d.mode == Invalidation {
-		d.snoopSet(l, s)
+		d.snoop.Set(l, d.snoop.Get(l)|sharer(s))
 	}
 }
 
@@ -275,7 +266,7 @@ func (d *Domain) handleEviction(ev cache.Eviction, s Side) bool {
 		return !ev.Dirty // clean host lines vanish silently
 	}
 	if d.mode == Invalidation {
-		d.snoopClear(ev.Addr, s)
+		d.snoop.Set(ev.Addr, d.snoop.Get(ev.Addr)&^sharer(s))
 	}
 	peer := d.cacheOf(s.Opposite())
 	if peer.Lookup(ev.Addr) == cache.Shared {
@@ -315,7 +306,7 @@ func (d *Domain) Write(l mem.LineAddr, from Side) []cache.Eviction {
 			}
 		}
 		if d.mode == Invalidation {
-			d.snoopSet(l, from)
+			d.snoop.Set(l, d.snoop.Get(l)|sharer(from))
 		}
 	}
 
@@ -325,7 +316,7 @@ func (d *Domain) Write(l mem.LineAddr, from Side) []cache.Eviction {
 			d.say(MsgInvalidate)
 			peer.SetState(l, cache.Invalid)
 			if d.mode == Invalidation {
-				d.snoopClear(l, from.Opposite())
+				d.snoop.Set(l, d.snoop.Get(l)&^sharer(from.Opposite()))
 			}
 		}
 		writer.SetState(l, cache.Modified)
@@ -342,7 +333,7 @@ func (d *Domain) Write(l mem.LineAddr, from Side) []cache.Eviction {
 	writer.SetState(l, cache.Shared)
 	// A fresh push supersedes any earlier poisoned delivery of this line
 	// (the caller re-poisons via PoisonPush if this one failed too).
-	delete(d.poisonedLines, l)
+	d.poisonedLines.Set(l, false)
 	// Peer copy is refreshed and shared. The giant cache always accepts;
 	// a smaller CPU cache "simply ignores the update messages" for lines
 	// it does not hold (paper §IV-A2) — the payload still lands in host
@@ -380,8 +371,8 @@ func (d *Domain) Read(l mem.LineAddr, from Side) bool {
 		// On-demand fill from the dirty peer copy. This is also the
 		// recovery path for poisoned pushes: the writer still holds M,
 		// so the fetch delivers a clean copy.
-		if _, ok := d.poisonedLines[l]; ok {
-			delete(d.poisonedLines, l)
+		if d.poisonedLines.Get(l) {
+			d.poisonedLines.Set(l, false)
 			d.poisonRecovered++
 		}
 		d.say(MsgReadShared)
@@ -391,7 +382,7 @@ func (d *Domain) Read(l mem.LineAddr, from Side) bool {
 			d.handleEviction(ev, from)
 		}
 		if d.mode == Invalidation {
-			d.snoopSet(l, from)
+			d.snoop.Set(l, d.snoop.Get(l)|sharer(from))
 		}
 		if check.Enabled() {
 			d.checkLine(l)
@@ -412,7 +403,7 @@ func (d *Domain) Read(l mem.LineAddr, from Side) bool {
 		d.handleEviction(ev, from)
 	}
 	if d.mode == Invalidation {
-		d.snoopSet(l, from)
+		d.snoop.Set(l, d.snoop.Get(l)|sharer(from))
 	}
 	if check.Enabled() {
 		d.checkLine(l)
@@ -457,11 +448,7 @@ func (d *Domain) FlushCPU() []cache.Eviction {
 		}
 	}
 	if d.mode == Invalidation {
-		for l, bits := range d.snoop {
-			if bits&(1<<uint(CPU)) != 0 {
-				d.snoopClear(l, CPU)
-			}
-		}
+		d.snoop.Update(func(_ mem.LineAddr, bits uint8) uint8 { return bits &^ sharer(CPU) })
 	}
 	return hostWB
 }

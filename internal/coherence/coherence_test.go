@@ -248,9 +248,15 @@ func TestFlushCPUInvalidationModeTransfersDirtyDomainLines(t *testing.T) {
 	pl := params.Base.Line()
 	d.Seed(pl, Accelerator)
 	d.Write(pl, CPU) // CPU=M, giant invalidated
+	if got := d.snoop.Get(pl); got != sharer(CPU) {
+		t.Fatalf("directory bits %02b after the CPU took the line, want %02b", got, sharer(CPU))
+	}
 	d.FlushCPU()
 	if len(*log) != 1 {
 		t.Fatalf("flush should move the dirty domain line once, log=%+v", *log)
+	}
+	if d.SnoopEntries() != 0 {
+		t.Fatalf("flush left %d directory entries; the CPU was the only sharer", d.SnoopEntries())
 	}
 }
 
@@ -360,11 +366,12 @@ func TestUpdateModeKeepsCopiesCoherent(t *testing.T) {
 // TestNewDomainAllocs pins the cost of building a default domain — the gem5
 // L3 plus a fully associative giant cache over a 2^16-word tensor, as every
 // replay builds one — as an allocation count: the caches allocate for the
-// lines they hold, not for their capacity.
+// lines they hold, not for their capacity, and the line tables of the tags
+// and the directory allocate nothing until a line arrives.
 func TestNewDomainAllocs(t *testing.T) {
 	m := mem.NewMap()
 	m.Allocate("params", mem.RegionGiantCache, 4<<16)
-	if n := testing.AllocsPerRun(20, func() { NewDomain(Config{Mode: Update, AddrMap: m}) }); n > 16 {
-		t.Fatalf("NewDomain allocates %v times, want <= 16", n)
+	if n := testing.AllocsPerRun(20, func() { NewDomain(Config{Mode: Update, AddrMap: m}) }); n > 5 {
+		t.Fatalf("NewDomain allocates %v times, want <= 5", n)
 	}
 }

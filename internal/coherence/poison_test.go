@@ -37,8 +37,8 @@ func TestPoisonPushFallsBackToOnDemandFetch(t *testing.T) {
 	if d.giant.Contains(l) {
 		t.Fatal("peer kept a poisoned copy")
 	}
-	if len(d.poisonedLines) != 1 {
-		t.Fatalf("poisoned lines = %d, want 1", len(d.poisonedLines))
+	if d.poisonedLines.Len() != 1 {
+		t.Fatalf("poisoned lines = %d, want 1", d.poisonedLines.Len())
 	}
 	if err := d.CheckInvariants([]mem.LineAddr{l}); err != nil {
 		t.Fatalf("invariants violated after poison: %v", err)
@@ -56,7 +56,7 @@ func TestPoisonPushFallsBackToOnDemandFetch(t *testing.T) {
 	if re != 0 || po != 1 || rec != 1 {
 		t.Fatalf("fault counters = (%d,%d,%d), want (0,1,1)", re, po, rec)
 	}
-	if len(d.poisonedLines) != 0 {
+	if d.poisonedLines.Len() != 0 {
 		t.Fatal("recovered line still marked poisoned")
 	}
 	if err := d.CheckInvariants([]mem.LineAddr{l}); err != nil {
@@ -71,7 +71,7 @@ func TestRepushClearsPoison(t *testing.T) {
 	d.Write(l, CPU)
 	d.PoisonPush(l, CPU)
 	d.Write(l, CPU) // retransmitted update push succeeds this time
-	if len(d.poisonedLines) != 0 {
+	if d.poisonedLines.Len() != 0 {
 		t.Fatal("successful re-push left the line marked poisoned")
 	}
 	if d.Read(l, Accelerator) {

@@ -9,10 +9,7 @@
 // configuration (Table II) and the CXL.cache transfer granularity.
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LineSize is the coherence granularity in bytes (64-byte lines everywhere
 // in the paper: gem5 caches, CXL.cache, the Aggregator input).
@@ -96,21 +93,31 @@ func (m *Map) Allocate(name string, kind RegionKind, bytes int64) Region {
 	return r
 }
 
-// Lookup returns the region containing a, if any.
-func (m *Map) Lookup(a Addr) (Region, bool) {
-	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].End() > a })
-	if i < len(m.regions) && m.regions[i].Contains(a) {
-		return m.regions[i], true
-	}
-	return Region{}, false
-}
-
 // InGiantCache reports whether the line is mapped to the coherent giant
 // cache — the check the CXL home agent performs on every LLC writeback
 // (paper Fig 8: "mapped in the Giant cache?").
 func (m *Map) InGiantCache(l LineAddr) bool {
-	r, ok := m.Lookup(l.Addr())
-	return ok && r.Kind == RegionGiantCache
+	i := m.find(l.Addr())
+	return i >= 0 && m.regions[i].Kind == RegionGiantCache
+}
+
+// find returns the index of the region containing a, or -1. It is a binary
+// search for the first region ending past a, written out rather than
+// through sort.Search: every coherence operation asks.
+func (m *Map) find(a Addr) int {
+	lo, hi := 0, len(m.regions)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.regions[mid].End() > a {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(m.regions) && m.regions[lo].Contains(a) {
+		return lo
+	}
+	return -1
 }
 
 // GiantCacheBytes returns the configured giant-cache capacity: the sum of

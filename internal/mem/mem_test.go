@@ -69,17 +69,16 @@ func TestMapLookup(t *testing.T) {
 	host := m.Allocate("optstates", RegionHostDRAM, 4096)
 	dev := m.Allocate("activations", RegionDeviceLocal, 4096)
 
-	if r, ok := m.Lookup(params.Base + 17); !ok || r.Name != "params" {
-		t.Fatalf("lookup in params failed: %v %v", r, ok)
+	for _, c := range []struct {
+		a    Addr
+		want string
+	}{{params.Base + 17, "params"}, {host.Base, "optstates"}, {dev.End() - 1, "activations"}} {
+		if i := m.find(c.a); i < 0 || m.regions[i].Name != c.want {
+			t.Fatalf("find(%d) = %d, want region %q", c.a, i, c.want)
+		}
 	}
-	if r, ok := m.Lookup(host.Base); !ok || r.Kind != RegionHostDRAM {
-		t.Fatalf("lookup host failed: %v %v", r, ok)
-	}
-	if r, ok := m.Lookup(dev.End() - 1); !ok || r.Kind != RegionDeviceLocal {
-		t.Fatalf("lookup dev end failed: %v %v", r, ok)
-	}
-	if _, ok := m.Lookup(dev.End()); ok {
-		t.Fatal("lookup past the end should miss")
+	if i := m.find(dev.End()); i >= 0 {
+		t.Fatalf("find past the end = %d, want -1", i)
 	}
 }
 

@@ -49,15 +49,11 @@ type ResidencyStats struct {
 	PrefetchHits int64
 	// DemandMisses counts uses that had to fetch on the critical path.
 	DemandMisses int64
-	// PrefetchIssued counts prefetch fetches started; PrefetchSkipped
-	// counts prefetches declined because no victim could be evicted
-	// (everything resident was pinned or executing).
-	PrefetchIssued  int64
-	PrefetchSkipped int64
-	// Evictions counts slots dropped to make room; LoadedBytes and
-	// EvictedBytes are the byte volumes fetched and dropped.
+	// PrefetchIssued counts prefetch fetches started.
+	PrefetchIssued int64
+	// Evictions counts slots dropped to make room; EvictedBytes is the
+	// byte volume dropped.
 	Evictions    int64
-	LoadedBytes  int64
 	EvictedBytes int64
 }
 
@@ -258,7 +254,6 @@ func (r *Residency) Use(i, executing int) (miss bool, evictedBytes int64) {
 		panic(fmt.Sprintf("staging: cannot fit slot %d (%d bytes) in %d/%d", i, r.sizes[i], r.used, r.capacity))
 	}
 	r.insert(i)
-	r.stats.LoadedBytes += r.sizes[i]
 	return true, evictedBytes
 }
 
@@ -271,14 +266,12 @@ func (r *Residency) Prefetch(i, executing int) bool {
 		return false
 	}
 	if !r.canMakeRoom(r.sizes[i], i, executing) {
-		r.stats.PrefetchSkipped++
 		return false
 	}
 	r.makeRoom(r.sizes[i], i, executing)
 	r.insert(i)
 	r.prefetched[i] = true
 	r.stats.PrefetchIssued++
-	r.stats.LoadedBytes += r.sizes[i]
 	return true
 }
 

@@ -44,6 +44,7 @@ var testSupport = map[string]string{
 
 	"teco/internal/conformance/check.Enable":              "internal/fabric TestSwitchDegeneratesToBareLink",
 	"teco/internal/conformance.Generate":                  "internal/server TestRunMatchesConformanceGoldens",
+	"teco/internal/mem.LineTable.Pages":                   "internal/cache TestStorageFollowsLinesHeld",
 	"teco/internal/checkpoint.Faults.CrashNextWriteAfter": "internal/diskcache TestCrashAtEveryByteLeavesOldOrNothing",
 	"teco/internal/checkpoint.Faults.Crashes":             "internal/server TestChaosKillRestartCycles",
 	"teco/internal/checkpoint.Faults.Corruptions":         "internal/diskcache TestSilentCorruptionNeverServed",
