@@ -19,10 +19,11 @@ all: build vet test
 # each is a sequence of up to 1024 operations, and minimizing one for the
 # default minute would take the whole run), the kernel and ADAM oracles
 # (-race does not instrument their assembly, only the Go around it), the
-# goldens with amd64's FMA math.Exp path switched off, a one-iteration
-# smoke of the numeric and replay benchmarks, and — when the tools are
-# installed — staticcheck and govulncheck (CI always runs them; locally
-# they are skipped if absent).
+# goldens with amd64's FMA math.Exp path switched off, the goldens and the
+# numeric packages built for 386 (its Go loops, not the AVX2 lanes, and a
+# 32-bit int), a one-iteration smoke of the numeric, TECO-step and replay
+# benchmarks, and — when the tools are installed — staticcheck and
+# govulncheck (CI always runs them; locally they are skipped if absent).
 check:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 40m ./...
@@ -37,7 +38,8 @@ check:
 	$(GO) test -run '^$$' -fuzz='FuzzCacheVsScan$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cache
 	$(GO) test -race -count=1 -run 'TestKernelBitIdentity|TestKernelShortOperandsPanic|TestArenaReuse|TestAdamLanesMatchScalar' ./internal/kernels ./internal/optim
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TestGolden$$' ./internal/conformance
-	$(GO) test -run xxx -bench 'TrainStep|Kernels|AdamStep|FusedAdamScan|GlobalNorm|BaselineStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core
+	GOARCH=386 $(GO) test -count=1 ./internal/conformance ./internal/kernels ./internal/optim ./internal/realtrain
+	$(GO) test -run xxx -bench 'TrainStep|Kernels|AdamStep|FusedAdamScan|GlobalNorm|BaselineStep|TECOStep|Replay' -benchtime=1x ./internal/kernels ./internal/optim ./internal/realtrain ./internal/zero ./internal/core
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

@@ -35,9 +35,10 @@ func TestEngineMatchesTraceReplay(t *testing.T) {
 				extra = dba.ModelledLatency
 			}
 			var finish sim.Time
-			for _, c := range cpu.UpdateSchedule(m) {
-				payload := c.Bytes * int64(payloadPerLine) / mem.LineSize
-				done := link.SendFlow(c.ReadyAt, int(payload), extra, 0, false).Done
+			upd := cpu.UpdateSchedule(m)
+			for i := range upd.N {
+				at, bytes := upd.Chunk(i)
+				done := link.SendFlow(at, bytes*int64(payloadPerLine)/mem.LineSize, extra, 0, false).Done
 				if done > finish {
 					finish = done
 				}
@@ -109,7 +110,7 @@ func TestGradExposureMatchesReplay(t *testing.T) {
 			bwdEnd := bwdStart + gpu.BackwardTime(m, batch)
 			var finish sim.Time
 			for _, ch := range gpu.GradientSchedule(m, batch) {
-				done := link.SendFlow(bwdStart+ch.ReadyAt, int(ch.Bytes), 0, 0, false).Done
+				done := link.SendFlow(bwdStart+ch.ReadyAt, ch.Bytes, 0, 0, false).Done
 				if done > finish {
 					finish = done
 				}

@@ -108,20 +108,25 @@ func TestStepLayeredAllResidentMatchesStep(t *testing.T)  { testDegenerate(t, "l
 func TestRunTieredAllFitsMatchesSteps(t *testing.T)       { testDegenerate(t, "tiered") }
 
 // TestStepAllocs fences the per-step allocation count of the paper-table
-// path. Step allocates what the point-to-point dataflow needs: a link and
-// its queue ring per direction, the gradient and update schedules, and one
-// per-replica bookkeeping slice — 7 in all. A one-replica switched step
-// builds two switches and seeds no failover RNG it never draws.
+// path. A point-to-point step allocates nothing: each direction's link,
+// pending-queue ring included, is a value on the stack, the gradient and
+// update schedules are values, and the one replica's bookkeeping is an
+// array. A switched step allocates each of its two switches: the switch,
+// its physical ports (their links inline) and three per-port tables, and
+// seeds no failover RNG it never draws.
 func TestStepAllocs(t *testing.T) {
 	m := modelzoo.BertLargeCased()
-	for _, cfg := range []Config{{}, {DBA: true}} {
+	for _, cfg := range []Config{{}, {DBA: true}, {Invalidation: true}} {
 		e := MustEngine(cfg)
-		if n := testing.AllocsPerRun(50, func() { e.Step(m, 4) }); n > 7 {
-			t.Errorf("%v Step: %v allocs, want <= 7", cfg.Variant(), n)
+		if n := testing.AllocsPerRun(50, func() { e.Step(m, 4) }); n != 0 {
+			t.Errorf("%v Step: %v allocs, want 0", cfg.Variant(), n)
+		}
+		if cfg.Invalidation {
+			continue // the fabric runs the update protocol only
 		}
 		for fc, want := range map[FabricConfig]float64{
-			{Replicas: 1}: 7,
-			{Replicas: 1, HopLatency: fabric.DefaultHopLatency}: 19,
+			{Replicas: 1}: 0,
+			{Replicas: 1, HopLatency: fabric.DefaultHopLatency}: 10,
 		} {
 			if n := testing.AllocsPerRun(50, func() { e.StepFabric(m, 4, fc) }); n > want {
 				t.Errorf("%v StepFabric%+v: %v allocs, want <= %v", cfg.Variant(), fc, n, want)

@@ -39,8 +39,8 @@ func AggregatedUneconomical(fc cxl.FaultConfig, dirtyBytes int, bytesPerSecond f
 	}
 	sf := float64(sim.DurationForBytes(mem.LineSize, bytesPerSecond))
 	sa := float64(sim.DurationForBytes(int64(mem.LineSize/4*dirtyBytes), bytesPerSecond))
-	rf := f.PacketErrorProb(cxl.WirePacketBytes(0))
-	ra := f.PacketErrorProb(cxl.WirePacketBytes(dirtyBytes))
+	rf := f.PacketErrorProb(int64(cxl.WirePacketBytes(0)))
+	ra := f.PacketErrorProb(int64(cxl.WirePacketBytes(dirtyBytes)))
 	costFull := sf * (1 + rf)
 	costAgg := float64(sa*(1+ra)) + float64(ra*float64(cxl.DefaultMergeRetryDelay))
 	return costAgg >= costFull

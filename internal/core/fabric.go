@@ -72,10 +72,12 @@ func (e *Engine) StepFabric(m modelzoo.Model, batch int, fc FabricConfig) (phase
 }
 
 // transport carries one direction of the dataflow: one bare link
-// (point-to-point) or a fabric.Switch. Only a switch can fail a send.
+// (point-to-point) or a fabric.Switch. Only a switch can fail a send. The
+// bare link is held by value, so a point-to-point step keeps both its
+// directions on the stack.
 type transport struct {
 	sw *fabric.Switch
-	l  *cxl.Link
+	l  cxl.Link // unused when sw is set
 }
 
 // directionFaults derives one link direction's fault config: seed
@@ -89,16 +91,16 @@ func (e *Engine) directionFaults(offset int64) cxl.FaultConfig {
 	return fc
 }
 
-// pointToPoint builds a bare link for one direction from a config
-// NewEngine has already validated.
-func (e *Engine) pointToPoint(seedOffset int64) transport {
-	l := cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap)
+// pointToPoint makes t a bare link for one direction, from a config
+// NewEngine has already validated. t is filled in place: a transport is
+// mostly its link's pending-queue ring.
+func (e *Engine) pointToPoint(t *transport, seedOffset int64) {
+	t.l = cxl.MakeLink(e.LinkBandwidth, e.QueueCap)
 	if fc := e.directionFaults(seedOffset); fc.Enabled() {
-		if _, err := l.InjectFaults(fc); err != nil {
+		if _, err := t.l.InjectFaults(fc); err != nil {
 			panic(err)
 		}
 	}
-	return transport{l: l}
 }
 
 // fabricSwitch builds one direction's switch.
@@ -115,19 +117,21 @@ func (e *Engine) fabricSwitch(fc FabricConfig, seedOffset int64) (*fabric.Switch
 }
 
 // transports builds the gradient (up) and parameter (down) directions.
-func (e *Engine) transports(fc FabricConfig) (up, down transport, err error) {
+func (e *Engine) transports(fc FabricConfig, up, down *transport) (err error) {
 	if fc.pointToPoint() {
-		return e.pointToPoint(1), e.pointToPoint(2), nil
+		e.pointToPoint(up, 1)
+		e.pointToPoint(down, 2)
+		return nil
 	}
 	if up.sw, err = e.fabricSwitch(fc, 1); err == nil {
 		down.sw, err = e.fabricSwitch(fc, 2)
 	}
-	return up, down, err
+	return err
 }
 
 // send streams one run of n payload bytes (cxl.Link.SendFlow's arguments)
 // over logical port lp.
-func (t *transport) send(lp int, ready sim.Time, n int, extra sim.Time, pktBytes int, aggregated bool) error {
+func (t *transport) send(lp int, ready sim.Time, n int64, extra sim.Time, pktBytes int, aggregated bool) error {
 	if t.sw != nil {
 		_, err := t.sw.Send(lp, ready, n, extra, pktBytes, aggregated)
 		return err
@@ -157,7 +161,7 @@ func (t *transport) link(i int) *cxl.Link {
 	if t.sw != nil {
 		return t.sw.Link(i)
 	}
-	return t.l
+	return &t.l
 }
 
 // stats is the switch accounting; a bare link is the degenerate one-port,
@@ -206,8 +210,8 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 	if degraded {
 		useDBA = false
 	}
-	up, down, err := e.transports(fc)
-	if err != nil {
+	var up, down transport
+	if err := e.transports(fc, &up, &down); err != nil {
 		return phases.StepResult{}, err
 	}
 	R := max(fc.Replicas, 1)
@@ -218,14 +222,15 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 	fullWire := cxl.WirePacketBytes(0)
 	var gradBytes int64
 	backward := func(r, b int, start sim.Time) (fwd, end sim.Time, err error) {
-		fwd = e.GPU.ForwardTime(m, b)
-		for _, ch := range e.GPU.GradientSchedule(m, b) {
-			if err = up.send(r, start+fwd+ch.ReadyAt, int(ch.Bytes), 0, fullWire, false); err != nil {
+		fwd, grads := e.GPU.Gradients(m, b)
+		for i := range grads.N {
+			at, bytes := grads.Chunk(i)
+			if err = up.send(r, start+fwd+at, bytes, 0, fullWire, false); err != nil {
 				return fwd, 0, err
 			}
-			gradBytes += ch.Bytes
+			gradBytes += bytes
 		}
-		return fwd, start + fwd + e.GPU.BackwardTime(m, b), nil
+		return fwd, start + fwd + grads.Span, nil
 	}
 
 	// Scheduled chaos: the replica's ports die after its backward pass,
@@ -243,7 +248,11 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 		alive       bool
 		fwd, bwdEnd sim.Time
 	}
-	reps := make([]replica, R)
+	var one [1]replica // the point-to-point step's bookkeeping stays off the heap
+	reps := one[:]
+	if R > 1 {
+		reps = make([]replica, R)
+	}
 	lost := -1
 	var detectAt sim.Time
 	for r := range reps {
@@ -304,7 +313,8 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 	}
 	clip := e.CPU.ClipTime(m.Params)
 	clipEnd := gradDone + clip
-	adam := e.CPU.AdamTime(m.Params)
+	upd := e.CPU.UpdateSchedule(m)
+	adam := upd.Span
 	adamEnd := clipEnd + adam
 
 	// Parameters: ADAM's cache-line writebacks stream over the update
@@ -319,7 +329,6 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 		extra = dba.ModelledLatency
 		paramWire = cxl.WirePacketBytes(e.Config.DirtyBytes)
 	}
-	sched := e.CPU.UpdateSchedule(m)
 	var paramBytes int64
 	live := 0
 	paramDone, prmClean := adamEnd, adamEnd
@@ -327,9 +336,9 @@ func (e *Engine) dataflow(m modelzoo.Model, batch int, fc FabricConfig) (phases.
 		if !rp.alive {
 			continue
 		}
-		for _, ch := range sched {
-			payload := ch.Bytes * int64(lineBytes) / mem.LineSize
-			if err := down.send(r, clipEnd+ch.ReadyAt, int(payload), extra, paramWire, useDBA); err != nil {
+		for i := range upd.N {
+			at, bytes := upd.Chunk(i)
+			if err := down.send(r, clipEnd+at, bytes*int64(lineBytes)/mem.LineSize, extra, paramWire, useDBA); err != nil {
 				return phases.StepResult{}, fmt.Errorf("core: replica %d unreachable for parameter writeback: %w", r, err)
 			}
 		}

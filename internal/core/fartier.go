@@ -21,22 +21,18 @@ import (
 type Slots []int64
 
 // SlotLayout returns the slot layout of m: one parameter slot per layer,
-// the division remainder on the last (mirroring cpusim.UpdateSchedule), and
-// with optSlots a 2× optimizer-state slot (the FP32 ADAM m+v moments) after
-// each (param k = slot 2k, opt k = slot 2k+1).
+// split as cpusim's UpdateSchedule splits the parameters (the division
+// remainder on the last), and with optSlots a 2× optimizer-state slot (the
+// FP32 ADAM m+v moments) after each (param k = slot 2k, opt k = slot 2k+1).
 func SlotLayout(m modelzoo.Model, optSlots bool) Slots {
-	n := int64(m.Layers)
-	per := m.ParamBytes() / n
+	params := sim.NewSchedule(0, m.ParamBytes(), m.Layers)
 	stride := 1
 	if optSlots {
 		stride = 2
 	}
 	s := make(Slots, 0, stride*m.Layers)
-	for k := int64(0); k < n; k++ {
-		p := per
-		if k == n-1 {
-			p += m.ParamBytes() - per*n
-		}
+	for k := range params.N {
+		_, p := params.Chunk(k)
 		s = append(s, p)
 		if optSlots {
 			s = append(s, 2*p)
@@ -89,7 +85,7 @@ func (e *Engine) planeModel(m modelzoo.Model, cfg any, layers, seqLen int, knobs
 // farTier is one far-tier plane: the slot sizes, the link pair, and the
 // completion time of each slot's fetch issued ahead of use.
 type farTier struct {
-	fetch, wb *cxl.Link
+	fetch, wb cxl.Link
 	sizes     []int64
 	inflight  []sim.Time // 0: no issue-ahead fetch in flight
 	wire      int
@@ -97,8 +93,8 @@ type farTier struct {
 
 func (e *Engine) newFarTier(sizes []int64) *farTier {
 	return &farTier{
-		fetch:    cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap),
-		wb:       cxl.NewLink(nil, e.LinkBandwidth, e.QueueCap),
+		fetch:    cxl.MakeLink(e.LinkBandwidth, e.QueueCap),
+		wb:       cxl.MakeLink(e.LinkBandwidth, e.QueueCap),
 		sizes:    sizes,
 		inflight: make([]sim.Time, len(sizes)),
 		wire:     cxl.WirePacketBytes(0),
@@ -106,7 +102,7 @@ func (e *Engine) newFarTier(sizes []int64) *farTier {
 }
 
 func (p *farTier) push(l *cxl.Link, k int, t sim.Time) sim.Time {
-	return l.SendFlow(t, int(p.sizes[k]), 0, p.wire, false).Done
+	return l.SendFlow(t, p.sizes[k], 0, p.wire, false).Done
 }
 
 // demand prices an access to slot k at t and returns the stall compute must
@@ -117,20 +113,20 @@ func (p *farTier) demand(k int, hit bool, t sim.Time) (stall sim.Time, ahead boo
 	done := p.inflight[k]
 	p.inflight[k] = 0
 	if !hit {
-		return p.push(p.fetch, k, t) - t, false
+		return p.push(&p.fetch, k, t) - t, false
 	}
 	return max(done-t, 0), done != 0
 }
 
 // issue starts the fetch of slot k at t ahead of its use (a prefetch or a
 // promotion).
-func (p *farTier) issue(k int, t sim.Time) { p.inflight[k] = p.push(p.fetch, k, t) }
+func (p *farTier) issue(k int, t sim.Time) { p.inflight[k] = p.push(&p.fetch, k, t) }
 
 // writeback streams slot k out to the far tier at t, off the critical path
 // (an activation spill or a demotion).
 func (p *farTier) writeback(k int, t sim.Time) {
 	p.inflight[k] = 0
-	p.push(p.wb, k, t)
+	p.push(&p.wb, k, t)
 }
 
 // walk visits n layers from cursor t — upward, or downward when down is set

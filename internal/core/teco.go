@@ -178,7 +178,9 @@ func (e *Engine) linePayload(useDBA bool) int {
 // paper measures this costing +56.6% training time on average.
 func (e *Engine) stepInvalidation(m modelzoo.Model, batch int) phases.StepResult {
 	// Seeds 2·seed+3/+4: the ablation's links draw their own streams.
-	prm, grad := e.pointToPoint(3), e.pointToPoint(4)
+	var prm, grad transport
+	e.pointToPoint(&prm, 3)
+	e.pointToPoint(&grad, 4)
 
 	fwd := e.GPU.ForwardTime(m, batch)
 	bwd := e.GPU.BackwardTime(m, batch)
@@ -189,8 +191,8 @@ func (e *Engine) stepInvalidation(m modelzoo.Model, batch int) phases.StepResult
 	fullWire := cxl.WirePacketBytes(0)
 	lines := mem.LinesIn(m.ParamBytes())
 	invalMsgs := sim.DurationForBytes(lines*cxl.MsgBytes, prm.l.BytesPerSecond())
-	pf := prm.l.SendFlow(0, int(m.ParamBytes()), 0, fullWire, false)
-	gf := grad.l.SendFlow(0, int(m.GradBytes()), 0, fullWire, false)
+	pf := prm.l.SendFlow(0, m.ParamBytes(), 0, fullWire, false)
+	gf := grad.l.SendFlow(0, m.GradBytes(), 0, fullWire, false)
 
 	clip := e.CPU.ClipTime(m.Params)
 	adam := e.CPU.AdamTime(m.Params)

@@ -246,3 +246,24 @@ func TestDirtyBytesSweep(t *testing.T) {
 		prevTotal = int64(r.Total())
 	}
 }
+
+var stepSink phases.StepResult
+
+// BenchmarkTECOStep times one sweep of the three TECO systems over the
+// Table III grid (every evaluation model at batch 4, 8 and 16): the
+// timing-plane work behind the paper tables. A sweep allocates nothing.
+func BenchmarkTECOStep(b *testing.B) {
+	models := modelzoo.EvaluationModels()
+	engines := []*Engine{MustEngine(Config{}), MustEngine(Config{DBA: true}), MustEngine(Config{Invalidation: true})}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range engines {
+			for _, m := range models {
+				for _, batch := range []int{4, 8, 16} {
+					stepSink = e.Step(m, batch)
+				}
+			}
+		}
+	}
+}

@@ -58,41 +58,14 @@ func (c *CPU) FillTime(n int64) sim.Time {
 	return sim.DurationForBytes(n, c.FillBandwidth)
 }
 
-// UpdateChunk is a block of parameters whose updated cache lines are
-// written back during the ADAM pass.
-type UpdateChunk struct {
-	// ReadyAt is the offset from the start of the ADAM pass at which the
-	// chunk's last line is written back.
-	ReadyAt sim.Time
-	// Bytes is the FP32 parameter volume of the chunk.
-	Bytes int64
-	// Layer is the owning layer (parameters update in layer order).
-	Layer int
-}
-
-// UpdateSchedule returns per-layer parameter writeback chunks, equally
-// spaced across the ADAM pass. Because the paper's optimizer is vectorized
-// (AVX-512), whole cache lines are updated together and written back as the
-// streaming pass evicts them — so writebacks track compute progress, which
-// is what makes the update protocol's fine-grained overlap possible
-// (§IV-B: "multiple parameters are updated at the same time, causing only
-// one transfer of the cache line").
-func (c *CPU) UpdateSchedule(m modelzoo.Model) []UpdateChunk {
-	adam := c.AdamTime(m.Params)
-	n := m.Layers
-	per := m.ParamBytes() / int64(n)
-	rem := m.ParamBytes() - per*int64(n)
-	chunks := make([]UpdateChunk, 0, n)
-	for i := 0; i < n; i++ {
-		b := per
-		if i == n-1 {
-			b += rem
-		}
-		chunks = append(chunks, UpdateChunk{
-			ReadyAt: sim.Time(int64(adam) * int64(i+1) / int64(n)),
-			Bytes:   b,
-			Layer:   i,
-		})
-	}
-	return chunks
+// UpdateSchedule returns the parameter writeback schedule of the ADAM pass
+// (its Span is AdamTime): one chunk per layer in layer order, equally spaced
+// across the pass. Because the paper's optimizer is vectorized (AVX-512),
+// whole cache lines are updated together and written back as the streaming
+// pass evicts them — so writebacks track compute progress, which is what
+// makes the update protocol's fine-grained overlap possible (§IV-B:
+// "multiple parameters are updated at the same time, causing only one
+// transfer of the cache line").
+func (c *CPU) UpdateSchedule(m modelzoo.Model) sim.Schedule {
+	return sim.NewSchedule(c.AdamTime(m.Params), m.ParamBytes(), m.Layers)
 }

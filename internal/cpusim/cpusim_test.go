@@ -60,27 +60,28 @@ func TestFillFasterThanBaselineLink(t *testing.T) {
 func TestUpdateSchedule(t *testing.T) {
 	c := Xeon6120()
 	m := modelzoo.T5Large()
-	chunks := c.UpdateSchedule(m)
-	if len(chunks) != m.Layers {
-		t.Fatalf("%d chunks", len(chunks))
+	s := c.UpdateSchedule(m)
+	if s.N != m.Layers {
+		t.Fatalf("%d chunks", s.N)
+	}
+	adam := c.AdamTime(m.Params)
+	if s.Span != adam {
+		t.Fatalf("schedule spans %v, want ADAM's %v", s.Span, adam)
 	}
 	var total int64
-	adam := c.AdamTime(m.Params)
 	prev := sim.Time(-1)
-	for i, ch := range chunks {
-		total += ch.Bytes
-		if ch.ReadyAt <= prev || ch.ReadyAt > adam {
-			t.Fatalf("chunk %d schedule broken: %v (adam %v)", i, ch.ReadyAt, adam)
+	for i := range s.N {
+		at, b := s.Chunk(i)
+		total += b
+		if at <= prev || at > adam {
+			t.Fatalf("chunk %d schedule broken: %v (adam %v)", i, at, adam)
 		}
-		prev = ch.ReadyAt
-		if ch.Layer != i {
-			t.Fatal("parameters update in layer order")
-		}
+		prev = at
 	}
 	if total != m.ParamBytes() {
 		t.Fatalf("chunk bytes %d != param bytes %d", total, m.ParamBytes())
 	}
-	if chunks[len(chunks)-1].ReadyAt != adam {
+	if prev != adam {
 		t.Fatal("last writeback lands at ADAM end")
 	}
 }

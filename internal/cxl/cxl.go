@@ -36,16 +36,17 @@ func EffectiveBandwidth() float64 { return PCIe3x16BytesPerSecond * Efficiency }
 // the link ("the updated cache lines ... are going through the link one
 // after another in a stream manner", §VIII-A). The pending queue bounds how
 // far the producer may run ahead of the link.
+//
+// A Link is a value: its pending-queue ring lives inside the struct, so a
+// link is one object, a step can keep its links on the stack, and a copy
+// owns its own ring. Only a queue deeper than DefaultQueueCap keeps its ring
+// on the heap, and copies of such a link share that ring.
 type Link struct {
 	bytesPerSecond float64
 	queueCap       int
 
-	freeAt sim.Time
-	// finishRing holds the completion times of the most recent queueCap
-	// packets; a new packet may only be admitted once the oldest of them
-	// has left the queue.
-	finishRing []sim.Time
-	ringPos    int
+	freeAt  sim.Time
+	ringPos int
 
 	bytesSent int64
 	packets   int64
@@ -62,23 +63,43 @@ type Link struct {
 	// cleanFreeAt tracks where the link drain would be absent injected
 	// faults (for exposed-retry-latency accounting).
 	cleanFreeAt sim.Time
+
+	// ring holds the completion times of the most recent queueCap packets;
+	// a new packet may only be admitted once the oldest of them has left
+	// the queue. A queue deeper than the ring uses deep instead.
+	ring [DefaultQueueCap]sim.Time
+	deep []sim.Time
 }
 
-// NewLink builds a link. bytesPerSecond <= 0 selects the default effective
-// CXL bandwidth; queueCap <= 0 selects DefaultQueueCap. The engine argument
-// is ignored and may be nil (the bench module's cxl probe still passes one).
-func NewLink(_ *sim.Engine, bytesPerSecond float64, queueCap int) *Link {
+// MakeLink returns a link value. bytesPerSecond <= 0 selects the default
+// effective CXL bandwidth; queueCap <= 0 selects DefaultQueueCap.
+func MakeLink(bytesPerSecond float64, queueCap int) Link {
 	if bytesPerSecond <= 0 {
 		bytesPerSecond = EffectiveBandwidth()
 	}
 	if queueCap <= 0 {
 		queueCap = DefaultQueueCap
 	}
-	return &Link{
-		bytesPerSecond: bytesPerSecond,
-		queueCap:       queueCap,
-		finishRing:     make([]sim.Time, queueCap),
+	l := Link{bytesPerSecond: bytesPerSecond, queueCap: queueCap}
+	if queueCap > DefaultQueueCap {
+		l.deep = make([]sim.Time, queueCap)
 	}
+	return l
+}
+
+// NewLink is MakeLink on the heap. The engine argument is ignored and may
+// be nil (the bench module's cxl probe still passes one).
+func NewLink(_ *sim.Engine, bytesPerSecond float64, queueCap int) *Link {
+	l := MakeLink(bytesPerSecond, queueCap)
+	return &l
+}
+
+// slots returns the pending-queue ring, one completion time per slot.
+func (l *Link) slots() []sim.Time {
+	if l.deep != nil {
+		return l.deep
+	}
+	return l.ring[:l.queueCap]
 }
 
 // BytesPerSecond returns the modelled link bandwidth.
@@ -86,8 +107,8 @@ func (l *Link) BytesPerSecond() float64 { return l.bytesPerSecond }
 
 // ServiceTime returns the serialization time of a payload of n bytes plus a
 // fixed extra latency (e.g. the 1 ns Aggregator delay).
-func (l *Link) ServiceTime(n int, extra sim.Time) sim.Time {
-	return sim.DurationForBytes(int64(n), l.bytesPerSecond) + extra
+func (l *Link) ServiceTime(n int64, extra sim.Time) sim.Time {
+	return sim.DurationForBytes(n, l.bytesPerSecond) + extra
 }
 
 // InjectFaults attaches a fault model built from cfg and returns it. A
@@ -128,23 +149,20 @@ func (l *Link) FaultStats() LinkFaultStats { return l.fstats }
 // serialization (and, for aggregated flows, the per-packet merge-header round
 // trip), and packets still failing after the retry budget are delivered
 // poisoned.
-func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, aggregated bool) FlowResult {
+func (l *Link) SendFlow(ready sim.Time, n int64, extra sim.Time, pktBytes int, aggregated bool) FlowResult {
 	admit, start := l.admitRun(ready)
 	svc := l.ServiceTime(n, extra)
 	done := start + svc
 	res := FlowResult{Admit: admit, Packets: 1}
+	pkt := n // no framing: the whole flow is one packet
 	if pktBytes > 0 {
-		res.Packets = (int64(n) + int64(pktBytes) - 1) / int64(pktBytes)
-		if res.Packets < 1 {
-			res.Packets = 1
-		}
-	} else {
-		pktBytes = n
+		pkt = int64(pktBytes)
+		res.Packets = max((n+pkt-1)/pkt, 1)
 	}
 
 	if f := l.faults; f != nil {
 		cleanDone := done
-		pErr := f.PacketErrorProb(pktBytes)
+		pErr := f.PacketErrorProb(pkt)
 		nak := 2 * l.ServiceTime(MsgBytes, 0)
 		outstanding := res.Packets
 		for round := 1; outstanding > 0; round++ {
@@ -161,10 +179,7 @@ func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, agg
 			}
 			res.Retries += corrupted
 			l.fstats.Retries += corrupted
-			replayBytes := corrupted * int64(pktBytes)
-			if replayBytes > int64(n) {
-				replayBytes = int64(n)
-			}
+			replayBytes := min(corrupted*pkt, n)
 			res.ReplayedBytes += replayBytes
 			l.fstats.ReplayedBytes += replayBytes
 			if corrupted > l.fstats.ReplayHighWater {
@@ -177,7 +192,7 @@ func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, agg
 			if shift > 16 {
 				shift = 16
 			}
-			resend := l.ServiceTime(int(replayBytes), 0)
+			resend := l.ServiceTime(replayBytes, 0)
 			penalty := DefaultNakDelay + sim.Time(waves-1)*nak + (DefaultRetryBackoff << shift) + resend
 			if aggregated {
 				// Every retried aggregated packet re-sends the merge
@@ -206,7 +221,7 @@ func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, agg
 	res.Done = done
 	l.commitRun(done, svc, n)
 	if check.Enabled() {
-		l.checkFlow(ready, n, pktBytes, res)
+		l.checkFlow(ready, pkt, res)
 	}
 	return res
 }
@@ -214,9 +229,9 @@ func (l *Link) SendFlow(ready sim.Time, n int, extra sim.Time, pktBytes int, agg
 // checkFlow asserts the per-flow conservation laws the retry/replay engine
 // must preserve: every framed packet is either delivered (possibly after
 // retries) or poisoned, replayed bytes never exceed the retransmit count
-// times the frame size, and fault handling can only delay completion, never
-// rewind it past the fault-free schedule.
-func (l *Link) checkFlow(ready sim.Time, n, pktBytes int, res FlowResult) {
+// times the frame size pkt, and fault handling can only delay completion,
+// never rewind it past the fault-free schedule.
+func (l *Link) checkFlow(ready sim.Time, pkt int64, res FlowResult) {
 	check.Check(
 		func() error {
 			if res.Poisoned < 0 || res.Poisoned > res.Packets {
@@ -225,12 +240,9 @@ func (l *Link) checkFlow(ready sim.Time, n, pktBytes int, res FlowResult) {
 			return nil
 		},
 		func() error {
-			if pktBytes <= 0 {
-				pktBytes = n
-			}
-			if res.Retries < 0 || res.ReplayedBytes < 0 || res.ReplayedBytes > res.Retries*int64(pktBytes) {
+			if res.Retries < 0 || res.ReplayedBytes < 0 || res.ReplayedBytes > res.Retries*pkt {
 				return fmt.Errorf("cxl: %dB replayed for %d retries of %dB packets (replay conservation)",
-					res.ReplayedBytes, res.Retries, pktBytes)
+					res.ReplayedBytes, res.Retries, pkt)
 			}
 			return nil
 		},
@@ -263,7 +275,7 @@ func (l *Link) CheckInvariants() error {
 	if l.cleanFreeAt > l.freeAt {
 		return fmt.Errorf("cxl: fault-free drain %v beyond drain %v", l.cleanFreeAt, l.freeAt)
 	}
-	for i, t := range l.finishRing {
+	for i, t := range l.slots() {
 		if t > l.freeAt {
 			return fmt.Errorf("cxl: ring slot %d completion %v beyond drain %v", i, t, l.freeAt)
 		}
@@ -276,7 +288,7 @@ func (l *Link) CheckInvariants() error {
 // drained, and serialization cannot start before the link is free. SendFlow
 // and the per-line reference schedule in perline_test.go share it.
 func (l *Link) admitRun(ready sim.Time) (admit, start sim.Time) {
-	oldest := l.finishRing[l.ringPos]
+	oldest := l.slots()[l.ringPos]
 	admit = ready
 	if oldest > admit {
 		admit = oldest
@@ -291,12 +303,14 @@ func (l *Link) admitRun(ready sim.Time) (admit, start sim.Time) {
 
 // commitRun records one completed run in the link state, however `done` was
 // derived (SendFlow's closed form, or the reference's last line event).
-func (l *Link) commitRun(done, svc sim.Time, n int) {
+func (l *Link) commitRun(done, svc sim.Time, n int64) {
 	l.freeAt = done
 	l.busy += svc
-	l.finishRing[l.ringPos] = done
-	l.ringPos = (l.ringPos + 1) % l.queueCap
-	l.bytesSent += int64(n)
+	l.slots()[l.ringPos] = done
+	if l.ringPos++; l.ringPos == l.queueCap {
+		l.ringPos = 0
+	}
+	l.bytesSent += n
 	l.packets++
 }
 

@@ -116,7 +116,7 @@ func (f *FaultModel) Config() FaultConfig { return f.cfg }
 // corrupted (CRC failure of at least one of its flits): the expected
 // first-round retransmissions per packet, which degradation policies use to
 // price packet shapes against each other.
-func (f *FaultModel) PacketErrorProb(pktBytes int) float64 {
+func (f *FaultModel) PacketErrorProb(pktBytes int64) float64 {
 	if f.flitErrProb <= 0 || pktBytes <= 0 {
 		return 0
 	}

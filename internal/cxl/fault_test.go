@@ -85,7 +85,7 @@ func TestLinkMonotonicTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var prev int64 = -1
 	for i := 0; i < 10000; i++ {
-		done := l.SendFlow(0, rng.Intn(256)+1, 0, 0, false).Done
+		done := l.SendFlow(0, int64(rng.Intn(256)+1), 0, 0, false).Done
 		if int64(done) < prev {
 			t.Fatalf("completion time went backwards at %d", i)
 		}

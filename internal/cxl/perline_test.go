@@ -38,14 +38,14 @@ func (h *lineEvents) Fire(now sim.Time) { h.last, h.fired = now, h.fired+1 }
 // run's fixed extra latency. Each line is an event on a discrete-event
 // engine, drained a window at a time, and the run completes when its last
 // event fires: that time, not a closed form, is what the link commits.
-func perLineFlow(t *testing.T, l *Link, ready sim.Time, n int, lines int64, extra sim.Time, pktBytes int) FlowResult {
+func perLineFlow(t *testing.T, l *Link, ready sim.Time, n, lines int64, extra sim.Time, pktBytes int) FlowResult {
 	res, _ := perLineEvents(t, l, ready, n, lines, extra, pktBytes)
 	return res
 }
 
 // perLineEvents is perLineFlow that also returns how many line events the
 // engine fired.
-func perLineEvents(t *testing.T, l *Link, ready sim.Time, n int, lines int64, extra sim.Time, pktBytes int) (FlowResult, int64) {
+func perLineEvents(t *testing.T, l *Link, ready sim.Time, n, lines int64, extra sim.Time, pktBytes int) (FlowResult, int64) {
 	t.Helper()
 	admit, start := l.admitRun(ready)
 	lines = max(lines, 1)
@@ -56,7 +56,7 @@ func perLineEvents(t *testing.T, l *Link, ready sim.Time, n int, lines int64, ex
 			next = (lines - 1) / drainWindow * drainWindow // skip to the last window
 		}
 		for i := next; i < min(next+drainWindow, lines); i++ {
-			at := start + sim.DurationForBytes(int64(n)*(i+1)/lines, l.bytesPerSecond)
+			at := start + sim.DurationForBytes(n*(i+1)/lines, l.bytesPerSecond)
 			if i == lines-1 {
 				at += extra
 			}
@@ -72,7 +72,7 @@ func perLineEvents(t *testing.T, l *Link, ready sim.Time, n int, lines int64, ex
 
 	res := FlowResult{Admit: admit, Packets: 1, CleanDone: done, Done: done}
 	if pktBytes > 0 {
-		res.Packets = max((int64(n)+int64(pktBytes)-1)/int64(pktBytes), 1)
+		res.Packets = max((n+int64(pktBytes)-1)/int64(pktBytes), 1)
 	}
 	l.cleanFreeAt = done
 	l.commitRun(done, l.ServiceTime(n, extra), n)
@@ -84,7 +84,7 @@ func perLineEvents(t *testing.T, l *Link, ready sim.Time, n int, lines int64, ex
 // with the aggregation delay as extra and the wire packet size the retry
 // engine would frame it at.
 type seamRun struct {
-	n        int
+	n        int64
 	lines    int64
 	extra    sim.Time
 	pktBytes int
@@ -102,9 +102,9 @@ func seamRuns() []seamRun {
 	seen := map[seamRun]bool{}
 	var runs []seamRun
 	add := func(bytes int64, dirty int) {
-		r := seamRun{n: int(bytes), lines: mem.LinesIn(bytes), pktBytes: WirePacketBytes(dirty)}
+		r := seamRun{n: bytes, lines: mem.LinesIn(bytes), pktBytes: WirePacketBytes(dirty)}
 		if dirty > 0 {
-			r.n = int(bytes * int64(dba.WordsPerLine*dirty) / mem.LineSize)
+			r.n = bytes * int64(dba.WordsPerLine*dirty) / mem.LineSize
 			r.extra = dba.ModelledLatency
 		}
 		if !seen[r] {
@@ -117,11 +117,13 @@ func seamRuns() []seamRun {
 		for _, ch := range gpu.GradientSchedule(m, 4) {
 			add(ch.Bytes, 0)
 		}
-		for _, ch := range cpu.UpdateSchedule(m) {
+		upd := cpu.UpdateSchedule(m)
+		for i := range upd.N {
+			_, bytes := upd.Chunk(i)
 			for _, dirty := range []int{0, 1, 2, 3, 4} {
-				add(ch.Bytes, dirty)
+				add(bytes, dirty)
 			}
-			add(2*ch.Bytes, 0)
+			add(2*bytes, 0)
 		}
 		add(m.ParamBytes(), 0)
 		add(m.GradBytes(), 0)
@@ -136,13 +138,6 @@ func seamRuns() []seamRun {
 	add(0, 2)
 	add(64*257+32, 0)
 	return runs
-}
-
-// cloneLink is a deep copy of a fault-free link.
-func cloneLink(l *Link) *Link {
-	c := *l
-	c.finishRing = append([]sim.Time(nil), l.finishRing...)
-	return &c
 }
 
 // TestPerLineMatchesSendFlow is the seam between core and the link: every
@@ -180,10 +175,10 @@ func TestPerLineMatchesSendFlow(t *testing.T) {
 					// Ready at 0 meets the queue state; ready late meets
 					// an idle link.
 					for _, ready := range []sim.Time{0, a.freeAt + sim.Microsecond} {
-						a2, b2 := cloneLink(a), cloneLink(b)
+						a2, b2 := *a, *b // a copy owns its ring
 						want := a2.SendFlow(ready, r.n, r.extra, r.pktBytes, r.extra != 0)
-						got := perLineFlow(t, b2, ready, r.n, r.lines, r.extra, r.pktBytes)
-						same(t, fmt.Sprintf("bw %g prior %d ready %v %v", raw, prior, ready, r), want, got, a2, b2)
+						got := perLineFlow(t, &b2, ready, r.n, r.lines, r.extra, r.pktBytes)
+						same(t, fmt.Sprintf("bw %g prior %d ready %v %v", raw, prior, ready, r), want, got, &a2, &b2)
 					}
 				}
 			}
@@ -196,7 +191,7 @@ func TestPerLineMatchesSendFlow(t *testing.T) {
 		full, agg := WirePacketBytes(0), WirePacketBytes(2)
 		script := []struct {
 			ready      sim.Time
-			n          int
+			n          int64
 			extra      sim.Time
 			pktBytes   int
 			aggregated bool
@@ -212,25 +207,60 @@ func TestPerLineMatchesSendFlow(t *testing.T) {
 		a, b := NewLink(nil, 0, 0), NewLink(nil, 0, 0)
 		for i, r := range script {
 			want := a.SendFlow(r.ready, r.n, r.extra, r.pktBytes, r.aggregated)
-			got := perLineFlow(t, b, r.ready, r.n, mem.LinesIn(int64(r.n)), r.extra, r.pktBytes)
+			got := perLineFlow(t, b, r.ready, r.n, mem.LinesIn(r.n), r.extra, r.pktBytes)
 			same(t, fmt.Sprintf("run %d", i), want, got, a, b)
 		}
 	})
 
-	// A 2-deep pending queue with every run ready at once, so every
-	// admission after the second is back-pressured.
-	t.Run("backpressure", func(t *testing.T) {
-		a, b := NewLink(nil, 0, 2), NewLink(nil, 0, 2)
-		for i := 0; i < 50; i++ {
-			n := 64 * (1 + i%7)
+	// A pending queue of depth `depth` with every run ready at once, so
+	// every admission after the first `depth` is back-pressured, and the
+	// ring wraps more than twice.
+	backpressure := func(t *testing.T, depth int) {
+		a, b := NewLink(nil, 0, depth), NewLink(nil, 0, depth)
+		for i := 0; i < max(50, 2*depth+3); i++ {
+			n := int64(64 * (1 + i%7))
 			want := a.SendFlow(0, n, 0, WirePacketBytes(0), false)
-			got := perLineFlow(t, b, 0, n, mem.LinesIn(int64(n)), 0, WirePacketBytes(0))
+			got := perLineFlow(t, b, 0, n, mem.LinesIn(n), 0, WirePacketBytes(0))
 			same(t, fmt.Sprintf("run %d", i), want, got, a, b)
 		}
 		if _, _, _, stall := a.Stats(); stall == 0 {
 			t.Error("backpressure script produced no stall time")
 		}
-	})
+	}
+	t.Run("backpressure", func(t *testing.T) { backpressure(t, 2) })
+	// A queue deeper than DefaultQueueCap keeps its ring out of line.
+	t.Run("deep", func(t *testing.T) { backpressure(t, 2*DefaultQueueCap+1) })
+}
+
+// TestLinkCopyOwnsRing: a Link is a value, so a copy's pending-queue ring
+// (and every other part of its state) stays where the copy was taken while
+// the original keeps sending, and the copy then runs the original's next
+// flows to the same results.
+func TestLinkCopyOwnsRing(t *testing.T) {
+	l := MakeLink(0, 4)
+	for i := 0; i < 3; i++ {
+		l.SendFlow(0, mem.LineSize, 0, WirePacketBytes(0), false)
+	}
+	c := l
+	frozen := l
+	var want []FlowResult
+	for i := 0; i < 9; i++ { // wraps the 4-slot ring twice
+		want = append(want, l.SendFlow(0, mem.LineSize, 0, WirePacketBytes(0), false))
+	}
+	if !reflect.DeepEqual(c, frozen) {
+		t.Fatalf("copy followed the original's sends:\ncopy   %+v\nbefore %+v", c, frozen)
+	}
+	if c.ring == l.ring {
+		t.Fatal("original's ring did not move")
+	}
+	for i, w := range want {
+		if got := c.SendFlow(0, mem.LineSize, 0, WirePacketBytes(0), false); got != w {
+			t.Fatalf("flow %d on the copy: %+v, original gave %+v", i, got, w)
+		}
+	}
+	if !reflect.DeepEqual(c, l) {
+		t.Fatalf("copy and original diverged after the same flows:\ncopy     %+v\noriginal %+v", c, l)
+	}
 }
 
 // TestStreamPerLineLastEventIsClosedForm: on an idle link the reference's
@@ -238,8 +268,8 @@ func TestPerLineMatchesSendFlow(t *testing.T) {
 // and a run longer than replayWindows windows fires only its first and last.
 func TestStreamPerLineLastEventIsClosedForm(t *testing.T) {
 	link := NewLink(nil, 0, 0)
-	n := 64*12345 + 48
-	lines := mem.LinesIn(int64(n))
+	n := int64(64*12345 + 48)
+	lines := mem.LinesIn(n)
 	res, fired := perLineEvents(t, link, 0, n, lines, sim.Nanosecond, WirePacketBytes(0))
 	if want := link.ServiceTime(n, sim.Nanosecond); res.Done != want {
 		t.Fatalf("per-line Done %v, want closed form %v", res.Done, want)
@@ -254,7 +284,7 @@ func TestStreamPerLineLastEventIsClosedForm(t *testing.T) {
 func TestStreamPerLineWindowing(t *testing.T) {
 	link := NewLink(nil, 0, 0)
 	lines := int64(3*drainWindow + 17)
-	n := int(lines) * 64
+	n := lines * 64
 	res, fired := perLineEvents(t, link, 0, n, lines, 0, WirePacketBytes(0))
 	if res.Done != link.ServiceTime(n, 0) {
 		t.Fatalf("windowed Done %v, want %v", res.Done, link.ServiceTime(n, 0))

@@ -177,8 +177,8 @@ func TestBackPressureMonotonicUnderDegradedBandwidth(t *testing.T) {
 
 func TestPacketErrorProbShape(t *testing.T) {
 	fm := MustFaultModel(FaultConfig{Seed: 1, BER: 1e-6})
-	small := fm.PacketErrorProb(WirePacketBytes(2))
-	large := fm.PacketErrorProb(WirePacketBytes(0))
+	small := fm.PacketErrorProb(int64(WirePacketBytes(2)))
+	large := fm.PacketErrorProb(int64(WirePacketBytes(0)))
 	if small <= 0 || large <= small {
 		t.Fatalf("packet error prob not increasing in size: %g vs %g", small, large)
 	}

@@ -103,8 +103,8 @@ type spine struct {
 	queued sim.Time
 }
 
-func (s *spine) pass(portDone sim.Time, n int, hop sim.Time) sim.Time {
-	svc := sim.DurationForBytes(int64(n), s.bw)
+func (s *spine) pass(portDone sim.Time, n int64, hop sim.Time) sim.Time {
+	svc := sim.DurationForBytes(n, s.bw)
 	arrival := portDone + hop - svc
 	if arrival < 0 {
 		arrival = 0
@@ -116,14 +116,14 @@ func (s *spine) pass(portDone sim.Time, n int, hop sim.Time) sim.Time {
 	}
 	out := start + svc
 	s.freeAt = out
-	s.bytes += int64(n)
+	s.bytes += n
 	return out
 }
 
 // port is one physical switch port: a full cxl link with its own fault
 // domain.
 type port struct {
-	link *cxl.Link
+	link cxl.Link
 	up   bool
 	// bound is the logical port routed over this physical port, -1 for
 	// an unassigned spare.
@@ -137,7 +137,7 @@ type port struct {
 // sharing the spine.
 type Switch struct {
 	cfg   SwitchConfig
-	ports []*port
+	ports []port
 	// route maps logical port -> physical port; failover remaps it.
 	route     []int
 	sp, clean spine
@@ -176,20 +176,19 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		lastDone: make([]sim.Time, cfg.Ports),
 		cleanAt:  make([]sim.Time, cfg.Ports),
 	}
-	phys := cfg.Ports + cfg.SparePorts
-	for i := 0; i < phys; i++ {
-		l := cxl.NewLink(nil, cfg.Bandwidth, cfg.QueueCap)
+	sw.ports = make([]port, cfg.Ports+cfg.SparePorts)
+	for i := range sw.ports {
+		p := &sw.ports[i]
+		p.link, p.up, p.bound = cxl.MakeLink(cfg.Bandwidth, cfg.QueueCap), true, -1
 		if cfg.Faults.Enabled() {
-			if _, err := l.InjectFaults(PortFaultConfig(cfg.Faults, i)); err != nil {
+			if _, err := p.link.InjectFaults(PortFaultConfig(cfg.Faults, i)); err != nil {
 				return nil, err
 			}
 		}
-		p := &port{link: l, up: true, bound: -1}
 		if i < cfg.Ports {
 			p.bound = i
 			sw.route[i] = i
 		}
-		sw.ports = append(sw.ports, p)
 	}
 	bw := sw.ports[0].link.BytesPerSecond()
 	sw.sp.bw = float64(cfg.HostPorts) * bw
@@ -201,7 +200,7 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 func (sw *Switch) PhysPorts() int { return len(sw.ports) }
 
 // Link exposes physical port i's link (fault stats, recovery pricing).
-func (sw *Switch) Link(i int) *cxl.Link { return sw.ports[i].link }
+func (sw *Switch) Link(i int) *cxl.Link { return &sw.ports[i].link }
 
 // KillPort takes down the physical port currently routing logical port
 // lp's traffic. Subsequent sends on lp pay link-down detection and either
@@ -210,7 +209,7 @@ func (sw *Switch) KillPort(lp int) error {
 	if lp < 0 || lp >= sw.cfg.Ports {
 		return fmt.Errorf("fabric: kill of unknown port %d", lp)
 	}
-	p := sw.ports[sw.route[lp]]
+	p := &sw.ports[sw.route[lp]]
 	if !p.up {
 		return nil
 	}
@@ -222,8 +221,8 @@ func (sw *Switch) KillPort(lp int) error {
 // DownPorts counts physical ports currently down.
 func (sw *Switch) DownPorts() int {
 	n := 0
-	for _, p := range sw.ports {
-		if !p.up {
+	for i := range sw.ports {
+		if !sw.ports[i].up {
 			n++
 		}
 	}
@@ -273,7 +272,7 @@ func (e *PortDownError) Error() string {
 
 func (sw *Switch) spareFor() int {
 	for i := sw.cfg.Ports; i < len(sw.ports); i++ {
-		if p := sw.ports[i]; p.up && p.bound < 0 {
+		if p := &sw.ports[i]; p.up && p.bound < 0 {
 			return i
 		}
 	}
@@ -284,11 +283,11 @@ func (sw *Switch) spareFor() int {
 // the spine. The returned FlowResult is the port link's result with Done
 // (and CleanDone) advanced by the spine traversal; with one port, zero hop
 // and no contention it is bit-identical to a bare cxl.Link.SendFlow.
-func (sw *Switch) Send(lp int, ready sim.Time, n int, extra sim.Time, pktBytes int, aggregated bool) (cxl.FlowResult, error) {
+func (sw *Switch) Send(lp int, ready sim.Time, n int64, extra sim.Time, pktBytes int, aggregated bool) (cxl.FlowResult, error) {
 	if lp < 0 || lp >= sw.cfg.Ports {
 		return cxl.FlowResult{}, fmt.Errorf("fabric: send on unknown port %d", lp)
 	}
-	p := sw.ports[sw.route[lp]]
+	p := &sw.ports[sw.route[lp]]
 	if !p.up {
 		at, rerouted := sw.failover(lp, ready)
 		if !rerouted {
@@ -296,7 +295,7 @@ func (sw *Switch) Send(lp int, ready sim.Time, n int, extra sim.Time, pktBytes i
 			return cxl.FlowResult{}, &PortDownError{Port: lp, At: at}
 		}
 		ready = at
-		p = sw.ports[sw.route[lp]]
+		p = &sw.ports[sw.route[lp]]
 	}
 	res := p.link.SendFlow(ready, n, extra, pktBytes, aggregated)
 	res.Done = sw.sp.pass(res.Done, n, sw.cfg.HopLatency)
@@ -311,9 +310,9 @@ func (sw *Switch) Send(lp int, ready sim.Time, n int, extra sim.Time, pktBytes i
 			sw.cleanAt[lp] = cleanOut
 		}
 	}
-	p.bytes += int64(n)
+	p.bytes += n
 	sw.stats.Flows++
-	sw.stats.Bytes += int64(n)
+	sw.stats.Bytes += n
 	sw.stats.SpineBytes = sw.sp.bytes
 	sw.stats.SpineQueued = sw.sp.queued
 	if res.Done > sw.lastDone[lp] {
@@ -353,7 +352,8 @@ func (sw *Switch) Stats() SwitchStats { return sw.stats }
 // the faulted one.
 func (sw *Switch) CheckInvariants() error {
 	var portBytes int64
-	for i, p := range sw.ports {
+	for i := range sw.ports {
+		p := &sw.ports[i]
 		if err := p.link.CheckInvariants(); err != nil {
 			return fmt.Errorf("fabric: port %d: %w", i, err)
 		}

@@ -13,7 +13,7 @@ import (
 // pushes is a deterministic flow schedule shared by the equality tests.
 type push struct {
 	ready sim.Time
-	n     int
+	n     int64
 }
 
 func schedule() []push {
@@ -21,7 +21,7 @@ func schedule() []push {
 	for i := 0; i < 24; i++ {
 		ps = append(ps, push{
 			ready: sim.Time(i) * 3 * sim.Microsecond / 2,
-			n:     4096 + 128*i,
+			n:     int64(4096 + 128*i),
 		})
 	}
 	return ps

@@ -42,14 +42,24 @@ func (g *GPU) StepComputeTime(m modelzoo.Model, batch int) sim.Time {
 
 // ForwardTime returns the forward-pass time.
 func (g *GPU) ForwardTime(m modelzoo.Model, batch int) sim.Time {
-	total := g.StepComputeTime(m, batch)
-	return total - g.BackwardTime(m, batch)
+	fwd, _ := g.Gradients(m, batch)
+	return fwd
 }
 
 // BackwardTime returns the backward-pass time.
 func (g *GPU) BackwardTime(m modelzoo.Model, batch int) sim.Time {
+	_, grads := g.Gradients(m, batch)
+	return grads.Span
+}
+
+// Gradients returns the forward-pass time and backward's gradient schedule,
+// whose Span is the backward-pass time: one chunk per layer, layer L-1
+// first (backward walks the model in reverse, so chunk i is layer L-1-i),
+// each an equal parameter share at an equally spaced point of the pass.
+func (g *GPU) Gradients(m modelzoo.Model, batch int) (fwd sim.Time, grads sim.Schedule) {
 	total := g.StepComputeTime(m, batch)
-	return sim.Time(float64(total) * g.BackwardFraction)
+	bwd := sim.Time(float64(total) * g.BackwardFraction)
+	return total - bwd, sim.NewSchedule(bwd, m.GradBytes(), m.Layers)
 }
 
 // GradChunk is a block of gradients becoming available during backward.
@@ -63,26 +73,14 @@ type GradChunk struct {
 	Layer int
 }
 
-// GradientSchedule returns per-layer gradient chunks: layer L-1 finishes
-// first (backward walks the model in reverse), each layer producing an
-// equal parameter share at an equally spaced point of the backward pass.
+// GradientSchedule returns the chunks of the Gradients schedule as a slice.
 // The final chunk lands exactly at BackwardTime.
 func (g *GPU) GradientSchedule(m modelzoo.Model, batch int) []GradChunk {
-	bwd := g.BackwardTime(m, batch)
-	n := m.Layers
-	per := m.GradBytes() / int64(n)
-	rem := m.GradBytes() - per*int64(n)
-	chunks := make([]GradChunk, 0, n)
-	for i := 0; i < n; i++ {
-		b := per
-		if i == n-1 {
-			b += rem
-		}
-		chunks = append(chunks, GradChunk{
-			ReadyAt: sim.Time(int64(bwd) * int64(i+1) / int64(n)),
-			Bytes:   b,
-			Layer:   n - 1 - i,
-		})
+	_, grads := g.Gradients(m, batch)
+	chunks := make([]GradChunk, grads.N)
+	for i := range chunks {
+		at, b := grads.Chunk(i)
+		chunks[i] = GradChunk{ReadyAt: at, Bytes: b, Layer: grads.N - 1 - i}
 	}
 	return chunks
 }

@@ -1,6 +1,7 @@
 // Package sim holds the simulated clock every timing model in the repository
 // shares (the CXL link, the GPU and CPU timing models, the training
-// schedules) and a small discrete-event engine. The timing models are closed
+// schedules), the uniform chunk Schedule those models emit, and a small
+// discrete-event engine. The timing models are closed
 // forms over Time; the engine drives the per-line reference schedule that
 // internal/cxl's tests hold SendFlow to.
 //
@@ -80,6 +81,33 @@ func DurationForBytes(n int64, bytesPerSecond float64) Time {
 		return 0
 	}
 	return FromSeconds(float64(n) / bytesPerSecond)
+}
+
+// Schedule is a uniform chunked transfer: a byte count split into N equal
+// chunks, the division remainder on the last, chunk i ready at offset
+// Span·(i+1)/N, so the last chunk lands exactly at Span. It is how the timing
+// models emit a pass's per-layer output (backward's gradients, ADAM's
+// parameter writebacks) as a value rather than a slice.
+type Schedule struct {
+	Span Time
+	N    int
+	// per is every chunk's byte count but the last's, which is last.
+	per, last int64
+}
+
+// NewSchedule splits bytes into n chunks over span. n must be positive.
+func NewSchedule(span Time, bytes int64, n int) Schedule {
+	per := bytes / int64(n)
+	return Schedule{Span: span, N: n, per: per, last: bytes - per*int64(n-1)}
+}
+
+// Chunk returns chunk i's ready offset and byte count.
+func (s Schedule) Chunk(i int) (readyAt Time, bytes int64) {
+	bytes = s.per
+	if i == s.N-1 {
+		bytes = s.last
+	}
+	return Time(int64(s.Span) * int64(i+1) / int64(s.N)), bytes
 }
 
 // Handler is an event callback. Hot paths that schedule millions of events

@@ -69,6 +69,44 @@ type fn func(now Time)
 
 func (f fn) Fire(now Time) { f(now) }
 
+// TestScheduleChunks: a Schedule's chunks are equal but for the last, which
+// carries the division remainder; they cover the bytes exactly, and chunk i
+// is ready at Span·(i+1)/N, the last exactly at Span.
+func TestScheduleChunks(t *testing.T) {
+	for _, c := range []struct {
+		span  Time
+		bytes int64
+		n     int
+	}{
+		{7 * Millisecond, 1 << 30, 1},
+		{12345677, 1_340_000_000*4 + 3, 24},
+		{5, 3, 7}, // fewer bytes than chunks, span below N
+		{0, 2_950_000_000 * 4, 48},
+	} {
+		s := NewSchedule(c.span, c.bytes, c.n)
+		per, rem := c.bytes/int64(c.n), c.bytes%int64(c.n)
+		var total int64
+		prev := Time(0)
+		for i := range s.N {
+			at, b := s.Chunk(i)
+			want := per
+			if i == c.n-1 {
+				want += rem
+			}
+			if b != want {
+				t.Fatalf("%+v chunk %d: %d bytes, want %d", c, i, b, want)
+			}
+			if at < prev || at != Time(int64(c.span)*int64(i+1)/int64(c.n)) {
+				t.Fatalf("%+v chunk %d ready at %v after %v", c, i, at, prev)
+			}
+			total, prev = total+b, at
+		}
+		if s.N != c.n || total != c.bytes || prev != c.span {
+			t.Fatalf("%+v: %d chunks cover %d bytes ending at %v", c, s.N, total, prev)
+		}
+	}
+}
+
 func TestEngineOrdering(t *testing.T) {
 	eng := New()
 	var order []Time

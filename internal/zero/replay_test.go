@@ -22,7 +22,7 @@ func replayStep(e *Engine, m modelzoo.Model, batch, queueCap int) phases.StepRes
 	delay := sim.Time(float64(bwd) * (1 - e.OverlapFraction))
 	for _, ch := range e.GPU.GradientSchedule(m, batch) {
 		ready := fwd + delay + sim.Time(float64(ch.ReadyAt)*e.OverlapFraction)
-		up.SendFlow(ready, int(ch.Bytes), 0, 0, false)
+		up.SendFlow(ready, ch.Bytes, 0, 0, false)
 	}
 	gradDone := up.Fence(bwdEnd)
 	clip := e.CPU.ClipTime(m.Params)
@@ -35,7 +35,7 @@ func replayStep(e *Engine, m modelzoo.Model, batch, queueCap int) phases.StepRes
 	for remaining := m.ParamBytes(); remaining > 0; {
 		b := min(e.ParamBufferBytes, remaining)
 		remaining -= b
-		done := down.SendFlow(fillFree[slot]+e.CPU.FillTime(b), int(b), 0, 0, false).Done
+		done := down.SendFlow(fillFree[slot]+e.CPU.FillTime(b), b, 0, 0, false).Done
 		fillFree[slot] = done
 		slot = 1 - slot
 		paramDone = done

@@ -98,13 +98,30 @@ func Simulate(sys System, m Model, batch int, cfg SimConfig) StepResult {
 		}
 		return zero.NewEngine().Step(m, batch)
 	case TECOCXL:
-		return core.MustEngine(core.Config{}).Step(m, batch)
+		return cxlEngine.Step(m, batch)
 	case TECOReduction:
+		if d := cfg.DirtyBytes; d >= 0 && d < len(reductionEngines) {
+			return reductionEngines[d].Step(m, batch)
+		}
 		return core.MustEngine(core.Config{DBA: true, DirtyBytes: cfg.DirtyBytes}).Step(m, batch)
 	default:
-		return core.MustEngine(core.Config{Invalidation: true}).Step(m, batch)
+		return invalEngine.Step(m, batch)
 	}
 }
+
+// The TECO engines Simulate steps. Step only reads its engine, so every
+// call shares one per configuration; reductionEngines is indexed by
+// dirty_bytes, 0 selecting the default.
+var (
+	cxlEngine        = core.MustEngine(core.Config{})
+	invalEngine      = core.MustEngine(core.Config{Invalidation: true})
+	reductionEngines = func() (es [5]*core.Engine) {
+		for d := range es {
+			es[d] = core.MustEngine(core.Config{DBA: true, DirtyBytes: d})
+		}
+		return es
+	}()
+)
 
 // Speedup returns the training-time speedup of sys over ZeRO-Offload for
 // the model/batch (the Fig 11 quantity).

@@ -3,8 +3,12 @@ package teco
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"teco/internal/core"
 )
 
 func TestSystemStrings(t *testing.T) {
@@ -115,6 +119,67 @@ func TestSimulateDPU(t *testing.T) {
 	if dpu.Total() >= plain.Total() {
 		t.Fatal("DPU must not be slower")
 	}
+}
+
+// TestSimulateAllocs: a TECO Simulate call steps a shared engine over links
+// held on the stack, so it allocates nothing over the Table III grid, and it
+// returns exactly what a freshly built engine's Step does, at every
+// dirty_bytes.
+func TestSimulateAllocs(t *testing.T) {
+	configs := map[System]core.Config{
+		TECOCXL:          {},
+		TECOReduction:    {DBA: true},
+		TECOInvalidation: {Invalidation: true},
+	}
+	for sys, cfg := range configs {
+		for _, m := range Models() {
+			for _, b := range []int{4, 8, 16} {
+				if n := testing.AllocsPerRun(10, func() { Simulate(sys, m, b, SimConfig{}) }); n != 0 {
+					t.Errorf("Simulate(%v, %s, %d): %v allocs, want 0", sys, m.Name, b, n)
+				}
+				step := b
+				if m.FullGraphOnly {
+					step = 1
+				}
+				if got, want := Simulate(sys, m, b, SimConfig{}), core.MustEngine(cfg).Step(m, step); !reflect.DeepEqual(got, want) {
+					t.Errorf("Simulate(%v, %s, %d) = %+v, fresh engine %+v", sys, m.Name, b, got, want)
+				}
+			}
+		}
+	}
+	m := Models()[0]
+	for d := -1; d <= 4; d++ {
+		got := Simulate(TECOReduction, m, 4, SimConfig{DirtyBytes: d})
+		if want := core.MustEngine(core.Config{DBA: true, DirtyBytes: d}).Step(m, 4); !reflect.DeepEqual(got, want) {
+			t.Errorf("dirty_bytes %d: Simulate %+v, fresh engine %+v", d, got, want)
+		}
+	}
+}
+
+// TestSimulateConcurrent: the shared engines are only read, so concurrent
+// Simulate calls return what serial ones do (run under -race).
+func TestSimulateConcurrent(t *testing.T) {
+	m := Models()[0]
+	systems := []System{TECOCXL, TECOReduction, TECOInvalidation}
+	want := make([]StepResult, len(systems))
+	for i, sys := range systems {
+		want[i] = Simulate(sys, m, 4, SimConfig{})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(systems)
+				if got := Simulate(systems[k], m, 4, SimConfig{}); !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("concurrent Simulate(%v) = %+v, serial %+v", systems[k], got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestReplayGradients(t *testing.T) {
